@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .asymptotics import (
     asymptotic_sweep,
@@ -27,9 +27,9 @@ from .entropy import (
     entropy,
     pmf_signed_sum,
 )
-from .gowers import energy_E, energy_E_tilde, energy_P, gowers_norm_pow
+from .gowers import energy_E, energy_E_tilde, energy_P, gowers_norm_recursive
 from .lattice import load_function, load_set
-from .solver import BracketError, SolverConfig, solve_exponent
+from .solver import SOLVER_VERSION, BracketError, SolverConfig, solve_exponent
 from .terms import enumerate_tuple_classes, pmf_of_tuple
 from .verify import SUITES
 
@@ -133,7 +133,7 @@ def build_parser():
 
 def cmd_norm(args, cfg):
     f = load_function(args.f)
-    power = gowers_norm_pow(f, args.k)
+    power = gowers_norm_recursive(f, args.k)
     norm = power ** (0.5 ** args.k)
     if cfg.output_format == "json":
         print(dumps17({"k": args.k, "power": power, "norm": norm}))
@@ -162,18 +162,13 @@ def _solver_config(cfg):
 
 
 def _cfg_hash(scfg):
-    payload = json.dumps(
-        {
-            "grid": scfg.inner_grid_resolution,
-            "multistart": scfg.multistart_count,
-            "polish": scfg.polish_iterations,
-            "seed": scfg.rng_seed,
-            "grid_top": scfg.grid_top,
-            "symmetric": scfg.symmetric,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    # The tolerance stays out: the cache entry's own `tol` decides reuse, so
+    # a looser request can be served by a tighter entry.
+    payload = {f.name: getattr(scfg, f.name) for f in fields(SolverConfig)
+               if f.name != "t_tolerance"}
+    payload["solver_version"] = SOLVER_VERSION
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _cache_lookup(path, k, n, cfg_hash, tol):

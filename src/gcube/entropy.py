@@ -270,7 +270,8 @@ def verify_majorization_lemma(m_max: int = 4, h_bound: int = 4) -> VerificationR
         binom = list(_binomial_rearrangement(m))
         h_binom = binomial_entropy(m)
         for h in _product(values, repeat=m):
-            x = decreasing_rearrangement(pmf_signed_sum(h))
+            pmf = pmf_signed_sum(h)
+            x = decreasing_rearrangement(pmf)
             n = max(len(x), len(binom))
             padded_x = x + [Fraction(0)] * (n - len(x))
             padded_b = binom + [Fraction(0)] * (n - len(binom))
@@ -283,7 +284,7 @@ def verify_majorization_lemma(m_max: int = 4, h_bound: int = 4) -> VerificationR
                 f"h={h}: rearrangement equality mismatch "
                 f"(equal={is_equal}, uniform |h|={all_same})",
             )
-            h_sum = entropy(pmf_signed_sum(h))
+            h_sum = entropy(pmf)
             if all_same:
                 report.record(
                     abs(h_sum - h_binom) <= 1e-12,

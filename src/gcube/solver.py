@@ -3,9 +3,17 @@
 For fixed side n and box order k, the objective always attains the value 1
 exactly at every vertex of the probability simplex, so the supremum M(t)
 satisfies M(t) > 1 strictly below the critical exponent and M(t) = 1 at and
-above it.  The solver therefore bisects on t with the strict predicate
-"best found maximum > 1", which converges to the infimum edge of the
-plateau where M is identically 1.
+above it.  The solver looks for the infimum edge of the plateau where M is
+identically 1 with the strict predicate "best found maximum > 1".
+
+The outer loop is Dinkelbach's iteration for fractional programs: every
+maximizer g found with M > 1 is a witness, and the root in t of
+objective(g) = 1 is a certified lower bound for the critical exponent.  The
+loop jumps to that root and probes just above it, where the maximization
+either finds the next witness or certifies the bracket.  A witness that
+fails to carry the bound past its probe makes the next probe a bisection
+midpoint instead.  Each maximization also ascends from the previous
+witness.
 
 The inner maximization is the soft spot because the objective is not
 concave.  It is attacked in three deterministic stages: a dense simplex
@@ -21,7 +29,7 @@ the simplex projection only ever removes mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -30,12 +38,16 @@ from .gowers import energy_P
 from .lattice import interval_set
 from .terms import objective, term_groups
 
+# Identifies the outer loop and the search stages; results cached under an
+# older version are not served for this one.
+SOLVER_VERSION = 2
+
 _LOG_ZERO = -1e300
 _GRID_POINT_CAP = 200_000
 
 
 class BracketError(RuntimeError):
-    """Initial bisection bracket failed its sign check."""
+    """Initial bracket [1, k+1] failed its sign check."""
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,18 @@ class SolverConfig:
                      "polish_iterations", "grid_top"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+
+
+@dataclass(frozen=True)
+class _WarmStart(SolverConfig):
+    # A config whose maximization also ascends from `point`, the previous
+    # witness of the outer loop.
+    point: tuple = ()
+
+
+def _warm(cfg, point):
+    base = {f.name: getattr(cfg, f.name) for f in fields(SolverConfig)}
+    return _WarmStart(**base, point=tuple(point))
 
 
 @dataclass(frozen=True)
@@ -91,16 +115,14 @@ def _term_matrix(n, k):
 
 
 def _effective_resolution(n, base):
-    # Full resolution through n = 4, halved for n in {5, 6}, then halved
+    # Full resolution through n = 4, halved from n = 5 on, then halved
     # further until the simplex grid stays below the point cap.
     if n <= 4:
         return base
     r = max(2, base // 2)
-    if n <= 6:
-        return r
     while r > 2 and math.comb(r + n - 1, n - 1) > _GRID_POINT_CAP:
         r //= 2
-    return max(2, r)
+    return r
 
 
 @lru_cache(maxsize=None)
@@ -127,6 +149,15 @@ def _log_rows(G):
     out = np.full_like(G, _LOG_ZERO)
     np.log(G, out=out, where=G > 0)
     return out
+
+
+@lru_cache(maxsize=1)
+def _grid_log_products(n, k, r):
+    # log(grid) @ Q.T, the t-independent factor of the grid stage.  A solve
+    # works on one (n, k), so a single entry serves all its maximizations.
+    L = _log_rows(_simplex_grid(n, r)) @ _term_matrix(n, k).Q.T
+    L.setflags(write=False)
+    return L
 
 
 def _phi_batch(G, t, tm):
@@ -255,15 +286,22 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None):
     if not t > 0:
         raise ValueError("t must be positive")
     tm = _term_matrix(n, k)
-    grid = _simplex_grid(n, _effective_resolution(n, cfg.inner_grid_resolution))
+    r = _effective_resolution(n, cfg.inner_grid_resolution)
+    grid = _simplex_grid(n, r)
+    logs = _grid_log_products(n, k, r)
     if cfg.symmetric:
-        grid = grid[np.all(grid == grid[:, ::-1], axis=1)]
-    gvals = _phi_batch(grid, t, tm)
+        mask = np.all(grid == grid[:, ::-1], axis=1)
+        grid, logs = grid[mask], logs[mask]
+    powers = np.multiply(logs, t)
+    np.exp(powers, out=powers)
+    gvals = powers @ tm.c
     top = np.argsort(gvals, kind="stable")[::-1][: cfg.grid_top]
     rng = np.random.default_rng(cfg.rng_seed)
     blocks = [grid[top], np.eye(n)]
     blocks.extend(_structured_seeds(n, k))
     blocks.append(rng.dirichlet(np.ones(n), size=cfg.multistart_count))
+    if isinstance(cfg, _WarmStart):
+        blocks.append(np.array([cfg.point], dtype=float))
     cands = np.vstack(blocks)
     if cfg.symmetric:
         cands = 0.5 * (cands + cands[:, ::-1])
@@ -278,27 +316,42 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None):
 
 
 def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentPair:
-    """Bisection on t over [1, k+1] for the smallest t with M(t) = 1."""
+    """Smallest t in [1, k+1] with M(t) = 1, by Dinkelbach's iteration.
+
+    After the sign check at both ends, each maximizer g with M > 1 is a
+    witness: the lower end moves to the root of objective(g) = 1, a
+    certified lower bound, and the next maximization probes half a
+    tolerance above it, warm-started from g.  A probe with M <= 1 becomes
+    the upper end.  A witness that does not carry the lower end past its
+    probe makes the next probe a bisection midpoint, so a stalling
+    maximizer costs at most about twice the calls of plain bisection.
+    `argmax` is the witness that set the final lower end, never a vertex."""
     cfg = cfg or SolverConfig()
     if n < 2 or k < 2:
         raise ValueError("n >= 2 and k >= 2 required")
     lo, hi = 1.0, float(k + 1)
-    v_lo, _ = max_objective(n, k, lo, cfg)
+    v_lo, witness = max_objective(n, k, lo, cfg)
     v_hi, _ = max_objective(n, k, hi, cfg)
     if not (v_lo > 1.0 >= v_hi):
         raise BracketError(
             f"bracket [1, {k + 1}] invalid for n={n}, k={k}: "
             f"M(lo)={v_lo!r}, M(hi)={v_hi!r}"
         )
-    while hi - lo > cfg.t_tolerance:
-        mid = 0.5 * (lo + hi)
-        v, _ = max_objective(n, k, mid, cfg)
+    probe, v, g = lo, v_lo, witness
+    while True:
         if v > 1.0:
-            lo = mid
+            witness = g
+            root = witness_lower_bound(n, k, g)
+            bisect = not root > probe
+            lo = min(max(root, probe), hi)
         else:
-            hi = mid
+            hi, bisect = probe, False
+        if hi - lo <= cfg.t_tolerance:
+            break
+        probe = 0.5 * (lo + hi) if bisect else lo + 0.5 * cfg.t_tolerance
+        v, g = max_objective(n, k, probe, _warm(cfg, witness))
     t = 0.5 * (lo + hi)
-    v, argmax = max_objective(n, k, t, cfg)
+    v, _ = max_objective(n, k, t, _warm(cfg, witness))
     return ExponentPair(
         k=k,
         n=n,
@@ -306,7 +359,7 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
         p=2.0 ** k / t,
         residual=abs(v - 1.0),
         bracket_width=hi - lo,
-        argmax=tuple(argmax),
+        argmax=tuple(witness),
     )
 
 

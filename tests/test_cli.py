@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,7 @@ from gcube.lattice import (
     indicator,
     set_to_json,
 )
-from gcube.solver import BracketError
+from gcube.solver import BracketError, SolverConfig
 
 
 def write_function(tmp_path, name, f):
@@ -108,6 +109,21 @@ def test_exponent_cache(tmp_path, capsys):
     code3, _, _ = run(capsys, argv + ["--tol", "1e-10"])
     assert code3 == 0
     assert len(cache.read_text().strip().split("\n")) == 2
+
+
+def test_cfg_hash_covers_config_and_version(monkeypatch):
+    base = SolverConfig()
+    reference = cli._cfg_hash(base)
+    assert cli._cfg_hash(dataclasses.replace(base, t_tolerance=1e-6)) == reference
+    for field in dataclasses.fields(SolverConfig):
+        if field.name == "t_tolerance":
+            continue
+        value = getattr(base, field.name)
+        changed = (not value) if isinstance(value, bool) else value + 1
+        other = dataclasses.replace(base, **{field.name: changed})
+        assert cli._cfg_hash(other) != reference, field.name
+    monkeypatch.setattr(cli, "SOLVER_VERSION", cli.SOLVER_VERSION + 1)
+    assert cli._cfg_hash(base) != reference
 
 
 def test_exponent_bracket_failure_exit_code(capsys, monkeypatch):

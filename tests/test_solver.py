@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import gcube.solver as solver_module
 from conftest import solve_cached
 from gcube.solver import (
     BracketError,
@@ -13,6 +14,9 @@ from gcube.solver import (
     solve_exponent,
     trivial_bounds,
     witness_lower_bound,
+    _GRID_POINT_CAP,
+    _effective_resolution,
+    _simplex_grid,
 )
 from gcube.terms import ternary_objective_check
 
@@ -172,3 +176,65 @@ def test_solver_config_validation():
         solve_exponent(2, 1)
     with pytest.raises(ValueError):
         max_objective(2, 2, 0.0)
+
+
+@pytest.mark.parametrize("n,k", [(3, 4), (4, 2)])
+def test_argmax_is_interior_symmetric_witness(n, k):
+    pair = solve_cached(n, k)
+    g = pair.argmax
+    assert max(g) < 1.0 - 1e-6
+    for a, b in zip(g, reversed(g)):
+        assert a == pytest.approx(b, abs=1e-6)
+    root = witness_lower_bound(n, k, g)
+    assert abs(root - pair.t) <= SolverConfig().t_tolerance
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_witness_loop_call_count(monkeypatch, n):
+    calls = []
+    inner = solver_module.max_objective
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "max_objective", counted)
+    solve_exponent(n, 2)
+    assert len(calls) <= 10
+
+
+def test_stalled_witness_falls_back_to_bisection(monkeypatch):
+    # A maximizer whose witnesses never certify past their probe: the loop
+    # must bisect its way to the plateau edge at 2.5.
+    edge = 2.5
+    calls = []
+
+    def stub_max(n, k, t, cfg=None):
+        calls.append(t)
+        if len(calls) > 200:
+            raise AssertionError("outer loop does not converge")
+        if t < edge:
+            return 1.5, (0.2, 0.6, 0.2)
+        return 1.0, (0.0, 0.0, 1.0)
+
+    monkeypatch.setattr(solver_module, "max_objective", stub_max)
+    monkeypatch.setattr(solver_module, "witness_lower_bound", lambda n, k, g: 1.0)
+    tol = SolverConfig().t_tolerance
+    pair = solve_exponent(3, 2)
+    assert pair.bracket_width <= tol
+    assert abs(pair.t - edge) <= tol
+    assert len(calls) <= 2 * math.ceil(math.log2(2 / tol)) + 3
+
+
+def test_grid_respects_point_cap():
+    base = SolverConfig().inner_grid_resolution
+    for n in range(5, 11):
+        assert len(_simplex_grid(n, _effective_resolution(n, base))) <= _GRID_POINT_CAP
+
+
+def test_capped_grid_keeps_side_six_value():
+    pair = solve_cached(6, 2)
+    assert abs(witness_lower_bound(6, 2, pair.argmax) - pair.t) <= 1e-9
+    value, _ = max_objective(6, 2, pair.t + 1e-6)
+    assert value <= 1.0 + 1e-12
+    assert pair.t == pytest.approx(2.8286209328, abs=1e-8)  # uncapped grid value
