@@ -62,14 +62,25 @@ class AsymptoticReport:
     upper_trivial: float
 
 
-def asymptotic_sweep(n: int, k_list, cfg: SolverConfig | None = None) -> list:
-    """Solve each k in k_list at side n and tabulate the formula gaps."""
+def asymptotic_sweep(n: int, k_list, cfg: SolverConfig | None = None,
+                     threads: int = 1) -> list:
+    """Solve each k in k_list at side n and tabulate the formula gaps,
+    sorted by k; with threads > 1 the solves run in that many worker
+    processes."""
+    if threads < 1:
+        raise ValueError("threads must be positive")
     cfg = cfg or SolverConfig()
-    reports = []
-    for k in sorted(k_list):
-        pair = solve_exponent(n, k, cfg)
-        reports.append(report_for(pair))
-    return reports
+    params = [(n, k, cfg) for k in sorted(k_list)]
+    if threads == 1:
+        return list(map(_solve_report, params))
+    # Imported here so that serial runs do not pay for the pool modules at
+    # start-up.  spawn, not fork: the parent may already run BLAS threads.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(max_workers=threads,
+                             mp_context=get_context("spawn")) as pool:
+        return list(pool.map(_solve_report, params))
 
 
 def report_for(pair) -> AsymptoticReport:

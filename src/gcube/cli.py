@@ -14,12 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, fields
 
-from .asymptotics import (
-    asymptotic_sweep,
-    leading_coefficient_rows,
-    sweep_csv,
-    _solve_report,
-)
+from .asymptotics import asymptotic_sweep, leading_coefficient_rows, sweep_csv
 from .entropy import (
     binomial_entropy,
     binomial_entropy_bounds,
@@ -106,8 +101,10 @@ def build_parser():
     s = sub.add_parser("exponent", parents=[common], help="critical exponent pair")
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--json", action="store_true", dest="as_json")
-    s.add_argument("--csv", action="store_true", dest="as_csv")
+    s.add_argument("--json", action="store_const", const="json", dest="format",
+                   help="alias of --format json")
+    s.add_argument("--csv", action="store_const", const="csv", dest="format",
+                   help="alias of --format csv")
 
     s = sub.add_parser("entropy", parents=[common], help="entropy utilities")
     s.add_argument("--binomial", type=int, default=None, metavar="M")
@@ -115,7 +112,8 @@ def build_parser():
 
     s = sub.add_parser("terms", parents=[common], help="tuple classes with q vectors")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--json", action="store_true", dest="as_json")
+    s.add_argument("--json", action="store_const", const="json", dest="format",
+                   help="alias of --format json")
 
     s = sub.add_parser("table1", parents=[common], help="leading coefficient table")
     s.add_argument("--n-max", type=int, default=6, dest="n_max")
@@ -225,14 +223,9 @@ def cmd_exponent(args, cfg):
         if cfg.cache_path:
             _cache_append(cfg.cache_path, args.k, args.n, cfg_hash,
                           cfg.tolerance, result)
-    fmt = cfg.output_format
-    if args.as_json:
-        fmt = "json"
-    elif args.as_csv:
-        fmt = "csv"
-    if fmt == "json":
+    if cfg.output_format == "json":
         print(dumps17(result))
-    elif fmt == "csv":
+    elif cfg.output_format == "csv":
         print("k,n,t,p,residual,bracket")
         print(",".join([str(result["k"]), str(result["n"])]
                        + [_f17(result[key]) for key in
@@ -302,7 +295,7 @@ def cmd_terms(args, cfg):
             for c in classes
         ],
     }
-    if args.as_json or cfg.output_format == "json":
+    if cfg.output_format == "json":
         print(dumps17(payload))
     else:
         for c in classes:
@@ -329,18 +322,10 @@ def cmd_table1(args, cfg):
 
 def cmd_asym(args, cfg):
     try:
-        ks = sorted(int(v) for v in args.k.split(","))
+        ks = [int(v) for v in args.k.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad k list {args.k!r}") from exc
-    scfg = _solver_config(cfg)
-    if cfg.threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            reports = list(pool.map(_solve_report,
-                                    [(args.n, k, scfg) for k in ks]))
-    else:
-        reports = asymptotic_sweep(args.n, ks, scfg)
+    reports = asymptotic_sweep(args.n, ks, _solver_config(cfg), cfg.threads)
     text = sweep_csv(reports)
     if args.csv_path:
         with open(args.csv_path, "w") as fh:

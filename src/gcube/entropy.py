@@ -87,7 +87,7 @@ def entropy(p: PMFVector) -> float:
     return entropy_bits(p.masses)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def binomial_entropy(m: int) -> float:
     """Entropy H_m of the symmetric binomial distribution B(m, 1/2)."""
     if m < 1:
@@ -193,12 +193,6 @@ PSI_REGISTRY = {
 }
 
 
-def register_psi(name: str, fn, convexity: str):
-    if convexity not in ("convex", "concave"):
-        raise ValueError("convexity must be 'convex' or 'concave'")
-    PSI_REGISTRY[name] = (fn, convexity)
-
-
 @dataclass(frozen=True)
 class KaramataResult:
     difference: float
@@ -248,7 +242,7 @@ class VerificationReport:
             self.failures.append(message)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _binomial_rearrangement(m: int) -> tuple:
     denom = 2 ** m
     masses = [Fraction(math.comb(m, j), denom) for j in range(m + 1)]

@@ -1,10 +1,12 @@
 """Gowers inner products, uniformity norms, and exact additive energies.
 
-The brute-force norm enumerates every tuple (a, h_1, ..., h_k) that can
-contribute: a must lie in the support, and each h_i must lie in
-(support - a), because the box vertex with only the i-th epsilon switched
-on has to be a support point itself.  The recursive evaluator peels one
-difference level per step and bottoms out at the squared absolute sum.
+The brute-force inner product, which also gives the brute-force norm,
+enumerates every tuple (a, h_1, ..., h_k) that can contribute: a must lie
+in the support of the base function, and each h_i must lie in (support of
+the i-th unit function - a), because the box vertex with only the i-th
+epsilon switched on has to be a support point itself.  The recursive
+evaluator peels one difference level per step and bottoms out at the
+squared absolute sum.
 
 Set energies are counted in exact integer arithmetic throughout; counts
 such as (2k+2)^d overflow fixed-width integers almost immediately.
@@ -49,10 +51,6 @@ class GowersSystem:
         return cls(k, {eps: f for eps in _product((0, 1), repeat=k)})
 
 
-def _eps_parities(k):
-    return [(eps, sum(eps) % 2) for eps in _product((0, 1), repeat=k)]
-
-
 def gowers_inner_product(system: GowersSystem) -> complex:
     """Sum over (a, h_1, ..., h_k) of the conjugation-alternating product
     of the 2^k system functions at the box vertices."""
@@ -62,7 +60,7 @@ def gowers_inner_product(system: GowersSystem) -> complex:
     base = fns[(0,) * k].entries
     if not base:
         return 0j
-    eps_list = _eps_parities(k)
+    eps_list = [(eps, sum(eps) % 2) for eps in _product((0, 1), repeat=k)]
     unit_supports = []
     for i in range(k):
         e_i = tuple(1 if j == i else 0 for j in range(k))
@@ -97,36 +95,14 @@ def _discard_imag(value: complex) -> float:
 
 
 def gowers_norm_pow(f: LatticeFunction, k: int) -> float:
-    """||f||_{U^k}^{2^k} by direct enumeration of contributing tuples."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ent = f.entries
-    if not ent:
-        return 0.0
-    d = f.dim
-    supp = sorted(ent)
-    eps_list = _eps_parities(k)
-    total = 0j
-    for a in supp:
-        diffs = sorted(tuple(p[j] - a[j] for j in range(d)) for p in supp)
-        for hs in _product(diffs, repeat=k):
-            term = 1 + 0j
-            for eps, odd in eps_list:
-                vertex = tuple(
-                    a[j] + sum(h[j] for h, e in zip(hs, eps) if e) for j in range(d)
-                )
-                v = ent.get(vertex)
-                if v is None:
-                    term = 0j
-                    break
-                term *= v.conjugate() if odd else v
-            total += term
-    return max(_discard_imag(total), 0.0)
+    """||f||_{U^k}^{2^k} by direct enumeration: the Gowers inner product of
+    the constant system f."""
+    return max(_discard_imag(gowers_inner_product(GowersSystem.constant(f, k))), 0.0)
 
 
 def gowers_norm(f: LatticeFunction, k: int) -> float:
-    """||f||_{U^k}, the 2^k-th root of gowers_norm_pow."""
-    return gowers_norm_pow(f, k) ** (0.5 ** k)
+    """||f||_{U^k}, the 2^k-th root of gowers_norm_recursive."""
+    return gowers_norm_recursive(f, k) ** (0.5 ** k)
 
 
 def _u1_sq(entries) -> float:
@@ -173,7 +149,7 @@ def _canonical(points):
     return tuple(sorted(tuple(c - m for c, m in zip(p, mins)) for p in pts))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8192)
 def _count_boxes(canon_pts, k):
     # Number of (a, h_1, ..., h_k) whose full epsilon-combination box stays
     # inside the set; difference recursion down to k = 1 where the count is

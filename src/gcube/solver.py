@@ -36,13 +36,12 @@ import numpy as np
 
 from .gowers import energy_P
 from .lattice import interval_set
-from .terms import objective, term_groups
+from .terms import check_simplex, term_matrix
 
 # Identifies the outer loop and the search stages; results cached under an
 # older version are not served for this one.
-SOLVER_VERSION = 2
+SOLVER_VERSION = 3
 
-_LOG_ZERO = -1e300
 _GRID_POINT_CAP = 200_000
 
 
@@ -83,6 +82,12 @@ def _warm(cfg, point):
 
 @dataclass(frozen=True)
 class ExponentPair:
+    """Critical exponent t = t(k, n) with its dual p = 2^k / t.
+
+    t is the midpoint of the final bracket, bracket_width its width,
+    argmax the witness that set the lower end, and residual = |M - 1| at
+    the upper end as found by the maximization that set it."""
+
     k: int
     n: int
     t: float
@@ -98,22 +103,6 @@ class ExponentPair:
             raise ValueError("t exceeds the trivial upper bound k + 1")
 
 
-@dataclass(frozen=True)
-class _TermMatrix:
-    Q: np.ndarray  # (groups, n) exponent fractions as floats
-    c: np.ndarray  # (groups,) summed coefficients
-
-
-@lru_cache(maxsize=None)
-def _term_matrix(n, k):
-    groups = term_groups(n, k)
-    Q = np.array([[float(q) for q in grp.q] for grp in groups], dtype=float)
-    c = np.array([float(grp.coefficient) for grp in groups], dtype=float)
-    Q.setflags(write=False)
-    c.setflags(write=False)
-    return _TermMatrix(Q, c)
-
-
 def _effective_resolution(n, base):
     # Full resolution through n = 4, halved from n = 5 on, then halved
     # further until the simplex grid stays below the point cap.
@@ -125,7 +114,7 @@ def _effective_resolution(n, base):
     return r
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _simplex_grid(n, r):
     pts = []
     comp = [0] * n
@@ -145,30 +134,20 @@ def _simplex_grid(n, r):
     return arr
 
 
-def _log_rows(G):
-    out = np.full_like(G, _LOG_ZERO)
-    np.log(G, out=out, where=G > 0)
-    return out
-
-
 @lru_cache(maxsize=1)
 def _grid_log_products(n, k, r):
     # log(grid) @ Q.T, the t-independent factor of the grid stage.  A solve
     # works on one (n, k), so a single entry serves all its maximizations.
-    L = _log_rows(_simplex_grid(n, r)) @ _term_matrix(n, k).Q.T
+    L = term_matrix(n, k).log_monomials(_simplex_grid(n, r))
     L.setflags(write=False)
     return L
-
-
-def _phi_batch(G, t, tm):
-    return np.exp(t * (_log_rows(G) @ tm.Q.T)) @ tm.c
 
 
 _COORD_FLOOR = 1e-15
 
 
 def _grad_batch(G, t, tm):
-    W = np.exp(t * (_log_rows(G) @ tm.Q.T)) * tm.c
+    W = np.exp(t * tm.log_monomials(G)) * tm.c
     S = W @ tm.Q
     grad = np.zeros_like(G)
     # Coordinates at or below the floor count as being on the face; the
@@ -195,12 +174,12 @@ def _project_rows(y):
 
 def _ascend(G, t, tm, iters):
     G = G.copy()
-    vals = _phi_batch(G, t, tm)
+    vals = tm.values(G, t)
     step = np.full(len(G), 0.1)
     for _ in range(iters):
         grad = _grad_batch(G, t, tm)
         cand = _project_rows(G + step[:, None] * grad)
-        cvals = _phi_batch(cand, t, tm)
+        cvals = tm.values(cand, t)
         better = cvals > vals
         G[better] = cand[better]
         vals[better] = cvals[better]
@@ -216,7 +195,7 @@ def _newton_refine(g, t, tm, iters=12):
     # zero (fractional powers have infinite slope there, so the face is
     # where a stationary interior point can live).
     g = g.copy()
-    best = float(_phi_batch(g[None, :], t, tm)[0])
+    best = float(tm.values(g[None, :], t)[0])
     for _ in range(iters):
         act = g > 1e-13
         na = int(act.sum())
@@ -251,7 +230,7 @@ def _newton_refine(g, t, tm, iters=12):
             if cand.min() > 0.0:
                 gc = g.copy()
                 gc[act] = cand
-                val = float(_phi_batch(gc[None, :], t, tm)[0])
+                val = float(tm.values(gc[None, :], t)[0])
                 if val > best:
                     g, best = gc, val
                     improved = True
@@ -285,7 +264,7 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None):
     cfg = cfg or SolverConfig()
     if not t > 0:
         raise ValueError("t must be positive")
-    tm = _term_matrix(n, k)
+    tm = term_matrix(n, k)
     r = _effective_resolution(n, cfg.inner_grid_resolution)
     grid = _simplex_grid(n, r)
     logs = _grid_log_products(n, k, r)
@@ -325,7 +304,9 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
     the upper end.  A witness that does not carry the lower end past its
     probe makes the next probe a bisection midpoint, so a stalling
     maximizer costs at most about twice the calls of plain bisection.
-    `argmax` is the witness that set the final lower end, never a vertex."""
+    `argmax` is the witness that set the final lower end, never a vertex;
+    `residual` is |M - 1| at the final upper end, from the maximization
+    that set it (the sign check at k + 1 when no probe did)."""
     cfg = cfg or SolverConfig()
     if n < 2 or k < 2:
         raise ValueError("n >= 2 and k >= 2 required")
@@ -345,19 +326,18 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
             bisect = not root > probe
             lo = min(max(root, probe), hi)
         else:
-            hi, bisect = probe, False
+            hi, v_hi, bisect = probe, v, False
         if hi - lo <= cfg.t_tolerance:
             break
         probe = 0.5 * (lo + hi) if bisect else lo + 0.5 * cfg.t_tolerance
         v, g = max_objective(n, k, probe, _warm(cfg, witness))
     t = 0.5 * (lo + hi)
-    v, _ = max_objective(n, k, t, _warm(cfg, witness))
     return ExponentPair(
         k=k,
         n=n,
         t=t,
         p=2.0 ** k / t,
-        residual=abs(v - 1.0),
+        residual=abs(v_hi - 1.0),
         bracket_width=hi - lo,
         argmax=tuple(witness),
     )
@@ -366,19 +346,25 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
 def witness_lower_bound(n: int, k: int, g) -> float:
     """Unique root in t of objective(g) = 1 for a non-degenerate simplex
     point g; always a lower bound for the critical exponent."""
-    g = tuple(float(x) for x in g)
+    g = check_simplex(g, n)
     if max(g) > 1.0 - 1e-12:
         raise ValueError("point mass gives the constant objective 1, no root")
+    tm = term_matrix(n, k)
+    L = tm.log_monomials(np.array([g]))
+
+    def above_one(t):
+        return (np.exp(t * L) @ tm.c)[0] > 1.0
+
     lo, hi = 1e-9, float(k + 1)
     guard = 0
-    while objective(n, k, hi, g) > 1.0:
+    while above_one(hi):
         hi *= 2.0
         guard += 1
         if guard > 60:
             raise ArithmeticError("witness objective does not drop below 1")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if objective(n, k, mid, g) > 1.0:
+        if above_one(mid):
             lo = mid
         else:
             hi = mid

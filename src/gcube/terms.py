@@ -9,9 +9,10 @@ q_j = 2^{-l} |{eps : a + eps . h = j}|, and the objective is the sum of
 g(j)^t over the diagonal plus C(k, l)-weighted monomials
 prod_j g(j)^{q_j t} over all admissible tuples.
 
-The q vectors are kept as exact Fractions and turned into floats only at
-evaluation time, and terms with identical q are merged with summed
-coefficients, so every evaluation works on a small deterministic table.
+The q vectors are kept as exact Fractions, and terms with identical q are
+merged with summed coefficients into a small deterministic table.  Every
+evaluation goes through that table's float form, TermMatrix, which values
+a whole batch of simplex points with one matrix product.
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _product
 
+import numpy as np
+
 _SIMPLEX_TOL = 1e-12
+# Stands in for log(0): times q > 0 it sends the monomial to 0 (0^s = 0),
+# times q = 0 it leaves it at 1 (0^0 = 1).
+_LOG_ZERO = -1e300
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ def pmf_of_tuple(n: int, a: int, h) -> tuple:
     return tuple(counts.get(j, 0) * scale for j in range(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def term_groups(n: int, k: int) -> tuple:
     """Merged TermGroup table for side n and box order k.
 
@@ -121,7 +127,39 @@ def term_groups(n: int, k: int) -> tuple:
     )
 
 
-def _check_simplex(g, n):
+@dataclass(frozen=True)
+class TermMatrix:
+    """term_groups(n, k) in float form: row i of Q is the q vector of group
+    i and c[i] its coefficient."""
+
+    Q: np.ndarray  # (groups, n)
+    c: np.ndarray  # (groups,)
+
+    def log_monomials(self, G):
+        """log of every monomial prod_j g(j)^q_j at t = 1, one row per
+        simplex point in G; the monomials at t are exp(t * this)."""
+        logs = np.full_like(G, _LOG_ZERO)
+        np.log(G, out=logs, where=G > 0)
+        return logs @ self.Q.T
+
+    def values(self, G, t):
+        """The objective at exponent t for every row of G."""
+        return np.exp(t * self.log_monomials(G)) @ self.c
+
+
+@lru_cache(maxsize=128)
+def term_matrix(n: int, k: int) -> TermMatrix:
+    groups = term_groups(n, k)
+    Q = np.array([[float(q) for q in grp.q] for grp in groups], dtype=float)
+    c = np.array([float(grp.coefficient) for grp in groups], dtype=float)
+    Q.setflags(write=False)
+    c.setflags(write=False)
+    return TermMatrix(Q, c)
+
+
+def check_simplex(g, n):
+    """g as a tuple of floats; ValueError unless it is a point of the
+    n-simplex."""
     g = tuple(float(x) for x in g)
     if len(g) != n:
         raise ValueError(f"expected a vector of length {n}")
@@ -139,19 +177,8 @@ def objective(n: int, k: int, t: float, g) -> float:
     conventions 0^0 = 1 and 0^s = 0 for s > 0."""
     if not t > 0:
         raise ValueError("t must be positive")
-    g = _check_simplex(g, n)
-    total = 0.0
-    for group in term_groups(n, k):
-        prod = 1.0
-        for gj, qj in zip(g, group.q):
-            if qj == 0:
-                continue
-            if gj == 0.0:
-                prod = 0.0
-                break
-            prod *= gj ** (float(qj) * t)
-        total += group.coefficient * prod
-    return total
+    g = check_simplex(g, n)
+    return float(term_matrix(n, k).values(np.array([g]), t)[0])
 
 
 def ternary_objective_check(k: int, t: float, x: float, y: float, z: float) -> float:

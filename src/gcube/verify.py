@@ -200,9 +200,6 @@ def check_young(trials=200, seed=1400):
     return rep
 
 
-young_suite = check_young
-
-
 def check_tensor(trials=200, seed=1500):
     """Box-norm multiplicativity of tensor powers, d <= 3."""
     rep = VerificationReport("tensor")
@@ -218,9 +215,6 @@ def check_tensor(trials=200, seed=1500):
             f"trial {i} (k={k}, d={d}): {lhs!r} != {rhs!r}",
         )
     return rep
-
-
-tensor_suite = check_tensor
 
 
 def check_objective_monotone(trials=200, seed=1600):
@@ -267,6 +261,6 @@ SUITES = {
     "entropy": entropy_suite,
     "majorization": majorization_suite,
     "gcs": gcs_suite,
-    "young": young_suite,
-    "tensor": tensor_suite,
+    "young": check_young,
+    "tensor": check_tensor,
 }

@@ -204,6 +204,27 @@ def test_asym_csv(tmp_path, capsys):
     assert payload[0]["gap"] == pytest.approx(math.log2(1.5), abs=1e-6)
 
 
+def test_asym_threads_byte_identical(capsys):
+    argv = ["asym", "--n", "2", "--k", "2,3", "--format", "csv"]
+    code1, out1, _ = run(capsys, argv + ["--threads", "1"])
+    code2, out2, _ = run(capsys, argv + ["--threads", "2"])
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert out1.startswith("k,n,t_solver")
+
+
+@pytest.mark.parametrize("argv,alias,fmt", [
+    (["exponent", "--k", "2", "--n", "2"], "--json", "json"),
+    (["exponent", "--k", "2", "--n", "2"], "--csv", "csv"),
+    (["terms", "--n", "3"], "--json", "json"),
+])
+def test_format_flag_aliases(capsys, argv, alias, fmt):
+    code1, out1, _ = run(capsys, argv + [alias])
+    code2, out2, _ = run(capsys, argv + ["--format", fmt])
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_asym_bad_k_list(capsys):
     code, _, _ = run(capsys, ["asym", "--n", "2", "--k", "2;3"])
     assert code == 2

@@ -199,8 +199,9 @@ def test_witness_loop_call_count(monkeypatch, n):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(solver_module, "max_objective", counted)
-    solve_exponent(n, 2)
+    pair = solve_exponent(n, 2)
     assert len(calls) <= 10
+    assert pair.t not in calls  # the residual needs no maximization of its own
 
 
 def test_stalled_witness_falls_back_to_bisection(monkeypatch):
