@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from .asymptotics import asymptotic_sweep, leading_coefficient_rows, sweep_csv
 from .entropy import (
@@ -34,23 +34,25 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance: float = 1e-9
-    seed: int = 0
-    output_format: str = "human"
-    cache_path: str | None = None
-    threads: int = 1
+def tolerance(text):
+    value = float(text)
+    if not 0 < value <= 1e-3:
+        raise argparse.ArgumentTypeError("tolerance must lie in (0, 1e-3]")
+    return value
 
-    def __post_init__(self):
-        if not 0 < self.tolerance <= 1e-3:
-            raise ValueError("tolerance must lie in (0, 1e-3]")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.output_format not in ("human", "json", "csv"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
+
+def nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative")
+    return value
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be positive")
+    return value
 
 
 def _f17(x):
@@ -74,13 +76,15 @@ def dumps17(obj):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="solver tolerance")
-    common.add_argument("--seed", type=int, default=0, help="rng seed")
-    common.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    common.add_argument("--cache", default=None, help="append-only JSONL result cache")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for sweeps")
+    # Each subcommand takes only the flags it reads; these parents hold the
+    # flags that several of them share.
+    tables = argparse.ArgumentParser(add_help=False)
+    tables.add_argument("--format", choices=("human", "json", "csv"), default="human")
+    records = argparse.ArgumentParser(add_help=False)
+    records.add_argument("--format", choices=("human", "json"), default="human")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--tol", type=tolerance, default=1e-9, help="solver tolerance")
+    solver.add_argument("--seed", type=nonnegative_int, default=0, help="rng seed")
 
     p = argparse.ArgumentParser(
         prog="gcube",
@@ -89,51 +93,56 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("norm", parents=[common], help="box norm of a function")
+    s = sub.add_parser("norm", parents=[records], help="box norm of a function")
     s.add_argument("--f", required=True, help="function JSON file")
     s.add_argument("--k", type=int, required=True)
 
-    s = sub.add_parser("energy", parents=[common], help="exact set energies")
+    s = sub.add_parser("energy", parents=[records], help="exact set energies")
     s.add_argument("--set", required=True, help="set JSON file")
     s.add_argument("--kind", choices=("P", "E", "Etilde"), required=True)
     s.add_argument("--k", type=int, required=True)
 
-    s = sub.add_parser("exponent", parents=[common], help="critical exponent pair")
+    s = sub.add_parser("exponent", parents=[tables, solver],
+                       help="critical exponent pair")
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--n", type=int, required=True)
+    s.add_argument("--cache", default=None, help="append-only JSONL result cache")
     s.add_argument("--json", action="store_const", const="json", dest="format",
                    help="alias of --format json")
     s.add_argument("--csv", action="store_const", const="csv", dest="format",
                    help="alias of --format csv")
 
-    s = sub.add_parser("entropy", parents=[common], help="entropy utilities")
+    s = sub.add_parser("entropy", parents=[records], help="entropy utilities")
     s.add_argument("--binomial", type=int, default=None, metavar="M")
     s.add_argument("--signed", default=None, metavar="H1,H2,...")
 
-    s = sub.add_parser("terms", parents=[common], help="tuple classes with q vectors")
+    s = sub.add_parser("terms", parents=[records],
+                       help="tuple classes with q vectors")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--json", action="store_const", const="json", dest="format",
                    help="alias of --format json")
 
-    s = sub.add_parser("table1", parents=[common], help="leading coefficient table")
+    s = sub.add_parser("table1", parents=[tables], help="leading coefficient table")
     s.add_argument("--n-max", type=int, default=6, dest="n_max")
 
-    s = sub.add_parser("asym", parents=[common], help="large-k formula sweep")
+    s = sub.add_parser("asym", parents=[tables, solver], help="large-k formula sweep")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", required=True, help="comma-separated k values")
     s.add_argument("--csv", default=None, dest="csv_path", metavar="PATH")
+    s.add_argument("--threads", type=positive_int, default=1,
+                   help="worker processes for the sweep")
 
-    s = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    s = sub.add_parser("verify", help="run a verification suite")
     s.add_argument("--suite", required=True)
 
     return p
 
 
-def cmd_norm(args, cfg):
+def cmd_norm(args):
     f = load_function(args.f)
     power = gowers_norm_recursive(f, args.k)
     norm = power ** (0.5 ** args.k)
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(dumps17({"k": args.k, "power": power, "norm": norm}))
     else:
         print(f"norm_power = {_f10(power)}")
@@ -144,10 +153,10 @@ def cmd_norm(args, cfg):
 _ENERGY = {"P": energy_P, "E": energy_E, "Etilde": energy_E_tilde}
 
 
-def cmd_energy(args, cfg):
+def cmd_energy(args):
     A = load_set(args.set)
     value = _ENERGY[args.kind](A, args.k)
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(dumps17({"kind": args.kind, "k": args.k, "size": A.size,
                        "value": value}))
     else:
@@ -155,8 +164,8 @@ def cmd_energy(args, cfg):
     return EXIT_OK
 
 
-def _solver_config(cfg):
-    return SolverConfig(t_tolerance=cfg.tolerance, rng_seed=cfg.seed)
+def _solver_config(args):
+    return SolverConfig(t_tolerance=args.tol, rng_seed=args.seed)
 
 
 def _cfg_hash(scfg):
@@ -202,13 +211,12 @@ def _cache_append(path, k, n, cfg_hash, tol, result):
         fh.write(dumps17(entry) + "\n")
 
 
-def cmd_exponent(args, cfg):
-    scfg = _solver_config(cfg)
+def cmd_exponent(args):
+    scfg = _solver_config(args)
     cfg_hash = _cfg_hash(scfg)
     result = None
-    if cfg.cache_path:
-        result = _cache_lookup(cfg.cache_path, args.k, args.n, cfg_hash,
-                               cfg.tolerance)
+    if args.cache:
+        result = _cache_lookup(args.cache, args.k, args.n, cfg_hash, args.tol)
     if result is None:
         pair = solve_exponent(args.n, args.k, scfg)
         result = {
@@ -216,36 +224,33 @@ def cmd_exponent(args, cfg):
             "n": pair.n,
             "t": pair.t,
             "p": pair.p,
-            "residual": pair.residual,
             "bracket": pair.bracket_width,
             "argmax": list(pair.argmax),
         }
-        if cfg.cache_path:
-            _cache_append(cfg.cache_path, args.k, args.n, cfg_hash,
-                          cfg.tolerance, result)
-    if cfg.output_format == "json":
+        if args.cache:
+            _cache_append(args.cache, args.k, args.n, cfg_hash, args.tol, result)
+    if args.format == "json":
         print(dumps17(result))
-    elif cfg.output_format == "csv":
-        print("k,n,t,p,residual,bracket")
+    elif args.format == "csv":
+        print("k,n,t,p,bracket")
         print(",".join([str(result["k"]), str(result["n"])]
                        + [_f17(result[key]) for key in
-                          ("t", "p", "residual", "bracket")]))
+                          ("t", "p", "bracket")]))
     else:
         print(f"t = {_f10(result['t'])}")
         print(f"p = {_f10(result['p'])}")
-        print(f"residual = {_f10(result['residual'])}")
         print(f"bracket = {_f10(result['bracket'])}")
     return EXIT_OK
 
 
-def cmd_entropy(args, cfg):
+def cmd_entropy(args):
     if (args.binomial is None) == (args.signed is None):
         raise ValueError("exactly one of --binomial or --signed is required")
     if args.binomial is not None:
         m = args.binomial
         h = binomial_entropy(m)
         lo, hi = binomial_entropy_bounds(m)
-        if cfg.output_format == "json":
+        if args.format == "json":
             print(dumps17({"m": m, "entropy": h, "lower": lo, "upper": hi}))
         else:
             print(f"H_{m} = {_f10(h)}")
@@ -259,7 +264,7 @@ def cmd_entropy(args, cfg):
         pmf = pmf_signed_sum(coeffs)
         rearranged = decreasing_rearrangement(pmf)
         h = entropy(pmf)
-        if cfg.output_format == "json":
+        if args.format == "json":
             print(dumps17({
                 "coefficients": list(coeffs),
                 "offset": pmf.support_offset,
@@ -275,7 +280,7 @@ def cmd_entropy(args, cfg):
     return EXIT_OK
 
 
-def cmd_terms(args, cfg):
+def cmd_terms(args):
     classes = enumerate_tuple_classes(args.n)
     payload = {
         "n": args.n,
@@ -295,7 +300,7 @@ def cmd_terms(args, cfg):
             for c in classes
         ],
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(dumps17(payload))
     else:
         for c in classes:
@@ -306,11 +311,11 @@ def cmd_terms(args, cfg):
     return EXIT_OK
 
 
-def cmd_table1(args, cfg):
+def cmd_table1(args):
     rows = leading_coefficient_rows(args.n_max)
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(dumps17([{"n": n, "coefficient": v} for n, v in rows]))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("n,coefficient")
         for n, v in rows:
             print(f"{n},{_f17(v)}")
@@ -320,18 +325,18 @@ def cmd_table1(args, cfg):
     return EXIT_OK
 
 
-def cmd_asym(args, cfg):
+def cmd_asym(args):
     try:
         ks = [int(v) for v in args.k.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad k list {args.k!r}") from exc
-    reports = asymptotic_sweep(args.n, ks, _solver_config(cfg), cfg.threads)
+    reports = asymptotic_sweep(args.n, ks, _solver_config(args), args.threads)
     text = sweep_csv(reports)
     if args.csv_path:
         with open(args.csv_path, "w") as fh:
             fh.write(text)
         print(f"wrote {args.csv_path}")
-    elif cfg.output_format == "json":
+    elif args.format == "json":
         print(dumps17([
             {
                 "k": r.k,
@@ -344,7 +349,7 @@ def cmd_asym(args, cfg):
             }
             for r in reports
         ]))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         sys.stdout.write(text)
     else:
         for r in reports:
@@ -355,7 +360,7 @@ def cmd_asym(args, cfg):
     return EXIT_OK
 
 
-def cmd_verify(args, cfg):
+def cmd_verify(args):
     suite = SUITES.get(args.suite)
     if suite is None:
         print(f"unknown suite {args.suite!r}; choices: {', '.join(sorted(SUITES))}",
@@ -388,14 +393,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        cfg = RunConfig(
-            tolerance=args.tol,
-            seed=args.seed,
-            output_format=args.format,
-            cache_path=args.cache,
-            threads=args.threads,
-        )
-        return _DISPATCH[args.command](args, cfg)
+        return _DISPATCH[args.command](args)
     except BracketError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

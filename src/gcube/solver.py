@@ -29,7 +29,7 @@ the simplex projection only ever removes mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,8 +40,14 @@ from .terms import check_simplex, term_matrix
 
 # Identifies the outer loop and the search stages; results cached under an
 # older version are not served for this one.
-SOLVER_VERSION = 3
+SOLVER_VERSION = 4
 
+# The fixed search: base grid resolution, grid points kept for the ascent,
+# seeded random starts, and ascent iterations.
+_GRID_RESOLUTION = 64
+_GRID_TOP = 50
+_MULTISTARTS = 32
+_ASCENT_ITERATIONS = 200
 _GRID_POINT_CAP = 200_000
 
 
@@ -52,47 +58,24 @@ class BracketError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     t_tolerance: float = 1e-9
-    inner_grid_resolution: int = 64
-    multistart_count: int = 32
-    polish_iterations: int = 200
     rng_seed: int = 0
-    grid_top: int = 50
-    symmetric: bool = False
 
     def __post_init__(self):
         if self.t_tolerance <= 0:
             raise ValueError("t_tolerance must be positive")
-        for name in ("inner_grid_resolution", "multistart_count",
-                     "polish_iterations", "grid_top"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class _WarmStart(SolverConfig):
-    # A config whose maximization also ascends from `point`, the previous
-    # witness of the outer loop.
-    point: tuple = ()
-
-
-def _warm(cfg, point):
-    base = {f.name: getattr(cfg, f.name) for f in fields(SolverConfig)}
-    return _WarmStart(**base, point=tuple(point))
 
 
 @dataclass(frozen=True)
 class ExponentPair:
     """Critical exponent t = t(k, n) with its dual p = 2^k / t.
 
-    t is the midpoint of the final bracket, bracket_width its width,
-    argmax the witness that set the lower end, and residual = |M - 1| at
-    the upper end as found by the maximization that set it."""
+    t is the midpoint of the final bracket, bracket_width its width and
+    argmax the witness that set the lower end."""
 
     k: int
     n: int
     t: float
     p: float
-    residual: float
     bracket_width: float
     argmax: tuple
 
@@ -246,45 +229,36 @@ def _structured_seeds(n, k):
     binom = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
     seeds.append((binom / binom.sum())[None, :])
     for M in (1.5, 2.0, 3.0):
-        prof = np.array(gaussian_witness(n, M), dtype=float)
-        # Normalize the peak to 1 before powering; 2^k/(k+1) is large and
-        # would otherwise underflow the whole profile to zero.
-        powered = (prof / prof.max()) ** (2.0 ** k / (k + 1.0))
-        seeds.append((powered / powered.sum())[None, :])
+        g = profile_to_simplex(gaussian_witness(n, M), 2.0 ** k / (k + 1.0))
+        seeds.append(np.array([g]))
     return seeds
 
 
-def max_objective(n, k, t, cfg: SolverConfig | None = None):
+def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     """Best found value of the objective over the simplex at exponent t.
 
     Returns (value, argmax); the value is a certified lower estimate of the
     true supremum (every reported value is an exact evaluation), at least 1
-    because the vertices are always in the candidate pool.  Deterministic
-    for a fixed config."""
+    because the vertices are always in the candidate pool.  A simplex point
+    `start` joins the ascent's starting points.  Deterministic for a fixed
+    config and start."""
     cfg = cfg or SolverConfig()
     if not t > 0:
         raise ValueError("t must be positive")
     tm = term_matrix(n, k)
-    r = _effective_resolution(n, cfg.inner_grid_resolution)
+    r = _effective_resolution(n, _GRID_RESOLUTION)
     grid = _simplex_grid(n, r)
-    logs = _grid_log_products(n, k, r)
-    if cfg.symmetric:
-        mask = np.all(grid == grid[:, ::-1], axis=1)
-        grid, logs = grid[mask], logs[mask]
-    powers = np.multiply(logs, t)
+    powers = np.multiply(_grid_log_products(n, k, r), t)
     np.exp(powers, out=powers)
     gvals = powers @ tm.c
-    top = np.argsort(gvals, kind="stable")[::-1][: cfg.grid_top]
+    top = np.argsort(gvals, kind="stable")[::-1][:_GRID_TOP]
     rng = np.random.default_rng(cfg.rng_seed)
     blocks = [grid[top], np.eye(n)]
     blocks.extend(_structured_seeds(n, k))
-    blocks.append(rng.dirichlet(np.ones(n), size=cfg.multistart_count))
-    if isinstance(cfg, _WarmStart):
-        blocks.append(np.array([cfg.point], dtype=float))
-    cands = np.vstack(blocks)
-    if cfg.symmetric:
-        cands = 0.5 * (cands + cands[:, ::-1])
-    cands, vals = _ascend(cands, t, tm, cfg.polish_iterations)
+    blocks.append(rng.dirichlet(np.ones(n), size=_MULTISTARTS))
+    if start is not None:
+        blocks.append(np.array([start], dtype=float))
+    cands, vals = _ascend(np.vstack(blocks), t, tm, _ASCENT_ITERATIONS)
     pool = [(float(vals[i]), cands[i]) for i in range(len(cands))]
     for i in np.argsort(vals, kind="stable")[::-1][:5]:
         g_ref, v_ref = _newton_refine(cands[i], t, tm)
@@ -304,9 +278,7 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
     the upper end.  A witness that does not carry the lower end past its
     probe makes the next probe a bisection midpoint, so a stalling
     maximizer costs at most about twice the calls of plain bisection.
-    `argmax` is the witness that set the final lower end, never a vertex;
-    `residual` is |M - 1| at the final upper end, from the maximization
-    that set it (the sign check at k + 1 when no probe did)."""
+    `argmax` is the witness that set the final lower end, never a vertex."""
     cfg = cfg or SolverConfig()
     if n < 2 or k < 2:
         raise ValueError("n >= 2 and k >= 2 required")
@@ -326,18 +298,17 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
             bisect = not root > probe
             lo = min(max(root, probe), hi)
         else:
-            hi, v_hi, bisect = probe, v, False
+            hi, bisect = probe, False
         if hi - lo <= cfg.t_tolerance:
             break
         probe = 0.5 * (lo + hi) if bisect else lo + 0.5 * cfg.t_tolerance
-        v, g = max_objective(n, k, probe, _warm(cfg, witness))
+        v, g = max_objective(n, k, probe, cfg, start=witness)
     t = 0.5 * (lo + hi)
     return ExponentPair(
         k=k,
         n=n,
         t=t,
         p=2.0 ** k / t,
-        residual=abs(v_hi - 1.0),
         bracket_width=hi - lo,
         argmax=tuple(witness),
     )
@@ -391,12 +362,15 @@ def gaussian_witness(n: int, M: float) -> tuple:
 
 
 def profile_to_simplex(profile, power: float) -> tuple:
-    """Normalize profile**power onto the simplex."""
-    w = [float(v) ** power for v in profile]
-    s = sum(w)
-    if s <= 0:
+    """Normalize profile**power onto the simplex.  The peak is scaled to 1
+    before powering, so a large power does not underflow the whole
+    profile to zero."""
+    p = np.asarray(profile, dtype=float)
+    w = (p / p.max()) ** power
+    s = w.sum()
+    if not s > 0:
         raise ValueError("profile has no mass")
-    return tuple(v / s for v in w)
+    return tuple((w / s).tolist())
 
 
 def gaussian_witness_bound(n: int, M: float, k: int, rounds: int = 6) -> float:

@@ -105,9 +105,7 @@ def entropy_suite(m_max=1000, n_max=8):
         got = leading_coefficient(n)
         rep.record(abs(got - v) <= 1e-9, f"n={n}: coefficient {got!r} != {v}")
     for n in range(2, n_max + 1):
-        sub = verify_entropy_corollary(n)
-        rep.cases += sub.cases
-        rep.failures.extend(sub.failures)
+        merge(rep, verify_entropy_corollary(n))
     return rep
 
 

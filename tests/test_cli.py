@@ -82,7 +82,7 @@ def test_exponent_json_fields(capsys):
     code, out, _ = run(capsys, ["exponent", "--k", "2", "--n", "2", "--json"])
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == {"k", "n", "t", "p", "residual", "bracket", "argmax"}
+    assert set(payload) == {"k", "n", "t", "p", "bracket", "argmax"}
     assert payload["t"] == pytest.approx(math.log2(6), abs=1e-6)
     assert len(payload["argmax"]) == 2
 
@@ -252,7 +252,19 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_run_config_validation(capsys):
-    code, _, err = run(capsys, ["table1", "--tol", "0.5"])
+    code, _, err = run(capsys, ["asym", "--n", "2", "--k", "2", "--tol", "0.5"])
     assert code == 2 and "tolerance" in err
-    code, _, _ = run(capsys, ["table1", "--threads", "0"])
+    code, _, _ = run(capsys, ["asym", "--n", "2", "--k", "2", "--threads", "0"])
     assert code == 2
+
+
+def test_unread_flags_rejected(tmp_path, capsys):
+    path = write_function(tmp_path, "delta.json", indicator([(0,)]))
+    for argv in (
+        ["verify", "--suite", "binary", "--seed", "1"],
+        ["table1", "--tol", "1e-9"],
+        ["norm", "--f", path, "--k", "2", "--format", "csv"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert not out and "error" in err

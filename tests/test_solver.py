@@ -15,10 +15,11 @@ from gcube.solver import (
     trivial_bounds,
     witness_lower_bound,
     _GRID_POINT_CAP,
+    _GRID_RESOLUTION,
     _effective_resolution,
     _simplex_grid,
 )
-from gcube.terms import ternary_objective_check
+from gcube.terms import objective, ternary_objective_check
 
 LOG2_6 = math.log2(6)
 LOG3_19 = math.log(19) / math.log(3)
@@ -56,7 +57,6 @@ def test_solve_ternary_golden_values():
 def test_exponent_pair_invariants():
     pair = solve_cached(3, 2)
     assert pair.p * pair.t == pytest.approx(4.0, rel=1e-12)
-    assert pair.residual <= 1e-6
     assert pair.bracket_width <= 1e-9 + 1e-15
     assert pair.t <= pair.k + 1
 
@@ -159,17 +159,24 @@ def test_gaussian_witness_bound_below_solver():
     assert bound > trivial_bounds(10, 2)[0] - 0.2  # lands in a sane range
 
 
-def test_symmetric_mode_agrees_when_maximizer_symmetric():
-    cfg = SolverConfig(symmetric=True)
-    pair = solve_exponent(3, 2, cfg)
-    assert pair.t == pytest.approx(solve_cached(3, 2).t, abs=1e-6)
+def test_gaussian_witness_bound_large_power():
+    # 2^16 / t powers the raw profile to zero everywhere; the peak scaling
+    # in profile_to_simplex keeps the witness a simplex point.
+    bound = gaussian_witness_bound(3, 3.0, 16)
+    assert math.isfinite(bound)
+    assert bound <= solve_cached(3, 16).t + 1e-6
+
+
+def test_max_objective_start_not_below_its_value():
+    g = (0.1, 0.7, 0.2)
+    for n, k, t in ((3, 2, 2.5), (3, 4, 3.2)):
+        value, _ = max_objective(n, k, t, start=g)
+        assert value >= objective(n, k, t, g)
 
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(t_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(multistart_count=0)
     with pytest.raises(ValueError):
         solve_exponent(1, 2)
     with pytest.raises(ValueError):
@@ -210,7 +217,7 @@ def test_stalled_witness_falls_back_to_bisection(monkeypatch):
     edge = 2.5
     calls = []
 
-    def stub_max(n, k, t, cfg=None):
+    def stub_max(n, k, t, cfg=None, start=None):
         calls.append(t)
         if len(calls) > 200:
             raise AssertionError("outer loop does not converge")
@@ -228,9 +235,9 @@ def test_stalled_witness_falls_back_to_bisection(monkeypatch):
 
 
 def test_grid_respects_point_cap():
-    base = SolverConfig().inner_grid_resolution
     for n in range(5, 11):
-        assert len(_simplex_grid(n, _effective_resolution(n, base))) <= _GRID_POINT_CAP
+        r = _effective_resolution(n, _GRID_RESOLUTION)
+        assert len(_simplex_grid(n, r)) <= _GRID_POINT_CAP
 
 
 def test_capped_grid_keeps_side_six_value():
