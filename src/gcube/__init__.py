@@ -45,7 +45,6 @@ from .solver import (
 )
 from .entropy import (
     PMFVector,
-    SignedBernoulliSum,
     binomial_entropy,
     binomial_entropy_bounds,
     decreasing_rearrangement,

@@ -1,9 +1,10 @@
 """Shannon entropy of finite integer distributions, signed Bernoulli sums,
 majorization, Karamata comparison, and the exhaustive entropy verifiers.
 
-Distributions of signed Bernoulli sums are kept as exact dyadic rationals
-(denominator 2^m) so that majorization prefix sums compare exactly;
-entropies are evaluated in floating point at the very end.
+The module owns signed Bernoulli sums: iter_signed_vectors enumerates their
+coefficient vectors and pmf_signed_sum is the one exact PMF, kept as dyadic
+rationals (denominator 2^m) so that majorization prefix sums compare
+exactly; entropies are evaluated in floating point at the very end.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _product
-
-from .terms import iter_signed_vectors
 
 _SUM_TOL = 1e-12
 
@@ -51,19 +50,18 @@ class PMFVector:
         return PMFVector(self.support_offset + shift, self.masses)
 
 
-@dataclass(frozen=True)
-class SignedBernoulliSum:
-    """Coefficients h_1, ..., h_m of a sum of independent fair 0/1 variables."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(int(h) for h in self.coefficients)
-        if not coeffs:
-            raise ValueError("at least one coefficient required")
-        if any(h == 0 for h in coeffs):
-            raise ValueError("coefficients must be nonzero")
-        object.__setattr__(self, "coefficients", coeffs)
+def iter_signed_vectors(budget, l):
+    """All l-tuples of nonzero integers with sum of |h_i| <= budget,
+    in ascending lexicographic order."""
+    if l == 0:
+        yield ()
+        return
+    max_mag = budget - (l - 1)
+    for v in range(-max_mag, max_mag + 1):
+        if v == 0:
+            continue
+        for rest in iter_signed_vectors(budget - abs(v), l - 1):
+            yield (v,) + rest
 
 
 def entropy_bits(masses) -> float:
@@ -124,10 +122,11 @@ def binomial_entropy_bounds(m: int) -> tuple:
 
 def pmf_signed_sum(h) -> PMFVector:
     """Exact dyadic PMF of h_1 X_1 + ... + h_m X_m for fair 0/1 variables."""
-    if isinstance(h, SignedBernoulliSum):
-        coeffs = h.coefficients
-    else:
-        coeffs = SignedBernoulliSum(tuple(h)).coefficients
+    coeffs = tuple(int(v) for v in h)
+    if not coeffs:
+        raise ValueError("at least one coefficient required")
+    if any(v == 0 for v in coeffs):
+        raise ValueError("coefficients must be nonzero")
     counts = {0: 1}
     for step in coeffs:
         nxt = {}

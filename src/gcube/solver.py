@@ -278,10 +278,15 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
     the upper end.  A witness that does not carry the lower end past its
     probe makes the next probe a bisection midpoint, so a stalling
     maximizer costs at most about twice the calls of plain bisection.
-    `argmax` is the witness that set the final lower end, never a vertex."""
+    `argmax` is the witness that set the final lower end, never a vertex.
+    A tolerance below 2 * ulp(k + 1), where lo + tol/2 can round to lo and
+    the bracket stop narrowing, raises ValueError before any maximization."""
     cfg = cfg or SolverConfig()
     if n < 2 or k < 2:
         raise ValueError("n >= 2 and k >= 2 required")
+    if cfg.t_tolerance < 2 * math.ulp(k + 1):
+        raise ValueError(f"tolerance {cfg.t_tolerance!r} is below 2 * ulp({k + 1}) = "
+                         f"{2 * math.ulp(k + 1)!r}, twice the float spacing of t")
     lo, hi = 1.0, float(k + 1)
     v_lo, witness = max_objective(n, k, lo, cfg)
     v_hi, _ = max_objective(n, k, hi, cfg)

@@ -5,9 +5,15 @@ A tuple (a, h_1, ..., h_l) with all h_i nonzero is admissible for side
 length n when every epsilon-combination a + eps . h stays in
 {0, ..., n-1}; that forces |h_1| + ... + |h_l| <= n - 1, which keeps the
 classes finite.  Each tuple carries a dyadic probability vector
-q_j = 2^{-l} |{eps : a + eps . h = j}|, and the objective is the sum of
+q_j = 2^{-l} |{eps : a + eps . h = j}|, the PMF of the signed Bernoulli
+sum a + h . eps (entropy.pmf_signed_sum), and the objective is the sum of
 g(j)^t over the diagonal plus C(k, l)-weighted monomials
 prod_j g(j)^{q_j t} over all admissible tuples.
+
+Sign flips of the h_i only translate q and permutations leave it alone, so
+q depends only on the multiset m of the |h_i| and the lowest box point b in
+[0, n - 1 - sum(m)].  The table is built from the pairs (m, b), each standing
+for 2^l l!/prod(mult!) ordered signed tuples; the empty m is the diagonal.
 
 The q vectors are kept as exact Fractions, and terms with identical q are
 merged with summed coefficients into a small deterministic table.  Every
@@ -22,9 +28,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _product
 
 import numpy as np
+
+from .entropy import PMFVector, iter_signed_vectors, pmf_signed_sum
 
 _SIMPLEX_TOL = 1e-12
 # Stands in for log(0): times q > 0 it sends the monomial to 0 (0^s = 0),
@@ -53,20 +60,6 @@ class TermGroup:
     q: tuple  # of Fractions, length n, summing to 1 exactly
 
 
-def iter_signed_vectors(budget, l):
-    """All l-tuples of nonzero integers with sum of |h_i| <= budget,
-    in ascending lexicographic order."""
-    if l == 0:
-        yield ()
-        return
-    max_mag = budget - (l - 1)
-    for v in range(-max_mag, max_mag + 1):
-        if v == 0:
-            continue
-        for rest in iter_signed_vectors(budget - abs(v), l - 1):
-            yield (v,) + rest
-
-
 def enumerate_tuple_classes(n: int) -> list:
     """TupleClass tables for l = 1, ..., n-1; exhaustive and duplicate-free."""
     if n < 2:
@@ -87,20 +80,23 @@ def enumerate_tuple_classes(n: int) -> list:
 def pmf_of_tuple(n: int, a: int, h) -> tuple:
     """Exact dyadic distribution of a + h . eps over uniform eps in {0,1}^l.
 
-    q_j = 2^{-l} |{eps : a + eps . h = j}| as Fractions that sum to 1."""
+    q_j = 2^{-l} |{eps : a + eps . h = j}| as Fractions that sum to 1; the
+    empty h gives the point mass at a."""
     h = tuple(h)
-    l = len(h)
-    if any(v == 0 for v in h):
-        raise ValueError("all steps h_i must be nonzero")
-    lo = a + sum(v for v in h if v < 0)
-    hi = a + sum(v for v in h if v > 0)
-    if lo < 0 or hi > n - 1:
+    p = (pmf_signed_sum(h) if h else PMFVector(0, (Fraction(1),))).translate(a)
+    lo, end = p.support_offset, p.support_offset + len(p.masses)
+    if lo < 0 or end > n:
         raise ValueError(f"tuple (a={a}, h={h}) leaves the interval [0, {n - 1}]")
-    counts = Counter()
-    for eps in _product((0, 1), repeat=l):
-        counts[a + sum(v for v, e in zip(h, eps) if e)] += 1
-    scale = Fraction(1, 2 ** l)
-    return tuple(counts.get(j, 0) * scale for j in range(n))
+    return (Fraction(0),) * lo + p.masses + (Fraction(0),) * (n - end)
+
+
+def _magnitude_multisets(budget, parts, top):
+    """Nonincreasing tuples of at most `parts` integers in [1, top], sum <= budget."""
+    yield ()
+    if parts:
+        for v in range(1, min(budget, top) + 1):
+            for rest in _magnitude_multisets(budget - v, parts - 1, v):
+                yield (v,) + rest
 
 
 @lru_cache(maxsize=128)
@@ -113,15 +109,12 @@ def term_groups(n: int, k: int) -> tuple:
     if n < 2 or k < 1:
         raise ValueError("n >= 2 and k >= 1 required")
     merged = Counter()
-    for j in range(n):
-        q = tuple(Fraction(1) if i == j else Fraction(0) for i in range(n))
-        merged[q] += 1
-    for cls in enumerate_tuple_classes(n):
-        weight = math.comb(k, cls.l)
-        if weight == 0:
-            continue
-        for a, h in cls.tuples:
-            merged[pmf_of_tuple(n, a, h)] += weight
+    for m in _magnitude_multisets(n - 1, min(k, n - 1), n - 1):
+        l = len(m)
+        count = math.comb(k, l) * 2 ** l * math.factorial(l)
+        count //= math.prod(map(math.factorial, Counter(m).values()))
+        for b in range(n - sum(m)):
+            merged[pmf_of_tuple(n, b, m)] += count
     return tuple(
         TermGroup(coefficient=merged[q], q=q) for q in sorted(merged, reverse=True)
     )

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import gcube.cli as cli
+import gcube.solver as solver_module
 from gcube.entropy import VerificationReport
 from gcube.lattice import (
     CubeSet,
@@ -256,6 +257,15 @@ def test_run_config_validation(capsys):
     assert code == 2 and "tolerance" in err
     code, _, _ = run(capsys, ["asym", "--n", "2", "--k", "2", "--threads", "0"])
     assert code == 2
+
+
+def test_tolerance_below_float_spacing_exits_2(monkeypatch, capsys):
+    def no_max(*args, **kwargs):
+        raise AssertionError("max_objective called")
+
+    monkeypatch.setattr(solver_module, "max_objective", no_max)
+    code, out, err = run(capsys, ["exponent", "--n", "2", "--k", "2", "--tol", "1e-17"])
+    assert code == 2 and not out and "tolerance" in err
 
 
 def test_unread_flags_rejected(tmp_path, capsys):

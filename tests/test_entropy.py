@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 
 from gcube.entropy import (
     PMFVector,
-    SignedBernoulliSum,
     binomial_entropy,
     binomial_entropy_bounds,
     decreasing_rearrangement,
@@ -87,7 +86,7 @@ def test_pmf_signed_sum_examples():
     with pytest.raises(ValueError):
         pmf_signed_sum((1, 0))
     with pytest.raises(ValueError):
-        SignedBernoulliSum(())
+        pmf_signed_sum(())
 
 
 def test_decreasing_rearrangement_examples():

@@ -208,7 +208,16 @@ def test_witness_loop_call_count(monkeypatch, n):
     monkeypatch.setattr(solver_module, "max_objective", counted)
     pair = solve_exponent(n, 2)
     assert len(calls) <= 10
-    assert pair.t not in calls  # the residual needs no maximization of its own
+    assert pair.t not in calls  # no maximization runs at the returned t
+
+
+def test_tolerance_below_float_spacing_rejected(monkeypatch):
+    def no_max(*args, **kwargs):
+        raise AssertionError("max_objective called")
+
+    monkeypatch.setattr(solver_module, "max_objective", no_max)
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_exponent(2, 2, SolverConfig(t_tolerance=1e-17))
 
 
 def test_stalled_witness_falls_back_to_bisection(monkeypatch):

@@ -1,6 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -64,11 +66,36 @@ def test_pmf_examples():
         pmf_of_tuple(3, 0, (0, 1))
 
 
+def pmf_by_eps(n, a, h):
+    # q_j = 2^{-l} |{eps : a + eps . h = j}|, counted over all 2^l eps.
+    counts = Counter(a + sum(v for v, e in zip(h, eps) if e)
+                     for eps in product((0, 1), repeat=len(h)))
+    return tuple(Fraction(counts[j], 2 ** len(h)) for j in range(n))
+
+
 def test_pmf_sums_exactly_one():
     for n in range(2, 6):
         for cls in enumerate_tuple_classes(n):
             for a, h in cls.tuples:
-                assert sum(pmf_of_tuple(n, a, h)) == 1
+                q = pmf_of_tuple(n, a, h)
+                assert sum(q) == 1
+                assert q == pmf_by_eps(n, a, h)
+    assert pmf_of_tuple(4, 2, ()) == (0, 0, 1, 0) == pmf_by_eps(4, 2, ())
+
+
+def test_term_groups_match_definition():
+    for n in range(2, 8):
+        diagonal = [(0, pmf_by_eps(n, a, ())) for a in range(n)]
+        tuples = [(cls.l, pmf_by_eps(n, a, h))
+                  for cls in enumerate_tuple_classes(n) for a, h in cls.tuples]
+        for k in (2, 3, 4, 6, 8):
+            merged = Counter()
+            for l, q in diagonal + tuples:
+                merged[q] += math.comb(k, l)
+            expected = tuple((merged[q], q) for q in sorted(merged, reverse=True)
+                             if merged[q])
+            got = tuple((g.coefficient, g.q) for g in term_groups(n, k))
+            assert got == expected, (n, k)
 
 
 def test_coefficient_audit_ternary():
