@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .entropy import binomial_entropy
-from .solver import SolverConfig, solve_exponent, trivial_bounds
+from .solver import SolverConfig, solve_exponent
 
 
 def large_k_main_term(k: int, n: int) -> float:
@@ -92,7 +92,7 @@ def report_for(pair) -> AsymptoticReport:
         t_formula=formula,
         gap=pair.t - formula,
         large_n_lower=large_n_lower_main_term(pair.k, pair.n),
-        upper_trivial=trivial_bounds(pair.n, pair.k)[1],
+        upper_trivial=float(pair.k + 1),
     )
 
 

@@ -22,6 +22,13 @@ def _is_exact(v):
     return isinstance(v, (int, Fraction))
 
 
+def _check_total(masses):
+    # Exact masses must sum to exactly 1, float ones to within _SUM_TOL.
+    tol = 0 if all(_is_exact(m) for m in masses) else _SUM_TOL
+    if abs(sum(masses) - 1) > tol:
+        raise ValueError("masses must sum to 1")
+
+
 @dataclass(frozen=True)
 class PMFVector:
     """Probability mass function on consecutive integers starting at
@@ -38,12 +45,7 @@ class PMFVector:
             raise ValueError("first and last mass must be nonzero")
         if any(m < 0 for m in masses):
             raise ValueError("negative mass")
-        total = sum(masses)
-        if all(_is_exact(m) for m in masses):
-            if total != 1:
-                raise ValueError("masses must sum to 1")
-        elif abs(float(total) - 1.0) > _SUM_TOL:
-            raise ValueError("masses must sum to 1")
+        _check_total(masses)
         object.__setattr__(self, "masses", masses)
 
     def translate(self, shift: int):
@@ -66,12 +68,7 @@ def iter_signed_vectors(budget, l):
 
 def entropy_bits(masses) -> float:
     """Entropy in bits of a mass sequence summing to 1 (0 log 0 = 0)."""
-    total = sum(masses)
-    if all(_is_exact(m) for m in masses):
-        if total != 1:
-            raise ValueError("masses must sum to 1")
-    elif abs(float(total) - 1.0) > _SUM_TOL:
-        raise ValueError("masses must sum to 1")
+    _check_total(masses)
     h = 0.0
     for m in masses:
         m = float(m)
@@ -156,26 +153,14 @@ def majorizes(x, y) -> bool:
     n = max(len(x), len(y))
     x = x + [0] * (n - len(x))
     y = y + [0] * (n - len(y))
-    exact = all(_is_exact(v) for v in x) and all(_is_exact(v) for v in y)
-    if exact:
-        if sum(x) != sum(y):
-            return False
-        px = py = 0
-        for a, b in zip(x, y):
-            px += a
-            py += b
-            if px < py:
-                return False
-        return True
-    if abs(float(sum(x)) - float(sum(y))) > _SUM_TOL:
-        return False
-    px = py = 0.0
+    tol = 0 if all(_is_exact(v) for v in x + y) else _SUM_TOL
+    # d is the prefix sum of x minus that of y; the last one compares totals.
+    d = 0
     for a, b in zip(x, y):
-        px += float(a)
-        py += float(b)
-        if px < py - _SUM_TOL:
+        d += a - b
+        if d < -tol:
             return False
-    return True
+    return abs(d) <= tol
 
 
 def _psi_square(v: float) -> float:

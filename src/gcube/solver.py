@@ -16,21 +16,20 @@ midpoint instead.  Each maximization also ascends from the previous
 witness.
 
 The inner maximization is the soft spot because the objective is not
-concave.  It is attacked in three deterministic stages: a dense simplex
-grid, a batched projected-gradient ascent with per-candidate backtracking
-started from the best grid points plus structured and seeded random
-interior points, and a Newton polish on the active face of the few best
-survivors.  The candidate pool always contains the exact vertices, so the
-reported maximum is never below 1.  All partial derivatives of the
-objective are nonnegative, which keeps the ascent on the current face:
-the simplex projection only ever removes mass.
+concave.  It is one deterministic batched projected-gradient ascent with
+per-candidate backtracking, started at once from the vertices, a few
+structured profiles (uniform, binomial and powered Gaussians), seeded
+random interior points and the previous witness.  The vertices stay in
+the pool and a step is only taken when it raises the value, so the
+reported maximum is an exact evaluation and never below 1.  All partial
+derivatives of the objective are nonnegative, which keeps the ascent on
+the current face: the simplex projection only ever removes mass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,15 +39,14 @@ from .terms import check_simplex, term_matrix
 
 # Identifies the outer loop and the search stages; results cached under an
 # older version are not served for this one.
-SOLVER_VERSION = 4
+SOLVER_VERSION = 5
 
-# The fixed search: base grid resolution, grid points kept for the ascent,
-# seeded random starts, and ascent iterations.
-_GRID_RESOLUTION = 64
-_GRID_TOP = 50
+# The fixed search: seeded random starts and ascent iterations.
 _MULTISTARTS = 32
 _ASCENT_ITERATIONS = 200
-_GRID_POINT_CAP = 200_000
+
+# Largest box order whose 2^k is a finite float.
+_K_MAX = 1023
 
 
 class BracketError(RuntimeError):
@@ -84,46 +82,6 @@ class ExponentPair:
             raise ValueError("p * t must equal 2^k")
         if self.t > self.k + 1 + 1e-9:
             raise ValueError("t exceeds the trivial upper bound k + 1")
-
-
-def _effective_resolution(n, base):
-    # Full resolution through n = 4, halved from n = 5 on, then halved
-    # further until the simplex grid stays below the point cap.
-    if n <= 4:
-        return base
-    r = max(2, base // 2)
-    while r > 2 and math.comb(r + n - 1, n - 1) > _GRID_POINT_CAP:
-        r //= 2
-    return r
-
-
-@lru_cache(maxsize=32)
-def _simplex_grid(n, r):
-    pts = []
-    comp = [0] * n
-
-    def rec(i, rem):
-        if i == n - 1:
-            comp[i] = rem
-            pts.append(tuple(comp))
-            return
-        for v in range(rem + 1):
-            comp[i] = v
-            rec(i + 1, rem - v)
-
-    rec(0, r)
-    arr = np.array(pts, dtype=float) / r
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=1)
-def _grid_log_products(n, k, r):
-    # log(grid) @ Q.T, the t-independent factor of the grid stage.  A solve
-    # works on one (n, k), so a single entry serves all its maximizations.
-    L = term_matrix(n, k).log_monomials(_simplex_grid(n, r))
-    L.setflags(write=False)
-    return L
 
 
 _COORD_FLOOR = 1e-15
@@ -173,57 +131,6 @@ def _ascend(G, t, tm, iters):
     return G, vals
 
 
-def _newton_refine(g, t, tm, iters=12):
-    # Quadratic polish on the active face; coordinates at exactly zero stay
-    # zero (fractional powers have infinite slope there, so the face is
-    # where a stationary interior point can live).
-    g = g.copy()
-    best = float(tm.values(g[None, :], t)[0])
-    for _ in range(iters):
-        act = g > 1e-13
-        na = int(act.sum())
-        if na < 2:
-            break
-        off = ~act
-        if off.any():
-            keep = ~(tm.Q[:, off] > 0).any(axis=1)
-        else:
-            keep = np.ones(len(tm.c), dtype=bool)
-        Qa = tm.Q[np.ix_(keep, act)]
-        ca = tm.c[keep]
-        ga = g[act]
-        w = np.exp(t * (Qa @ np.log(ga))) * ca
-        grad = t * (w @ Qa) / ga
-        U = t * Qa / ga[None, :]
-        H = (U * w[:, None]).T @ U - np.diag((w @ (t * Qa)) / ga ** 2)
-        B = np.hstack([np.eye(na - 1), -np.ones((na - 1, 1))])
-        Hr = B @ H @ B.T
-        gr = B @ grad
-        try:
-            x = np.linalg.solve(Hr, -gr)
-        except np.linalg.LinAlgError:
-            break
-        d = B.T @ x
-        if not np.all(np.isfinite(d)):
-            break
-        alpha = 1.0
-        improved = False
-        for _ in range(40):
-            cand = ga + alpha * d
-            if cand.min() > 0.0:
-                gc = g.copy()
-                gc[act] = cand
-                val = float(tm.values(gc[None, :], t)[0])
-                if val > best:
-                    g, best = gc, val
-                    improved = True
-                    break
-            alpha *= 0.5
-        if not improved:
-            break
-    return g, best
-
-
 def _structured_seeds(n, k):
     seeds = [np.full((1, n), 1.0 / n)]
     binom = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
@@ -237,35 +144,24 @@ def _structured_seeds(n, k):
 def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     """Best found value of the objective over the simplex at exponent t.
 
-    Returns (value, argmax); the value is a certified lower estimate of the
-    true supremum (every reported value is an exact evaluation), at least 1
-    because the vertices are always in the candidate pool.  A simplex point
-    `start` joins the ascent's starting points.  Deterministic for a fixed
-    config and start."""
+    One projected ascent from the vertices, the structured profiles, the
+    seeded random points and, when given, the simplex point `start` (the
+    previous witness).  Returns (value, argmax), the smallest point among
+    those tied at the best value.  The value is a certified lower estimate
+    of the true supremum (every reported value is an exact evaluation), at
+    least 1 because the vertices are always in the pool.  Deterministic for
+    a fixed config and start."""
     cfg = cfg or SolverConfig()
     if not t > 0:
         raise ValueError("t must be positive")
-    tm = term_matrix(n, k)
-    r = _effective_resolution(n, _GRID_RESOLUTION)
-    grid = _simplex_grid(n, r)
-    powers = np.multiply(_grid_log_products(n, k, r), t)
-    np.exp(powers, out=powers)
-    gvals = powers @ tm.c
-    top = np.argsort(gvals, kind="stable")[::-1][:_GRID_TOP]
     rng = np.random.default_rng(cfg.rng_seed)
-    blocks = [grid[top], np.eye(n)]
-    blocks.extend(_structured_seeds(n, k))
-    blocks.append(rng.dirichlet(np.ones(n), size=_MULTISTARTS))
+    blocks = [np.eye(n), *_structured_seeds(n, k),
+              rng.dirichlet(np.ones(n), size=_MULTISTARTS)]
     if start is not None:
         blocks.append(np.array([start], dtype=float))
-    cands, vals = _ascend(np.vstack(blocks), t, tm, _ASCENT_ITERATIONS)
-    pool = [(float(vals[i]), cands[i]) for i in range(len(cands))]
-    for i in np.argsort(vals, kind="stable")[::-1][:5]:
-        g_ref, v_ref = _newton_refine(cands[i], t, tm)
-        pool.append((v_ref, g_ref))
-    best_val = max(v for v, _ in pool)
-    ties = [tuple(g.tolist()) for v, g in pool if v == best_val]
-    return best_val, min(ties)
+    cands, vals = _ascend(np.vstack(blocks), t, term_matrix(n, k), _ASCENT_ITERATIONS)
+    best_val = float(vals.max())
+    return best_val, min(tuple(g.tolist()) for g in cands[vals == best_val])
 
 
 def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentPair:
@@ -279,11 +175,14 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
     probe makes the next probe a bisection midpoint, so a stalling
     maximizer costs at most about twice the calls of plain bisection.
     `argmax` is the witness that set the final lower end, never a vertex.
-    A tolerance below 2 * ulp(k + 1), where lo + tol/2 can round to lo and
-    the bracket stop narrowing, raises ValueError before any maximization."""
+    Two inputs raise ValueError before any maximization: k above 1023,
+    where 2^k overflows a float, and a tolerance below 2 * ulp(k + 1),
+    where lo + tol/2 can round to lo and the bracket stop narrowing."""
     cfg = cfg or SolverConfig()
     if n < 2 or k < 2:
         raise ValueError("n >= 2 and k >= 2 required")
+    if k > _K_MAX:
+        raise ValueError(f"k <= {_K_MAX} required: 2^k overflows a float at k = {k}")
     if cfg.t_tolerance < 2 * math.ulp(k + 1):
         raise ValueError(f"tolerance {cfg.t_tolerance!r} is below 2 * ulp({k + 1}) = "
                          f"{2 * math.ulp(k + 1)!r}, twice the float spacing of t")

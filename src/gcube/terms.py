@@ -83,8 +83,9 @@ def pmf_of_tuple(n: int, a: int, h) -> tuple:
     q_j = 2^{-l} |{eps : a + eps . h = j}| as Fractions that sum to 1; the
     empty h gives the point mass at a."""
     h = tuple(h)
-    p = (pmf_signed_sum(h) if h else PMFVector(0, (Fraction(1),))).translate(a)
-    lo, end = p.support_offset, p.support_offset + len(p.masses)
+    p = pmf_signed_sum(h) if h else PMFVector(0, (Fraction(1),))
+    lo = p.support_offset + a
+    end = lo + len(p.masses)
     if lo < 0 or end > n:
         raise ValueError(f"tuple (a={a}, h={h}) leaves the interval [0, {n - 1}]")
     return (Fraction(0),) * lo + p.masses + (Fraction(0),) * (n - end)

@@ -268,6 +268,15 @@ def test_tolerance_below_float_spacing_exits_2(monkeypatch, capsys):
     assert code == 2 and not out and "tolerance" in err
 
 
+def test_k_above_float_range_exits_2(monkeypatch, capsys):
+    def no_max(*args, **kwargs):
+        raise AssertionError("max_objective called")
+
+    monkeypatch.setattr(solver_module, "max_objective", no_max)
+    code, out, err = run(capsys, ["exponent", "--n", "2", "--k", "1024"])
+    assert code == 2 and not out and "1023" in err
+
+
 def test_unread_flags_rejected(tmp_path, capsys):
     path = write_function(tmp_path, "delta.json", indicator([(0,)]))
     for argv in (

@@ -14,10 +14,6 @@ from gcube.solver import (
     solve_exponent,
     trivial_bounds,
     witness_lower_bound,
-    _GRID_POINT_CAP,
-    _GRID_RESOLUTION,
-    _effective_resolution,
-    _simplex_grid,
 )
 from gcube.terms import objective, ternary_objective_check
 
@@ -220,6 +216,15 @@ def test_tolerance_below_float_spacing_rejected(monkeypatch):
         solve_exponent(2, 2, SolverConfig(t_tolerance=1e-17))
 
 
+def test_k_above_float_range_rejected(monkeypatch):
+    def no_max(*args, **kwargs):
+        raise AssertionError("max_objective called")
+
+    monkeypatch.setattr(solver_module, "max_objective", no_max)
+    with pytest.raises(ValueError, match="1023"):
+        solve_exponent(2, 1024)
+
+
 def test_stalled_witness_falls_back_to_bisection(monkeypatch):
     # A maximizer whose witnesses never certify past their probe: the loop
     # must bisect its way to the plateau edge at 2.5.
@@ -243,15 +248,21 @@ def test_stalled_witness_falls_back_to_bisection(monkeypatch):
     assert len(calls) <= 2 * math.ceil(math.log2(2 / tol)) + 3
 
 
-def test_grid_respects_point_cap():
-    for n in range(5, 11):
-        r = _effective_resolution(n, _GRID_RESOLUTION)
-        assert len(_simplex_grid(n, r)) <= _GRID_POINT_CAP
-
-
-def test_capped_grid_keeps_side_six_value():
+def test_side_six_value():
     pair = solve_cached(6, 2)
     assert abs(witness_lower_bound(6, 2, pair.argmax) - pair.t) <= 1e-9
     value, _ = max_objective(6, 2, pair.t + 1e-6)
     assert value <= 1.0 + 1e-12
     assert pair.t == pytest.approx(2.8286209328, abs=1e-8)  # uncapped grid value
+
+
+# Default-seed values of the solver that still ran the grid and Newton
+# stages; n > 10 and k = 3, 4 at n >= 6 are not covered elsewhere.
+@pytest.mark.parametrize("n,k,t", [
+    (12, 2, 2.8791564855796814),
+    (16, 2, 2.8926487556351264),
+    (6, 3, 3.5396342696839582),
+    (8, 4, 4.2817526396186265),
+])
+def test_solve_goldens_beyond_bench(n, k, t):
+    assert solve_cached(n, k).t == pytest.approx(t, abs=1e-9)
