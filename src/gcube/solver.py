@@ -21,9 +21,11 @@ per-candidate backtracking, started at once from the vertices, a few
 structured profiles (uniform, binomial and powered Gaussians), seeded
 random interior points and the previous witness.  The vertices stay in
 the pool and a step is only taken when it raises the value, so the
-reported maximum is an exact evaluation and never below 1.  All partial
-derivatives of the objective are nonnegative, which keeps the ascent on
-the current face: the simplex projection only ever removes mass.
+reported maximum is an exact evaluation and never below 1.  Each point is
+evaluated once: the monomials that value an accepted step also give its
+next gradient.  All partial derivatives of the objective are nonnegative,
+which keeps the ascent on the current face: the simplex projection only
+ever removes mass.
 """
 
 from __future__ import annotations
@@ -87,9 +89,10 @@ class ExponentPair:
 _COORD_FLOOR = 1e-15
 
 
-def _grad_batch(G, t, tm):
-    W = np.exp(t * tm.log_monomials(G)) * tm.c
-    S = W @ tm.Q
+def _grad_batch(G, E, t, tm):
+    # E holds the monomials of the rows of G at t, so the gradient reuses
+    # the evaluation that accepted them.
+    S = (E * tm.c) @ tm.Q
     grad = np.zeros_like(G)
     # Coordinates at or below the floor count as being on the face; the
     # fractional powers have unbounded slope there.
@@ -98,9 +101,10 @@ def _grad_batch(G, t, tm):
 
 
 def _project_rows(y):
-    # Euclidean projection of each row onto the probability simplex.
-    # Near-zero output coordinates are snapped to exact zero (their gradient
-    # would overflow) and the row is renormalized.
+    # Euclidean projection of each row onto the probability simplex, in
+    # place.  Coordinates below the floor, negative ones included, are
+    # snapped to exact zero (their gradient would overflow) and the row is
+    # renormalized.
     n = y.shape[1]
     u = np.sort(y, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1) - 1.0
@@ -108,24 +112,31 @@ def _project_rows(y):
     cond = u - css / idx > 0
     rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
     theta = css[np.arange(len(y)), rho] / (rho + 1)
-    out = np.maximum(y - theta[:, None], 0.0)
-    out[out < _COORD_FLOOR] = 0.0
-    return out / out.sum(axis=1, keepdims=True)
+    y -= theta[:, None]
+    y[y < _COORD_FLOOR] = 0.0
+    y /= y.sum(axis=1, keepdims=True)
+    return y
 
 
 def _ascend(G, t, tm, iters):
+    # Each candidate is evaluated once: E keeps the monomials of the current
+    # rows for the next gradient.  The batch keeps its shape throughout,
+    # since BLAS results per row can change in the last bit with it.
     G = G.copy()
-    vals = tm.values(G, t)
+    E = tm.monomials(G, t)
+    vals = E @ tm.c
     step = np.full(len(G), 0.1)
     for _ in range(iters):
-        grad = _grad_batch(G, t, tm)
+        grad = _grad_batch(G, E, t, tm)
         cand = _project_rows(G + step[:, None] * grad)
-        cvals = tm.values(cand, t)
+        cE = tm.monomials(cand, t)
+        cvals = cE @ tm.c
         better = cvals > vals
-        G[better] = cand[better]
-        vals[better] = cvals[better]
-        step[better] *= 1.3
-        step[~better] *= 0.5
+        rows = better[:, None]
+        np.copyto(G, cand, where=rows)
+        np.copyto(E, cE, where=rows)
+        np.copyto(vals, cvals, where=better)
+        step *= np.where(better, 1.3, 0.5)
         if step.max() < 1e-18:
             break
     return G, vals

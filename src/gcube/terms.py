@@ -109,15 +109,23 @@ def term_groups(n: int, k: int) -> tuple:
     Deterministically ordered by descending lexicographic q."""
     if n < 2 or k < 1:
         raise ValueError("n >= 2 and k >= 1 required")
+    # Merge on integer counts over the common denominator 2^(n-1): their
+    # descending order is that of the q vectors, and each distinct mass
+    # becomes a Fraction once at the end.
+    denom = 2 ** (n - 1)
     merged = Counter()
     for m in _magnitude_multisets(n - 1, min(k, n - 1), n - 1):
         l = len(m)
         count = math.comb(k, l) * 2 ** l * math.factorial(l)
         count //= math.prod(map(math.factorial, Counter(m).values()))
+        masses = pmf_signed_sum(m).masses if m else (Fraction(1),)
+        box = tuple(x.numerator * (denom // x.denominator) for x in masses)
         for b in range(n - sum(m)):
-            merged[pmf_of_tuple(n, b, m)] += count
+            merged[(0,) * b + box + (0,) * (n - sum(m) - 1 - b)] += count
+    frac = {x: Fraction(x, denom) for x in set().union(*merged)}
     return tuple(
-        TermGroup(coefficient=merged[q], q=q) for q in sorted(merged, reverse=True)
+        TermGroup(coefficient=merged[key], q=tuple(map(frac.__getitem__, key)))
+        for key in sorted(merged, reverse=True)
     )
 
 
@@ -136,9 +144,14 @@ class TermMatrix:
         np.log(G, out=logs, where=G > 0)
         return logs @ self.Q.T
 
+    def monomials(self, G, t):
+        """Every monomial prod_j g(j)^(q_j t), one row per simplex point in
+        G; the objective is this times c."""
+        return np.exp(t * self.log_monomials(G))
+
     def values(self, G, t):
         """The objective at exponent t for every row of G."""
-        return np.exp(t * self.log_monomials(G)) @ self.c
+        return self.monomials(G, t) @ self.c
 
 
 @lru_cache(maxsize=128)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import gcube.solver as solver_module
@@ -15,7 +16,7 @@ from gcube.solver import (
     trivial_bounds,
     witness_lower_bound,
 )
-from gcube.terms import objective, ternary_objective_check
+from gcube.terms import objective, term_matrix, ternary_objective_check
 
 LOG2_6 = math.log2(6)
 LOG3_19 = math.log(19) / math.log(3)
@@ -266,3 +267,77 @@ def test_side_six_value():
 ])
 def test_solve_goldens_beyond_bench(n, k, t):
     assert solve_cached(n, k).t == pytest.approx(t, abs=1e-9)
+
+
+# The ascent as it stood when it evaluated every candidate twice (once for
+# its value, once more for the gradient after acceptance), kept verbatim as
+# the reference for the one-evaluation loop.
+def _ref_grad_batch(G, t, tm):
+    W = np.exp(t * tm.log_monomials(G)) * tm.c
+    S = W @ tm.Q
+    grad = np.zeros_like(G)
+    # Coordinates at or below the floor count as being on the face; the
+    # fractional powers have unbounded slope there.
+    np.divide(t * S, G, out=grad, where=G > solver_module._COORD_FLOOR)
+    return grad
+
+
+def _ref_project_rows(y):
+    # Euclidean projection of each row onto the probability simplex.
+    # Near-zero output coordinates are snapped to exact zero (their gradient
+    # would overflow) and the row is renormalized.
+    n = y.shape[1]
+    u = np.sort(y, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    idx = np.arange(1, n + 1)
+    cond = u - css / idx > 0
+    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(len(y)), rho] / (rho + 1)
+    out = np.maximum(y - theta[:, None], 0.0)
+    out[out < solver_module._COORD_FLOOR] = 0.0
+    return out / out.sum(axis=1, keepdims=True)
+
+
+def _ref_ascend(G, t, tm, iters):
+    G = G.copy()
+    vals = tm.values(G, t)
+    step = np.full(len(G), 0.1)
+    for _ in range(iters):
+        grad = _ref_grad_batch(G, t, tm)
+        cand = _ref_project_rows(G + step[:, None] * grad)
+        cvals = tm.values(cand, t)
+        better = cvals > vals
+        G[better] = cand[better]
+        vals[better] = cvals[better]
+        step[better] *= 1.3
+        step[~better] *= 0.5
+        if step.max() < 1e-18:
+            break
+    return G, vals
+
+
+# Critical exponents to six digits, so the ascent runs where M(t) is
+# barely above 1 and the race between the interior and the vertices is
+# closest.
+_NEAR_CRITICAL = {
+    (2, 2): 2.58496, (2, 4): 3.32193, (2, 16): 5.08746,
+    (3, 2): 2.72071, (3, 4): 3.69132, (3, 16): 6.08010,
+    (5, 2): 2.80835, (5, 4): 4.06247, (5, 16): 7.59828,
+    (8, 2): 2.85365, (8, 4): 4.28175, (8, 16): 9.09474,
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(_NEAR_CRITICAL))
+def test_ascent_matches_two_evaluation_reference(n, k):
+    tm = term_matrix(n, k)
+    rng = np.random.default_rng(0)
+    pool = np.vstack([np.eye(n), *solver_module._structured_seeds(n, k),
+                      rng.dirichlet(np.ones(n), size=solver_module._MULTISTARTS)])
+    start = np.arange(1.0, n + 1.0) / (n * (n + 1) / 2)
+    iters = solver_module._ASCENT_ITERATIONS
+    for t in (1.0, float(k + 1), _NEAR_CRITICAL[n, k]):
+        for G in (pool, np.vstack([pool, start])):
+            want_G, want_vals = _ref_ascend(G, t, tm, iters)
+            got_G, got_vals = solver_module._ascend(G, t, tm, iters)
+            assert np.array_equal(got_G, want_G), (n, k, t, len(G))
+            assert np.array_equal(got_vals, want_vals), (n, k, t, len(G))

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+import numpy as np
 
 from gcube.gowers import energy_P
 from gcube.lattice import interval_set
@@ -15,6 +16,7 @@ from gcube.terms import (
     objective,
     pmf_of_tuple,
     term_groups,
+    term_matrix,
     ternary_objective_check,
 )
 
@@ -109,6 +111,26 @@ def test_total_coefficient_matches_box_count():
         for k in range(2, 5):
             total = sum(g.coefficient for g in term_groups(n, k))
             assert total == energy_P(interval_set(n), k)
+
+
+def test_values_are_monomials_times_coefficients():
+    rng = np.random.default_rng(3)
+    for n, k in ((2, 2), (3, 4), (5, 3), (8, 2)):
+        tm = term_matrix(n, k)
+        G = rng.dirichlet(np.ones(n), size=20)
+        G[::3, 0] = 0.0  # zero coordinates: 0^0 = 1 and 0^s = 0
+        G[1::3, -1] = 0.0
+        G = np.vstack([G / G.sum(axis=1, keepdims=True), np.eye(n)])
+        for t in (1.0, 2.5, k + 1.0):
+            E = tm.monomials(G, t)
+            assert np.array_equal(tm.values(G, t), E @ tm.c)
+            for g, row in zip(G, E):
+                for q, mono in zip(tm.Q, row):
+                    # Python's float power has the same 0^0 and 0^s rules.
+                    want = math.prod(x ** (y * t) for x, y in zip(g, q))
+                    assert (mono == 0) == (want == 0)
+                    assert mono == pytest.approx(want, rel=1e-12)
+            assert np.array_equal(E[-n:], (tm.Q.T == 1.0).astype(float))
 
 
 def test_objective_binary_critical_value():
