@@ -16,7 +16,8 @@ q depends only on the multiset m of the |h_i| and the lowest box point b in
 for 2^l l!/prod(mult!) ordered signed tuples; the empty m is the diagonal.
 
 The q vectors are kept as exact Fractions, and terms with identical q are
-merged with summed coefficients into a small deterministic table.  Every
+merged (on their integer counts over 2^(n-1)) with summed coefficients into
+a small deterministic table.  Every
 evaluation goes through that table's float form, TermMatrix, which values
 a whole batch of simplex points with one matrix product.
 """
@@ -119,9 +120,9 @@ def term_groups(n: int, k: int) -> tuple:
         count = math.comb(k, l) * 2 ** l * math.factorial(l)
         count //= math.prod(map(math.factorial, Counter(m).values()))
         masses = pmf_signed_sum(m).masses if m else (Fraction(1),)
-        box = tuple(x.numerator * (denom // x.denominator) for x in masses)
+        counts = tuple(x.numerator * (denom // x.denominator) for x in masses)
         for b in range(n - sum(m)):
-            merged[(0,) * b + box + (0,) * (n - sum(m) - 1 - b)] += count
+            merged[(0,) * b + counts + (0,) * (n - b - len(counts))] += count
     frac = {x: Fraction(x, denom) for x in set().union(*merged)}
     return tuple(
         TermGroup(coefficient=merged[key], q=tuple(map(frac.__getitem__, key)))
