@@ -105,14 +105,14 @@ def _solve_report(params) -> AsymptoticReport:
 CSV_HEADER = "k,n,t_solver,t_formula,gap,lower13,upper"
 
 
-def sweep_csv(reports, digits: int = 17) -> str:
+def sweep_csv(reports) -> str:
     lines = [CSV_HEADER]
     for r in sorted(reports, key=lambda r: r.k):
         lines.append(
             ",".join(
                 [str(r.k), str(r.n)]
                 + [
-                    format(v, f".{digits}g")
+                    format(v, ".17g")
                     for v in (r.t_solver, r.t_formula, r.gap,
                               r.large_n_lower, r.upper_trivial)
                 ]

@@ -2,9 +2,10 @@
 majorization, Karamata comparison, and the exhaustive entropy verifiers.
 
 The module owns signed Bernoulli sums: iter_signed_vectors enumerates their
-coefficient vectors and pmf_signed_sum is the one exact PMF, kept as dyadic
-rationals (denominator 2^m) so that majorization prefix sums compare
-exactly; entropies are evaluated in floating point at the very end.
+coefficient vectors and signed_sum_counts counts the 2^m sign vectors
+reaching each sum.  Exact work is done on those integer counts (denominator
+2^m); Fractions exist only in returned values such as pmf_signed_sum, and
+entropies are evaluated in floating point at the very end.
 """
 
 from __future__ import annotations
@@ -117,6 +118,20 @@ def binomial_entropy_bounds(m: int) -> tuple:
     return (main - 1.0 / (4 * m), main + 1.0 / (10 * m))
 
 
+def signed_sum_counts(h) -> tuple:
+    """(offset, counts): counts[i] of the 2^len(h) 0/1 vectors eps have
+    h . eps = offset + i.  The empty h gives (0, (1,))."""
+    counts = {0: 1}
+    for step in h:
+        nxt = {}
+        for z, c in counts.items():
+            nxt[z] = nxt.get(z, 0) + c
+            nxt[z + step] = nxt.get(z + step, 0) + c
+        counts = nxt
+    lo, hi = min(counts), max(counts)
+    return lo, tuple(counts.get(z, 0) for z in range(lo, hi + 1))
+
+
 def pmf_signed_sum(h) -> PMFVector:
     """Exact dyadic PMF of h_1 X_1 + ... + h_m X_m for fair 0/1 variables."""
     coeffs = tuple(int(v) for v in h)
@@ -124,17 +139,9 @@ def pmf_signed_sum(h) -> PMFVector:
         raise ValueError("at least one coefficient required")
     if any(v == 0 for v in coeffs):
         raise ValueError("coefficients must be nonzero")
-    counts = {0: 1}
-    for step in coeffs:
-        nxt = {}
-        for z, c in counts.items():
-            nxt[z] = nxt.get(z, 0) + c
-            nxt[z + step] = nxt.get(z + step, 0) + c
-        counts = nxt
-    lo, hi = min(counts), max(counts)
+    lo, counts = signed_sum_counts(coeffs)
     denom = 2 ** len(coeffs)
-    masses = tuple(Fraction(counts.get(z, 0), denom) for z in range(lo, hi + 1))
-    return PMFVector(lo, masses)
+    return PMFVector(lo, tuple(Fraction(c, denom) for c in counts))
 
 
 def decreasing_rearrangement(p: PMFVector) -> list:
@@ -226,13 +233,6 @@ class VerificationReport:
             self.failures.append(message)
 
 
-@lru_cache(maxsize=64)
-def _binomial_rearrangement(m: int) -> tuple:
-    denom = 2 ** m
-    masses = [Fraction(math.comb(m, j), denom) for j in range(m + 1)]
-    return tuple(sorted(masses, reverse=True))
-
-
 def verify_majorization_lemma(m_max: int = 4, h_bound: int = 4) -> VerificationReport:
     """Exhaustively check, for every coefficient vector with entries in
     {-h_bound, ..., -1, 1, ..., h_bound} and length up to m_max, that the
@@ -245,15 +245,14 @@ def verify_majorization_lemma(m_max: int = 4, h_bound: int = 4) -> VerificationR
     report = VerificationReport("majorization")
     values = [v for v in range(-h_bound, h_bound + 1) if v != 0]
     for m in range(1, m_max + 1):
-        binom = list(_binomial_rearrangement(m))
+        # Counts over 2^m, no zeros; c / denom rounds as Fraction(c, denom) does.
+        denom = 2 ** m
+        binom = sorted((math.comb(m, j) for j in range(m + 1)), reverse=True)
         h_binom = binomial_entropy(m)
         for h in _product(values, repeat=m):
-            pmf = pmf_signed_sum(h)
-            x = decreasing_rearrangement(pmf)
-            n = max(len(x), len(binom))
-            padded_x = x + [Fraction(0)] * (n - len(x))
-            padded_b = binom + [Fraction(0)] * (n - len(binom))
-            is_equal = padded_x == padded_b
+            counts = signed_sum_counts(h)[1]
+            x = sorted((c for c in counts if c), reverse=True)
+            is_equal = x == binom
             all_same = len({abs(v) for v in h}) == 1
             ok_maj = majorizes(binom, x)
             report.record(ok_maj, f"h={h}: binomial does not majorize")
@@ -262,7 +261,7 @@ def verify_majorization_lemma(m_max: int = 4, h_bound: int = 4) -> VerificationR
                 f"h={h}: rearrangement equality mismatch "
                 f"(equal={is_equal}, uniform |h|={all_same})",
             )
-            h_sum = entropy(pmf)
+            h_sum = entropy_bits([c / denom for c in counts])
             if all_same:
                 report.record(
                     abs(h_sum - h_binom) <= 1e-12,
@@ -288,7 +287,7 @@ def verify_entropy_corollary(n: int) -> VerificationReport:
     floor = binomial_entropy(n - 1) / (n - 1)
     for l in range(1, n):
         for h in iter_signed_vectors(n - 1, l):
-            ratio = entropy(pmf_signed_sum(h)) / l
+            ratio = entropy_bits([c / 2 ** l for c in signed_sum_counts(h)[1]]) / l
             expect_equal = l == n - 1 and all(abs(v) == 1 for v in h)
             if expect_equal:
                 report.record(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _product
 
-from .lattice import CubeSet, LatticeFunction
+from .lattice import CubeSet, LatticeFunction, convolve_entries
 
 _IMAG_TOL = 1e-9
 
@@ -181,15 +181,6 @@ def energy_P(A: CubeSet, k: int) -> int:
     return _count_boxes(_canonical(A.members), k)
 
 
-def _int_convolve(a, b):
-    out = {}
-    for x, cx in a.items():
-        for y, cy in b.items():
-            z = tuple(p + q for p, q in zip(x, y))
-            out[z] = out.get(z, 0) + cx * cy
-    return out
-
-
 def energy_E(A: CubeSet, k: int) -> int:
     """Number of 2k-tuples in A^{2k} whose first k entries and last k
     entries have equal sums; the squared ell^2 norm of the k-fold
@@ -201,7 +192,7 @@ def energy_E(A: CubeSet, k: int) -> int:
     base = {p: 1 for p in A.members}
     conv = base
     for _ in range(k - 1):
-        conv = _int_convolve(conv, base)
+        conv = convolve_entries(conv, base)
     return sum(c * c for c in conv.values())
 
 

@@ -130,17 +130,23 @@ def lp_norm(f: LatticeFunction, p) -> float:
     return vmax * total ** (1.0 / p)
 
 
+def convolve_entries(a: dict, b: dict) -> dict:
+    """Convolution of point -> value dicts, both walked in sorted order."""
+    out = {}
+    ys = sorted(b)
+    for x in sorted(a):
+        ax = a[x]
+        for y in ys:
+            z = tuple(p + q for p, q in zip(x, y))
+            out[z] = out.get(z, 0) + ax * b[y]
+    return out
+
+
 def convolve(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     """(f * g)(x) = sum_y f(x - y) g(y), supports added coordinatewise."""
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
-    out = {}
-    for x in sorted(f.entries):
-        fx = f.entries[x]
-        for y in sorted(g.entries):
-            z = tuple(a + b for a, b in zip(x, y))
-            out[z] = out.get(z, 0j) + fx * g.entries[y]
-    return LatticeFunction(f.dim, out)
+    return LatticeFunction(f.dim, convolve_entries(f.entries, g.entries))
 
 
 def reflect(f: LatticeFunction) -> LatticeFunction:

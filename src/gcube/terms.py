@@ -15,11 +15,11 @@ q depends only on the multiset m of the |h_i| and the lowest box point b in
 [0, n - 1 - sum(m)].  The table is built from the pairs (m, b), each standing
 for 2^l l!/prod(mult!) ordered signed tuples; the empty m is the diagonal.
 
-The q vectors are kept as exact Fractions, and terms with identical q are
-merged (on their integer counts over 2^(n-1)) with summed coefficients into
-a small deterministic table.  Every
-evaluation goes through that table's float form, TermMatrix, which values
-a whole batch of simplex points with one matrix product.
+Terms with identical q are merged, with summed coefficients, on their
+integer counts over 2^(n-1) (entropy.signed_sum_counts); the merged table
+returns each q as exact Fractions.  Every evaluation goes through that
+table's float form, TermMatrix, which values a whole batch of simplex
+points with one matrix product.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import PMFVector, iter_signed_vectors, pmf_signed_sum
+from .entropy import PMFVector, iter_signed_vectors, pmf_signed_sum, signed_sum_counts
 
 _SIMPLEX_TOL = 1e-12
 # Stands in for log(0): times q > 0 it sends the monomial to 0 (0^s = 0),
@@ -110,7 +110,7 @@ def term_groups(n: int, k: int) -> tuple:
     Deterministically ordered by descending lexicographic q."""
     if n < 2 or k < 1:
         raise ValueError("n >= 2 and k >= 1 required")
-    # Merge on integer counts over the common denominator 2^(n-1): their
+    # Merge on integer counts over 2^(n-1) (those over 2^l, shifted): their
     # descending order is that of the q vectors, and each distinct mass
     # becomes a Fraction once at the end.
     denom = 2 ** (n - 1)
@@ -119,8 +119,7 @@ def term_groups(n: int, k: int) -> tuple:
         l = len(m)
         count = math.comb(k, l) * 2 ** l * math.factorial(l)
         count //= math.prod(map(math.factorial, Counter(m).values()))
-        masses = pmf_signed_sum(m).masses if m else (Fraction(1),)
-        counts = tuple(x.numerator * (denom // x.denominator) for x in masses)
+        counts = tuple(c << (n - 1 - l) for c in signed_sum_counts(m)[1])
         for b in range(n - sum(m)):
             merged[(0,) * b + counts + (0,) * (n - b - len(counts))] += count
     frac = {x: Fraction(x, denom) for x in set().union(*merged)}

@@ -287,3 +287,25 @@ def test_unread_flags_rejected(tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert not out and "error" in err
+
+
+def test_terms_n_above_limit_exits_2(monkeypatch, capsys):
+    def no_enumeration(n):
+        raise AssertionError("terms enumerated above its limit")
+
+    monkeypatch.setattr(cli, "enumerate_tuple_classes", no_enumeration)
+    code, out, err = run(capsys, ["terms", "--n", "13"])
+    assert code == 2
+    assert not out and "error" in err
+
+
+def test_terms_human_renders_json_payload(capsys):
+    _, out, _ = run(capsys, ["terms", "--n", "5", "--json"])
+    lines = []
+    for c in json.loads(out)["classes"]:
+        lines.append(f"l={c['l']} size={c['size']}")
+        for t in c["tuples"]:
+            lines.append(f"  a={t['a']} h={t['h']} q=({', '.join(t['q'])})")
+    code, human, _ = run(capsys, ["terms", "--n", "5"])
+    assert code == 0
+    assert human == "\n".join(lines) + "\n"

@@ -1,6 +1,9 @@
+import importlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from gcube.entropy import (
     karamata_compare,
     majorizes,
     pmf_signed_sum,
+    signed_sum_counts,
     verify_entropy_corollary,
     verify_majorization_lemma,
 )
@@ -183,3 +187,38 @@ def test_weighted_am_gm_against_entropy():
 @settings(max_examples=100)
 def test_signed_sum_entropy_at_least_binomial(h):
     assert entropy(pmf_signed_sum(h)) >= binomial_entropy(len(h)) - 1e-12
+
+
+def test_signed_sum_counts_match_sign_vector_count():
+    values = [v for v in range(-3, 4) if v]
+    for m in range(5):
+        for h in product(values, repeat=m):
+            sums = Counter(
+                sum(v for v, e in zip(h, eps) if e) for eps in product((0, 1), repeat=m)
+            )
+            lo, counts = signed_sum_counts(h)
+            assert lo == min(sums)
+            assert counts == tuple(sums[z] for z in range(lo, max(sums) + 1))
+            if h:
+                pmf = pmf_signed_sum(h)
+                assert pmf.support_offset == lo
+                assert pmf.masses == tuple(Fraction(c, 2 ** m) for c in counts)
+    assert signed_sum_counts(()) == (0, (1,))
+
+
+def test_verifiers_fail_on_wrong_counts(monkeypatch):
+    clean = (verify_majorization_lemma(2, 2).cases, verify_entropy_corollary(3).cases)
+    assert clean == (3 * (4 + 16), 4 + 4)
+    # gcube.entropy the attribute is the entropy function, not the module.
+    entropy_module = importlib.import_module("gcube.entropy")
+
+    def point_mass(h):
+        return 0, (2 ** len(h),)  # all 2^m sign vectors on one sum
+
+    monkeypatch.setattr(entropy_module, "signed_sum_counts", point_mass)
+    maj = verify_majorization_lemma(2, 2)
+    cor = verify_entropy_corollary(3)
+    assert (maj.cases, cor.cases) == clean
+    assert "h=(1,): binomial does not majorize" in maj.failures
+    assert "h=(1, 1): expected entropy H_2, got 0.0" in maj.failures
+    assert len(cor.failures) == cor.cases
