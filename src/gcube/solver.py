@@ -26,6 +26,14 @@ evaluated once: the monomials that value an accepted step also give its
 next gradient.  All partial derivatives of the objective are nonnegative,
 which keeps the ascent on the current face: the simplex projection only
 ever removes mass.
+
+A maximization whose best value stays at 1 certifies the upper end of the
+bracket (the sign check at t = k + 1 and every probe with M <= 1); it runs
+until every step is below 1e-18, exactly as without a settle rule.  Once
+the best value is above 1, M(t) > 1 is already certified and the outer
+loop reads only the argmax, for its witness root.  From then on the
+ascent also stops when the best value has risen by no more than a
+relative 1e-15 for 30 consecutive iterations.
 """
 
 from __future__ import annotations
@@ -41,11 +49,16 @@ from .terms import check_simplex, term_matrix
 
 # Identifies the outer loop and the search stages; results cached under an
 # older version are not served for this one.
-SOLVER_VERSION = 5
+SOLVER_VERSION = 6
 
 # The fixed search: seeded random starts and ascent iterations.
 _MULTISTARTS = 32
 _ASCENT_ITERATIONS = 200
+# Settle rule for witness maximizations: once the best value is above 1,
+# the ascent stops after this many consecutive iterations in which the
+# best value rose by no more than this relative amount.
+_SETTLE_WINDOW = 30
+_SETTLE_RTOL = 1e-15
 
 # Largest box order whose 2^k is a finite float.
 _K_MAX = 1023
@@ -126,6 +139,8 @@ def _ascend(G, t, tm, iters):
     E = tm.monomials(G, t)
     vals = E @ tm.c
     step = np.full(len(G), 0.1)
+    best = vals.max()
+    flat = 0
     for _ in range(iters):
         grad = _grad_batch(G, E, t, tm)
         cand = _project_rows(G + step[:, None] * grad)
@@ -138,6 +153,12 @@ def _ascend(G, t, tm, iters):
         np.copyto(vals, cvals, where=better)
         step *= np.where(better, 1.3, 0.5)
         if step.max() < 1e-18:
+            break
+        # Only a best value above 1 may settle: at 1 the ascent certifies
+        # M(t) = 1 and must reach the step stop.
+        prev, best = best, vals.max()
+        flat = flat + 1 if best > 1.0 and best - prev <= _SETTLE_RTOL * prev else 0
+        if flat == _SETTLE_WINDOW:
             break
     return G, vals
 
@@ -160,8 +181,11 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     previous witness).  Returns (value, argmax), the smallest point among
     those tied at the best value.  The value is a certified lower estimate
     of the true supremum (every reported value is an exact evaluation), at
-    least 1 because the vertices are always in the pool.  Deterministic for
-    a fixed config and start."""
+    least 1 because the vertices are always in the pool.  While the value
+    is 1 the ascent runs to its step stop; once it is above 1 the ascent
+    ends when the value has settled (no relative rise above 1e-15 for 30
+    iterations), which moves the argmax by about 1e-8.
+    Deterministic for a fixed config and start."""
     cfg = cfg or SolverConfig()
     if not t > 0:
         raise ValueError("t must be positive")

@@ -14,6 +14,7 @@ from gcube.lattice import (
     set_to_json,
 )
 from gcube.solver import BracketError, SolverConfig
+from gcube.terms import pmf_of_tuple
 
 
 def write_function(tmp_path, name, f):
@@ -176,6 +177,17 @@ def test_terms_json(capsys):
     assert sizes == {1: 12, 2: 16, 3: 8}
     first = payload["classes"][0]["tuples"][0]
     assert set(first) == {"a", "h", "q"}
+
+
+def test_terms_q_matches_pmf_of_tuple(capsys):
+    # The listing shifts one count per |h| multiset; pmf_of_tuple counts
+    # every tuple on its own.
+    n = 6
+    _, out, _ = run(capsys, ["terms", "--n", str(n), "--json"])
+    for c in json.loads(out)["classes"]:
+        for t in c["tuples"]:
+            want = [str(q) for q in pmf_of_tuple(n, t["a"], t["h"])]
+            assert t["q"] == want, t
 
 
 def test_table1(capsys):

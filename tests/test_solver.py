@@ -298,10 +298,14 @@ def _ref_project_rows(y):
     return out / out.sum(axis=1, keepdims=True)
 
 
-def _ref_ascend(G, t, tm, iters):
+# With settle=False it is the loop as it stood before the settle rule,
+# which ran every maximization to the step stop.
+def _ref_ascend(G, t, tm, iters, settle=True):
     G = G.copy()
     vals = tm.values(G, t)
     step = np.full(len(G), 0.1)
+    best = vals.max()
+    flat = 0
     for _ in range(iters):
         grad = _ref_grad_batch(G, t, tm)
         cand = _ref_project_rows(G + step[:, None] * grad)
@@ -312,6 +316,12 @@ def _ref_ascend(G, t, tm, iters):
         step[better] *= 1.3
         step[~better] *= 0.5
         if step.max() < 1e-18:
+            break
+        if not settle:
+            continue
+        prev, best = best, vals.max()
+        flat = flat + 1 if best > 1.0 and best - prev <= solver_module._SETTLE_RTOL * prev else 0
+        if flat == solver_module._SETTLE_WINDOW:
             break
     return G, vals
 
@@ -327,17 +337,60 @@ _NEAR_CRITICAL = {
 }
 
 
-@pytest.mark.parametrize("n,k", sorted(_NEAR_CRITICAL))
-def test_ascent_matches_two_evaluation_reference(n, k):
-    tm = term_matrix(n, k)
+def _pools(n, k):
+    # The default pool of max_objective, without and with a start point.
     rng = np.random.default_rng(0)
     pool = np.vstack([np.eye(n), *solver_module._structured_seeds(n, k),
                       rng.dirichlet(np.ones(n), size=solver_module._MULTISTARTS)])
     start = np.arange(1.0, n + 1.0) / (n * (n + 1) / 2)
+    return pool, np.vstack([pool, start])
+
+
+@pytest.mark.parametrize("n,k", sorted(_NEAR_CRITICAL))
+def test_ascent_matches_two_evaluation_reference(n, k):
+    tm = term_matrix(n, k)
     iters = solver_module._ASCENT_ITERATIONS
     for t in (1.0, float(k + 1), _NEAR_CRITICAL[n, k]):
-        for G in (pool, np.vstack([pool, start])):
+        for G in _pools(n, k):
             want_G, want_vals = _ref_ascend(G, t, tm, iters)
             got_G, got_vals = solver_module._ascend(G, t, tm, iters)
             assert np.array_equal(got_G, want_G), (n, k, t, len(G))
             assert np.array_equal(got_vals, want_vals), (n, k, t, len(G))
+
+
+# Where the best value stays at 1 the ascent certifies M(t) <= 1, and the
+# settle rule must leave it exactly as the loop without the rule.
+@pytest.mark.parametrize("n,k", sorted(_NEAR_CRITICAL))
+def test_certifying_ascent_unchanged_by_settle_rule(n, k):
+    tm = term_matrix(n, k)
+    iters = solver_module._ASCENT_ITERATIONS
+    for t in (float(k + 1), solve_cached(n, k).t + 1e-6):
+        for G in _pools(n, k):
+            want_G, want_vals = _ref_ascend(G, t, tm, iters, settle=False)
+            assert want_vals.max() == 1.0, (n, k, t)
+            got_G, got_vals = solver_module._ascend(G, t, tm, iters)
+            assert np.array_equal(got_G, want_G), (n, k, t, len(G))
+            assert np.array_equal(got_vals, want_vals), (n, k, t, len(G))
+
+
+def _best(G, vals):
+    # The value and argmax max_objective reports for an ascended batch.
+    best = vals.max()
+    return best, np.array(min(tuple(g) for g in G[vals == best]))
+
+
+# Some six-digit values lie just above the critical exponent, so the solved
+# t - 1e-6 is checked too: there the best value is above 1 and the rule stops
+# the ascent early.
+@pytest.mark.parametrize("n,k", sorted(_NEAR_CRITICAL))
+def test_settled_witness_matches_full_ascent(n, k):
+    tm = term_matrix(n, k)
+    below = solve_cached(n, k).t - 1e-6
+    iters = solver_module._ASCENT_ITERATIONS
+    for t in (_NEAR_CRITICAL[n, k], below):
+        for G in _pools(n, k):
+            want_val, want_g = _best(*_ref_ascend(G, t, tm, iters, settle=False))
+            got_val, got_g = _best(*solver_module._ascend(G, t, tm, iters))
+            assert want_val > 1.0 or t != below, (n, k)
+            assert got_val == pytest.approx(want_val, rel=1e-14, abs=0), (n, k, t)
+            assert np.abs(got_g - want_g).max() <= 1e-6, (n, k, t, len(G))
