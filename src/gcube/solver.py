@@ -28,12 +28,11 @@ which keeps the ascent on the current face: the simplex projection only
 ever removes mass.
 
 A maximization whose best value stays at 1 certifies the upper end of the
-bracket (the sign check at t = k + 1 and every probe with M <= 1); it runs
-until every step is below 1e-18, exactly as without a settle rule.  Once
-the best value is above 1, M(t) > 1 is already certified and the outer
-loop reads only the argmax, for its witness root.  From then on the
-ascent also stops when the best value has risen by no more than a
-relative 1e-15 for 30 consecutive iterations.
+bracket; it runs until every step is below 1e-18, exactly as without a
+settle rule.  Once the best value is above 1, M(t) > 1 is already
+certified and the outer loop reads only the argmax, for its witness root.
+From then on the ascent also stops when the best value has risen by no
+more than a relative 1e-15 for 30 consecutive iterations.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ _K_MAX = 1023
 
 
 class BracketError(RuntimeError):
-    """Initial bracket [1, k+1] failed its sign check."""
+    """The maximization at t = 1 found no value above 1."""
 
 
 @dataclass(frozen=True)
@@ -202,10 +201,12 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
 def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentPair:
     """Smallest t in [1, k+1] with M(t) = 1, by Dinkelbach's iteration.
 
-    After the sign check at both ends, each maximizer g with M > 1 is a
-    witness: the lower end moves to the root of objective(g) = 1, a
-    certified lower bound, and the next maximization probes half a
-    tolerance above it, warm-started from g.  A probe with M <= 1 becomes
+    The upper end k + 1 needs no search: the box is fixed by a and the k
+    points a + h_i, so the trivial bound P_k(A) <= |A|^(k+1) gives
+    M(k + 1) = 1.  The maximization at t = 1 gives the first witness.
+    Each maximizer g with M > 1 is a witness: the lower end moves to the
+    root of objective(g) = 1, a certified lower bound, and the next
+    maximization probes half a tolerance above it, warm-started from g.  A probe with M <= 1 becomes
     the upper end.  A witness that does not carry the lower end past its
     probe makes the next probe a bisection midpoint, so a stalling
     maximizer costs at most about twice the calls of plain bisection.
@@ -222,15 +223,15 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
         raise ValueError(f"tolerance {cfg.t_tolerance!r} is below 2 * ulp({k + 1}) = "
                          f"{2 * math.ulp(k + 1)!r}, twice the float spacing of t")
     lo, hi = 1.0, float(k + 1)
-    v_lo, witness = max_objective(n, k, lo, cfg)
-    v_hi, _ = max_objective(n, k, hi, cfg)
-    if not (v_lo > 1.0 >= v_hi):
-        raise BracketError(
-            f"bracket [1, {k + 1}] invalid for n={n}, k={k}: "
-            f"M(lo)={v_lo!r}, M(hi)={v_hi!r}"
-        )
-    probe, v, g = lo, v_lo, witness
-    while True:
+    v, witness = max_objective(n, k, lo, cfg)
+    if not v > 1.0:
+        raise BracketError(f"M(1) = {v!r} is not above 1 for n={n}, k={k}")
+    root = witness_lower_bound(n, k, witness)
+    bisect = not root > lo
+    lo = min(max(root, lo), hi)
+    while hi - lo > cfg.t_tolerance:
+        probe = 0.5 * (lo + hi) if bisect else lo + 0.5 * cfg.t_tolerance
+        v, g = max_objective(n, k, probe, cfg, start=witness)
         if v > 1.0:
             witness = g
             root = witness_lower_bound(n, k, g)
@@ -238,10 +239,6 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
             lo = min(max(root, probe), hi)
         else:
             hi, bisect = probe, False
-        if hi - lo <= cfg.t_tolerance:
-            break
-        probe = 0.5 * (lo + hi) if bisect else lo + 0.5 * cfg.t_tolerance
-        v, g = max_objective(n, k, probe, cfg, start=witness)
     t = 0.5 * (lo + hi)
     return ExponentPair(
         k=k,
