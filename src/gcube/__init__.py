@@ -32,7 +32,6 @@ from .terms import (
     ternary_objective_check,
 )
 from .solver import (
-    BracketError,
     ExponentPair,
     SolverConfig,
     gaussian_witness,

@@ -26,7 +26,7 @@ from .entropy import (
 )
 from .gowers import energy_E, energy_E_tilde, energy_P, gowers_norm_recursive
 from .lattice import load_function, load_set
-from .solver import SOLVER_VERSION, BracketError, SolverConfig, solve_exponent
+from .solver import SOLVER_VERSION, SolverConfig, solve_exponent
 from .terms import enumerate_tuple_classes
 from .verify import SUITES
 
@@ -411,7 +411,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
-    except (BracketError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError, json.JSONDecodeError) as exc:

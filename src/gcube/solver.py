@@ -9,11 +9,11 @@ identically 1 with the strict predicate "best found maximum > 1".
 The outer loop is Dinkelbach's iteration for fractional programs: every
 maximizer g found with M > 1 is a witness, and the root in t of
 objective(g) = 1 is a certified lower bound for the critical exponent.  The
-loop jumps to that root and probes just above it, where the maximization
+first bracket takes no maximization, and the loop jumps to the latest root
+and probes just above it, ascending also from that witness: the probe
 either finds the next witness or certifies the bracket.  A witness that
 fails to carry the bound past its probe makes the next probe a bisection
-midpoint instead.  Each maximization also ascends from the previous
-witness.
+midpoint instead.
 
 The inner maximization is the soft spot because the objective is not
 concave.  It is one deterministic batched projected-gradient ascent with
@@ -48,7 +48,7 @@ from .terms import check_simplex, term_matrix
 
 # Identifies the outer loop and the search stages; results cached under an
 # older version are not served for this one.
-SOLVER_VERSION = 6
+SOLVER_VERSION = 7
 
 # The fixed search: seeded random starts and ascent iterations.
 _MULTISTARTS = 32
@@ -62,9 +62,9 @@ _SETTLE_RTOL = 1e-15
 # Largest box order whose 2^k is a finite float.
 _K_MAX = 1023
 
-
-class BracketError(RuntimeError):
-    """The maximization at t = 1 found no value above 1."""
+# Largest coordinate of a simplex point that is not a point mass; a point
+# mass has the constant objective 1 and no witness root.
+_POINT_MASS = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,8 @@ class ExponentPair:
     """Critical exponent t = t(k, n) with its dual p = 2^k / t.
 
     t is the midpoint of the final bracket, bracket_width its width and
-    argmax the witness that set the lower end."""
+    argmax the witness (a maximizer or a structured seed) that set the
+    lower end."""
 
     k: int
     n: int
@@ -199,18 +200,20 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
 
 
 def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentPair:
-    """Smallest t in [1, k+1] with M(t) = 1, by Dinkelbach's iteration.
+    """Smallest t <= k + 1 with M(t) = 1, by Dinkelbach's iteration.
 
-    The upper end k + 1 needs no search: the box is fixed by a and the k
-    points a + h_i, so the trivial bound P_k(A) <= |A|^(k+1) gives
-    M(k + 1) = 1.  The maximization at t = 1 gives the first witness.
-    Each maximizer g with M > 1 is a witness: the lower end moves to the
-    root of objective(g) = 1, a certified lower bound, and the next
-    maximization probes half a tolerance above it, warm-started from g.  A probe with M <= 1 becomes
-    the upper end.  A witness that does not carry the lower end past its
-    probe makes the next probe a bisection midpoint, so a stalling
-    maximizer costs at most about twice the calls of plain bisection.
-    `argmax` is the witness that set the final lower end, never a vertex.
+    The upper end k + 1 is the trivial bound P_k(A) <= |A|^(k+1): the box
+    is fixed by a and the k points a + h_i, so M(k + 1) = 1.  The lower end
+    starts at the largest witness root among the structured seeds that are
+    not point masses (at n = 2 the uniform seed, whose root is
+    log2(2k + 2)).  Every maximization is a probe: one with M > 1 moves the
+    lower end to its maximizer's root and the next probe to half a
+    tolerance above it, one with M <= 1 becomes the upper end, and a
+    witness that does not carry the lower end past its probe makes the
+    next probe a bisection midpoint, so a stalling maximizer costs at most
+    about twice the calls of plain bisection.  `argmax` is the witness that
+    set the final lower end, a maximizer or a structured seed, never a
+    vertex.
     Two inputs raise ValueError before any maximization: k above 1023,
     where 2^k overflows a float, and a tolerance below 2 * ulp(k + 1),
     where lo + tol/2 can round to lo and the bracket stop narrowing."""
@@ -222,13 +225,10 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
     if cfg.t_tolerance < 2 * math.ulp(k + 1):
         raise ValueError(f"tolerance {cfg.t_tolerance!r} is below 2 * ulp({k + 1}) = "
                          f"{2 * math.ulp(k + 1)!r}, twice the float spacing of t")
-    lo, hi = 1.0, float(k + 1)
-    v, witness = max_objective(n, k, lo, cfg)
-    if not v > 1.0:
-        raise BracketError(f"M(1) = {v!r} is not above 1 for n={n}, k={k}")
-    root = witness_lower_bound(n, k, witness)
-    bisect = not root > lo
-    lo = min(max(root, lo), hi)
+    seeds = [tuple(g.tolist()) for g in np.vstack(_structured_seeds(n, k))
+             if g.max() <= _POINT_MASS]
+    lo, witness = max((witness_lower_bound(n, k, g), g) for g in seeds)
+    hi, bisect = float(k + 1), False
     while hi - lo > cfg.t_tolerance:
         probe = 0.5 * (lo + hi) if bisect else lo + 0.5 * cfg.t_tolerance
         v, g = max_objective(n, k, probe, cfg, start=witness)
@@ -254,7 +254,7 @@ def witness_lower_bound(n: int, k: int, g) -> float:
     """Unique root in t of objective(g) = 1 for a non-degenerate simplex
     point g; always a lower bound for the critical exponent."""
     g = check_simplex(g, n)
-    if max(g) > 1.0 - 1e-12:
+    if max(g) > _POINT_MASS:
         raise ValueError("point mass gives the constant objective 1, no root")
     tm = term_matrix(n, k)
     L = tm.log_monomials(np.array([g]))
@@ -313,8 +313,9 @@ def gaussian_witness_bound(n: int, M: float, k: int, rounds: int = 6) -> float:
     """Lower bound on the critical exponent from the Gaussian profile.
 
     The profile enters through g proportional to f^(2^k / t); t is refined
-    by fixed-point iteration and every iterate is itself a valid bound, so
-    the best one is returned."""
+    by fixed-point iteration from t = k + 1, whose first iterate for M in
+    {1.5, 2, 3} is a solver seed's root, and every iterate is itself a
+    valid bound, so the best one is returned."""
     prof = gaussian_witness(n, M)
     t = float(k + 1)
     best = 0.0

@@ -13,7 +13,7 @@ from gcube.lattice import (
     indicator,
     set_to_json,
 )
-from gcube.solver import BracketError, SolverConfig
+from gcube.solver import SolverConfig
 from gcube.terms import pmf_of_tuple
 
 
@@ -130,7 +130,7 @@ def test_cfg_hash_covers_config_and_version(monkeypatch):
 
 def test_exponent_bracket_failure_exit_code(capsys, monkeypatch):
     def boom(*args, **kwargs):
-        raise BracketError("forced")
+        raise ArithmeticError("forced")
 
     monkeypatch.setattr(cli, "solve_exponent", boom)
     code, _, err = run(capsys, ["exponent", "--k", "2", "--n", "2"])

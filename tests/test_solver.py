@@ -6,7 +6,6 @@ import pytest
 import gcube.solver as solver_module
 from conftest import solve_cached
 from gcube.solver import (
-    BracketError,
     SolverConfig,
     gaussian_witness,
     gaussian_witness_bound,
@@ -193,8 +192,8 @@ def test_argmax_is_interior_symmetric_witness(n, k):
     assert abs(root - pair.t) <= SolverConfig().t_tolerance
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_witness_loop_call_count(monkeypatch, n):
+def _record_probes(monkeypatch):
+    # The t of every max_objective call the solver makes.
     calls = []
     inner = solver_module.max_objective
 
@@ -203,9 +202,59 @@ def test_witness_loop_call_count(monkeypatch, n):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(solver_module, "max_objective", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_witness_loop_call_count(monkeypatch, n):
+    calls = _record_probes(monkeypatch)
     pair = solve_exponent(n, 2)
     assert len(calls) <= 10
     assert pair.t not in calls  # no maximization runs at the returned t
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (3, 16)])
+def test_no_maximization_at_bracket_ends(monkeypatch, n, k):
+    calls = _record_probes(monkeypatch)
+    solve_exponent(n, k)
+    assert calls
+    assert 1.0 not in calls and float(k + 1) not in calls
+
+
+@pytest.mark.parametrize("k", [2, 3, 16, 1023])
+def test_binary_solve_is_one_probe(monkeypatch, k):
+    # The uniform seed is the maximizer at n = 2, so its root already is
+    # t(k, 2) = log2(2k + 2) and the first probe certifies it.
+    calls = _record_probes(monkeypatch)
+    pair = solve_exponent(2, k)
+    assert len(calls) == 1
+    assert pair.argmax == (0.5, 0.5)
+    assert abs(pair.t - math.log2(2 * k + 2)) <= SolverConfig().t_tolerance
+
+
+def _best_seed(n, k):
+    # The structured seed with the largest witness root, point masses skipped.
+    seeds = [tuple(g) for g in np.vstack(solver_module._structured_seeds(n, k))
+             if max(g) < 1.0 - 1e-12]
+    return max((witness_lower_bound(n, k, g), g) for g in seeds)
+
+
+# (4, 16) has point-mass Gaussian seeds, which have no witness root.
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 16)])
+def test_lower_end_from_best_seed(monkeypatch, n, k):
+    calls = []
+
+    def certify(n, k, t, cfg=None, start=None):
+        calls.append(t)
+        return 1.0, tuple(np.eye(n)[0])
+
+    monkeypatch.setattr(solver_module, "max_objective", certify)
+    tol = SolverConfig().t_tolerance
+    root, seed = _best_seed(n, k)
+    pair = solve_exponent(n, k)
+    assert calls == [root + 0.5 * tol]
+    assert pair.t - 0.5 * pair.bracket_width == pytest.approx(root, abs=1e-15)
+    assert pair.argmax == seed
 
 
 def test_tolerance_below_float_spacing_rejected(monkeypatch):
