@@ -27,12 +27,13 @@ next gradient.  All partial derivatives of the objective are nonnegative,
 which keeps the ascent on the current face: the simplex projection only
 ever removes mass.
 
-A maximization whose best value stays at 1 certifies the upper end of the
-bracket; it runs until every step is below 1e-18, exactly as without a
-settle rule.  Once the best value is above 1, M(t) > 1 is already
-certified and the outer loop reads only the argmax, for its witness root.
-From then on the ascent also stops when the best value has risen by no
-more than a relative 1e-15 for 30 consecutive iterations.
+The ascent stops when every step is below 1e-18, after 200 iterations,
+or once it has settled for 30 consecutive iterations.  A maximization
+whose best value stays at 1 certifies the upper end of the bracket; it
+has settled when no row's value rises by more than a relative 1e-15.
+Once the best value is above 1, M(t) > 1 is already certified and the
+outer loop reads only the argmax, for its witness root, so the ascent has
+settled when the best value rises by no more than that.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ SOLVER_VERSION = 7
 # The fixed search: seeded random starts and ascent iterations.
 _MULTISTARTS = 32
 _ASCENT_ITERATIONS = 200
-# Settle rule for witness maximizations: once the best value is above 1,
-# the ascent stops after this many consecutive iterations in which the
-# best value rose by no more than this relative amount.
+# Settle rule: the ascent stops after this many consecutive iterations in
+# which the best value, or while it is 1 every row's value, rose by no
+# more than this relative amount.
 _SETTLE_WINDOW = 30
 _SETTLE_RTOL = 1e-15
 
@@ -147,6 +148,7 @@ def _ascend(G, t, tm, iters):
         cE = tm.monomials(cand, t)
         cvals = cE @ tm.c
         better = cvals > vals
+        rising = (cvals - vals > _SETTLE_RTOL * vals).any()
         rows = better[:, None]
         np.copyto(G, cand, where=rows)
         np.copyto(E, cE, where=rows)
@@ -154,10 +156,11 @@ def _ascend(G, t, tm, iters):
         step *= np.where(better, 1.3, 0.5)
         if step.max() < 1e-18:
             break
-        # Only a best value above 1 may settle: at 1 the ascent certifies
-        # M(t) = 1 and must reach the step stop.
+        # Above 1 only the best value must settle; at 1 the ascent certifies
+        # M(t) = 1, so every row must have stopped rising.
         prev, best = best, vals.max()
-        flat = flat + 1 if best > 1.0 and best - prev <= _SETTLE_RTOL * prev else 0
+        settled = best - prev <= _SETTLE_RTOL * prev if best > 1.0 else not rising
+        flat = flat + 1 if settled else 0
         if flat == _SETTLE_WINDOW:
             break
     return G, vals
@@ -181,10 +184,10 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     previous witness).  Returns (value, argmax), the smallest point among
     those tied at the best value.  The value is a certified lower estimate
     of the true supremum (every reported value is an exact evaluation), at
-    least 1 because the vertices are always in the pool.  While the value
-    is 1 the ascent runs to its step stop; once it is above 1 the ascent
-    ends when the value has settled (no relative rise above 1e-15 for 30
-    iterations), which moves the argmax by about 1e-8.
+    least 1 because the vertices are always in the pool.  The ascent ends
+    when it has settled for 30 iterations: while the value is 1, no row
+    rises by more than a relative 1e-15; once it is above 1, the value
+    does not, which moves the argmax by about 1e-8.
     Deterministic for a fixed config and start."""
     cfg = cfg or SolverConfig()
     if not t > 0:
