@@ -10,17 +10,19 @@ The outer loop is Dinkelbach's iteration for fractional programs: every
 maximizer g found with M > 1 is a witness, and the root in t of
 objective(g) = 1 is a certified lower bound for the critical exponent.  The
 first bracket takes no maximization, and the loop jumps to the latest root
-and probes just above it, ascending also from that witness: the probe
-either finds the next witness or certifies the bracket.  A witness that
-fails to carry the bound past its probe makes the next probe a bisection
-midpoint instead.
+and probes just above it: the probe either finds the next witness or
+certifies the bracket.  A witness that fails to carry the bound past its
+probe makes the next probe a bisection midpoint instead.
 
 The inner maximization is the soft spot because the objective is not
 concave.  It is one deterministic batched projected-gradient ascent with
-per-candidate backtracking, started at once from the vertices, a few
-structured profiles (uniform, binomial and powered Gaussians), seeded
-random interior points and the previous witness.  The vertices stay in
-the pool and a step is only taken when it raises the value, so the
+per-candidate backtracking.  The first probe of a solve starts it at once
+from the vertices, a few structured profiles (uniform, binomial and
+powered Gaussians), seeded random interior points and the best seed's
+witness; every later probe starts from the batch the previous probe ended
+with, in the same shape and row order, so the previous witness is in it
+and a certifying probe starts next to the local maxima.  The vertices
+never move and a step is only taken when it raises the value, so the
 reported maximum is an exact evaluation and never below 1.  Each point is
 evaluated once: the monomials that value an accepted step also give its
 next gradient.  All partial derivatives of the objective are nonnegative,
@@ -49,7 +51,7 @@ from .terms import check_simplex, term_matrix
 
 # Identifies the outer loop and the search stages; results cached under an
 # older version are not served for this one.
-SOLVER_VERSION = 7
+SOLVER_VERSION = 8
 
 # The fixed search: seeded random starts and ascent iterations.
 _MULTISTARTS = 32
@@ -176,6 +178,25 @@ def _structured_seeds(n, k):
     return seeds
 
 
+def _start_pool(n, k, cfg, start=None):
+    # The cold pool: vertices, structured profiles, seeded random points
+    # and, when given, the simplex point `start`.
+    rng = np.random.default_rng(cfg.rng_seed)
+    blocks = [np.eye(n), *_structured_seeds(n, k),
+              rng.dirichlet(np.ones(n), size=_MULTISTARTS)]
+    if start is not None:
+        blocks.append(np.array([start], dtype=float))
+    return np.vstack(blocks)
+
+
+def _probe(n, k, t, G):
+    # One maximization at t from the rows of G: (value, argmax, final
+    # batch), the batch in G's shape and row order.
+    G, vals = _ascend(G, t, term_matrix(n, k), _ASCENT_ITERATIONS)
+    best_val = float(vals.max())
+    return best_val, min(tuple(g.tolist()) for g in G[vals == best_val]), G
+
+
 def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     """Best found value of the objective over the simplex at exponent t.
 
@@ -192,14 +213,7 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     cfg = cfg or SolverConfig()
     if not t > 0:
         raise ValueError("t must be positive")
-    rng = np.random.default_rng(cfg.rng_seed)
-    blocks = [np.eye(n), *_structured_seeds(n, k),
-              rng.dirichlet(np.ones(n), size=_MULTISTARTS)]
-    if start is not None:
-        blocks.append(np.array([start], dtype=float))
-    cands, vals = _ascend(np.vstack(blocks), t, term_matrix(n, k), _ASCENT_ITERATIONS)
-    best_val = float(vals.max())
-    return best_val, min(tuple(g.tolist()) for g in cands[vals == best_val])
+    return _probe(n, k, t, _start_pool(n, k, cfg, start))[:2]
 
 
 def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentPair:
@@ -214,9 +228,10 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
     tolerance above it, one with M <= 1 becomes the upper end, and a
     witness that does not carry the lower end past its probe makes the
     next probe a bisection midpoint, so a stalling maximizer costs at most
-    about twice the calls of plain bisection.  `argmax` is the witness that
-    set the final lower end, a maximizer or a structured seed, never a
-    vertex.
+    about twice the calls of plain bisection.  The start pool is built
+    once: each probe ascends from the batch the previous one ended with.
+    `argmax` is the witness that set the final lower end, a maximizer or a
+    structured seed, never a vertex.
     Two inputs raise ValueError before any maximization: k above 1023,
     where 2^k overflows a float, and a tolerance below 2 * ulp(k + 1),
     where lo + tol/2 can round to lo and the bracket stop narrowing."""
@@ -232,9 +247,10 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
              if g.max() <= _POINT_MASS]
     lo, witness = max((witness_lower_bound(n, k, g), g) for g in seeds)
     hi, bisect = float(k + 1), False
+    batch = _start_pool(n, k, cfg, witness)
     while hi - lo > cfg.t_tolerance:
         probe = 0.5 * (lo + hi) if bisect else lo + 0.5 * cfg.t_tolerance
-        v, g = max_objective(n, k, probe, cfg, start=witness)
+        v, g, batch = _probe(n, k, probe, batch)
         if v > 1.0:
             witness = g
             root = witness_lower_bound(n, k, g)

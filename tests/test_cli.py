@@ -273,18 +273,18 @@ def test_run_config_validation(capsys):
 
 def test_tolerance_below_float_spacing_exits_2(monkeypatch, capsys):
     def no_max(*args, **kwargs):
-        raise AssertionError("max_objective called")
+        raise AssertionError("maximization ran")
 
-    monkeypatch.setattr(solver_module, "max_objective", no_max)
+    monkeypatch.setattr(solver_module, "_probe", no_max)
     code, out, err = run(capsys, ["exponent", "--n", "2", "--k", "2", "--tol", "1e-17"])
     assert code == 2 and not out and "tolerance" in err
 
 
 def test_k_above_float_range_exits_2(monkeypatch, capsys):
     def no_max(*args, **kwargs):
-        raise AssertionError("max_objective called")
+        raise AssertionError("maximization ran")
 
-    monkeypatch.setattr(solver_module, "max_objective", no_max)
+    monkeypatch.setattr(solver_module, "_probe", no_max)
     code, out, err = run(capsys, ["exponent", "--n", "2", "--k", "1024"])
     assert code == 2 and not out and "1023" in err
 

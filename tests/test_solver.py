@@ -193,15 +193,15 @@ def test_argmax_is_interior_symmetric_witness(n, k):
 
 
 def _record_probes(monkeypatch):
-    # The t of every max_objective call the solver makes.
+    # The t of every maximization the solver runs.
     calls = []
-    inner = solver_module.max_objective
+    inner = solver_module._probe
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "max_objective", counted)
+    monkeypatch.setattr(solver_module, "_probe", counted)
     return calls
 
 
@@ -211,6 +211,32 @@ def test_witness_loop_call_count(monkeypatch, n):
     pair = solve_exponent(n, 2)
     assert len(calls) <= 10
     assert pair.t not in calls  # no maximization runs at the returned t
+
+
+# Each probe starts from the batch the previous one ended with, so the
+# rows keep their places across the solve and the vertices stay put.
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (3, 16)])
+def test_probes_carry_the_batch(monkeypatch, n, k):
+    batches = []
+    inner = solver_module._probe
+
+    def recorded(n, k, t, G):
+        out = inner(n, k, t, G)
+        batches.append((G.copy(), out[2]))
+        return out
+
+    monkeypatch.setattr(solver_module, "_probe", recorded)
+    cfg = SolverConfig()
+    solve_exponent(n, k, cfg)
+    assert len(batches) >= 2
+    first = batches[0][0]
+    _, seed = _best_seed(n, k)
+    assert np.array_equal(first, solver_module._start_pool(n, k, cfg, seed))
+    for (_, end), (start, _) in zip(batches, batches[1:]):
+        assert np.array_equal(start, end)
+    for start, end in batches:
+        assert start.shape == end.shape == first.shape
+        assert np.array_equal(end[:n], np.eye(n))
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (3, 16)])
@@ -244,11 +270,11 @@ def _best_seed(n, k):
 def test_lower_end_from_best_seed(monkeypatch, n, k):
     calls = []
 
-    def certify(n, k, t, cfg=None, start=None):
+    def certify(n, k, t, G):
         calls.append(t)
-        return 1.0, tuple(np.eye(n)[0])
+        return 1.0, tuple(np.eye(n)[0]), G
 
-    monkeypatch.setattr(solver_module, "max_objective", certify)
+    monkeypatch.setattr(solver_module, "_probe", certify)
     tol = SolverConfig().t_tolerance
     root, seed = _best_seed(n, k)
     pair = solve_exponent(n, k)
@@ -259,18 +285,18 @@ def test_lower_end_from_best_seed(monkeypatch, n, k):
 
 def test_tolerance_below_float_spacing_rejected(monkeypatch):
     def no_max(*args, **kwargs):
-        raise AssertionError("max_objective called")
+        raise AssertionError("maximization ran")
 
-    monkeypatch.setattr(solver_module, "max_objective", no_max)
+    monkeypatch.setattr(solver_module, "_probe", no_max)
     with pytest.raises(ValueError, match="tolerance"):
         solve_exponent(2, 2, SolverConfig(t_tolerance=1e-17))
 
 
 def test_k_above_float_range_rejected(monkeypatch):
     def no_max(*args, **kwargs):
-        raise AssertionError("max_objective called")
+        raise AssertionError("maximization ran")
 
-    monkeypatch.setattr(solver_module, "max_objective", no_max)
+    monkeypatch.setattr(solver_module, "_probe", no_max)
     with pytest.raises(ValueError, match="1023"):
         solve_exponent(2, 1024)
 
@@ -281,15 +307,15 @@ def test_stalled_witness_falls_back_to_bisection(monkeypatch):
     edge = 2.5
     calls = []
 
-    def stub_max(n, k, t, cfg=None, start=None):
+    def stub_max(n, k, t, G):
         calls.append(t)
         if len(calls) > 200:
             raise AssertionError("outer loop does not converge")
         if t < edge:
-            return 1.5, (0.2, 0.6, 0.2)
-        return 1.0, (0.0, 0.0, 1.0)
+            return 1.5, (0.2, 0.6, 0.2), G
+        return 1.0, (0.0, 0.0, 1.0), G
 
-    monkeypatch.setattr(solver_module, "max_objective", stub_max)
+    monkeypatch.setattr(solver_module, "_probe", stub_max)
     monkeypatch.setattr(solver_module, "witness_lower_bound", lambda n, k, g: 1.0)
     tol = SolverConfig().t_tolerance
     pair = solve_exponent(3, 2)
