@@ -10,8 +10,8 @@ The outer loop is Dinkelbach's iteration for fractional programs: every
 maximizer g found with M > 1 is a witness, and the root in t of
 objective(g) = 1 is a certified lower bound for the critical exponent.  The
 first bracket takes no maximization, and the loop jumps to the latest root
-and probes just above it: the probe either finds the next witness or
-certifies the bracket.  A witness that fails to carry the bound past its
+(found by Newton's method from the probe) and probes just above it: the
+probe either finds the next witness or certifies the bracket.  A witness that fails to carry the bound past its
 probe makes the next probe a bisection midpoint instead.
 
 The inner maximization is the soft spot because the objective is not
@@ -64,6 +64,10 @@ _SETTLE_RTOL = 1e-15
 
 # Largest box order whose 2^k is a finite float.
 _K_MAX = 1023
+
+# Cold start of the witness root's Newton iteration, and its step cap.
+_ROOT_START = 1e-9
+_ROOT_STEPS = 100
 
 # Largest coordinate of a simplex point that is not a point mass; a point
 # mass has the constant objective 1 and no witness root.
@@ -253,7 +257,7 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
         v, g, batch = _probe(n, k, probe, batch)
         if v > 1.0:
             witness = g
-            root = witness_lower_bound(n, k, g)
+            root = witness_lower_bound(n, k, g, probe)
             bisect = not root > probe
             lo = min(max(root, probe), hi)
         else:
@@ -269,32 +273,42 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
     )
 
 
-def witness_lower_bound(n: int, k: int, g) -> float:
+def witness_lower_bound(n: int, k: int, g, start: float = _ROOT_START) -> float:
     """Unique root in t of objective(g) = 1 for a non-degenerate simplex
-    point g; always a lower bound for the critical exponent."""
+    point g; always a lower bound for the critical exponent.
+
+    log objective(g, t) is a log-sum-exp of linear functions of t, so it is
+    convex, and it decreases.  Newton's method on it, started below the
+    root, therefore rises monotonically to the root and every iterate is a
+    lower bound.  It starts at `start` (a probe at which g was found with
+    a value above 1) when the objective is above 1 there, else at 1e-9."""
     g = check_simplex(g, n)
     if max(g) > _POINT_MASS:
         raise ValueError("point mass gives the constant objective 1, no root")
     tm = term_matrix(n, k)
-    L = tm.log_monomials(np.array([g]))
+    L = tm.log_monomials(np.array([g]))[0]
 
-    def above_one(t):
-        return (np.exp(t * L) @ tm.c)[0] > 1.0
+    def log_value(t):
+        # log objective(g, t) and its derivative in t.
+        E = np.exp(t * L)
+        value = E @ tm.c
+        return math.log(value), (E * L) @ tm.c / value
 
-    lo, hi = 1e-9, float(k + 1)
-    guard = 0
-    while above_one(hi):
-        hi *= 2.0
-        guard += 1
-        if guard > 60:
-            raise ArithmeticError("witness objective does not drop below 1")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if above_one(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    t = start
+    h, dh = log_value(t)
+    if not h > 0:
+        t = _ROOT_START
+        h, dh = log_value(t)
+    for _ in range(_ROOT_STEPS):
+        nxt = t - h / dh
+        if not nxt > t:
+            return float(t)
+        t = nxt
+        h, dh = log_value(t)
+        # Rounding has reached the root.
+        if not h > 0:
+            return float(t)
+    raise ArithmeticError("witness root did not converge")
 
 
 def trivial_bounds(n: int, k: int) -> tuple:

@@ -97,6 +97,28 @@ def test_witness_middle_heavy_ternary():
     assert LOG3_19 < value < solve_cached(3, 2).t
 
 
+def test_witness_root_by_newton(monkeypatch):
+    g = (0.25, 0.5, 0.25)
+    want = _ternary_root(2, g)
+    cold = witness_lower_bound(3, 2, g)
+    assert type(cold) is float
+    assert abs(cold - want) <= 1e-12
+    # A start where the objective is not above 1 falls back to the cold one.
+    assert witness_lower_bound(3, 2, g, 3.0) == cold
+    # From just below the root a few steps suffice.
+    monkeypatch.setattr(solver_module, "_ROOT_STEPS", 4)
+    assert abs(witness_lower_bound(3, 2, g, want - 1e-6) - want) <= 1e-12
+    monkeypatch.setattr(solver_module, "_ROOT_STEPS", 1)
+    with pytest.raises(ArithmeticError):
+        witness_lower_bound(3, 2, g)
+
+
+@pytest.mark.parametrize("k", [2, 3, 16, 1023])
+def test_binary_witness_root_to_the_ulp(k):
+    want = math.log2(2 * k + 2)
+    assert abs(witness_lower_bound(2, k, (0.5, 0.5)) - want) <= math.ulp(want)
+
+
 def test_witness_rejects_point_mass():
     with pytest.raises(ValueError):
         witness_lower_bound(3, 2, (0.0, 1.0, 0.0))
@@ -316,7 +338,7 @@ def test_stalled_witness_falls_back_to_bisection(monkeypatch):
         return 1.0, (0.0, 0.0, 1.0), G
 
     monkeypatch.setattr(solver_module, "_probe", stub_max)
-    monkeypatch.setattr(solver_module, "witness_lower_bound", lambda n, k, g: 1.0)
+    monkeypatch.setattr(solver_module, "witness_lower_bound", lambda n, k, g, start=None: 1.0)
     tol = SolverConfig().t_tolerance
     pair = solve_exponent(3, 2)
     assert pair.bracket_width <= tol
