@@ -17,9 +17,9 @@ for 2^l l!/prod(mult!) ordered signed tuples; the empty m is the diagonal.
 
 Terms with identical q are merged, with summed coefficients, on their
 integer counts over 2^(n-1) (entropy.signed_sum_counts); the merged table
-returns each q as exact Fractions.  Every evaluation goes through that
-table's float form, TermMatrix, which values a whole batch of simplex
-points with one matrix product.
+returns each q as exact Fractions.  Every evaluation goes through the
+table's float form, TermMatrix, which divides those counts by 2^(n-1) at
+once and values a whole batch of simplex points with one matrix product.
 """
 
 from __future__ import annotations
@@ -102,18 +102,13 @@ def _magnitude_multisets(budget, parts, top):
 
 
 @lru_cache(maxsize=128)
-def term_groups(n: int, k: int) -> tuple:
-    """Merged TermGroup table for side n and box order k.
-
-    Contains the n diagonal point masses with coefficient 1 plus every
-    admissible tuple weighted C(k, l); tuples with identical q are merged.
-    Deterministically ordered by descending lexicographic q."""
+def _merged_counts(n: int, k: int) -> tuple:
+    """(keys, coefficients) of the merged table: each key is one q vector
+    times 2^(n-1), as integers, and the keys descend."""
     if n < 2 or k < 1:
         raise ValueError("n >= 2 and k >= 1 required")
-    # Merge on integer counts over 2^(n-1) (those over 2^l, shifted): their
-    # descending order is that of the q vectors, and each distinct mass
-    # becomes a Fraction once at the end.
-    denom = 2 ** (n - 1)
+    # Counts over 2^(n-1) are those over 2^l, shifted; their descending
+    # order is that of the q vectors.
     merged = Counter()
     for m in _magnitude_multisets(n - 1, min(k, n - 1), n - 1):
         l = len(m)
@@ -122,10 +117,23 @@ def term_groups(n: int, k: int) -> tuple:
         counts = tuple(c << (n - 1 - l) for c in signed_sum_counts(m)[1])
         for b in range(n - sum(m)):
             merged[(0,) * b + counts + (0,) * (n - b - len(counts))] += count
-    frac = {x: Fraction(x, denom) for x in set().union(*merged)}
+    keys = tuple(sorted(merged, reverse=True))
+    return keys, tuple(merged[key] for key in keys)
+
+
+@lru_cache(maxsize=128)
+def term_groups(n: int, k: int) -> tuple:
+    """Merged TermGroup table for side n and box order k.
+
+    Contains the n diagonal point masses with coefficient 1 plus every
+    admissible tuple weighted C(k, l); tuples with identical q are merged.
+    Deterministically ordered by descending lexicographic q."""
+    keys, coefficients = _merged_counts(n, k)
+    # Each distinct count becomes a Fraction once.
+    frac = {x: Fraction(x, 2 ** (n - 1)) for x in set().union(*keys)}
     return tuple(
-        TermGroup(coefficient=merged[key], q=tuple(map(frac.__getitem__, key)))
-        for key in sorted(merged, reverse=True)
+        TermGroup(coefficient=c, q=tuple(map(frac.__getitem__, key)))
+        for key, c in zip(keys, coefficients)
     )
 
 
@@ -156,9 +164,10 @@ class TermMatrix:
 
 @lru_cache(maxsize=128)
 def term_matrix(n: int, k: int) -> TermMatrix:
-    groups = term_groups(n, k)
-    Q = np.array([[float(q) for q in grp.q] for grp in groups], dtype=float)
-    c = np.array([float(grp.coefficient) for grp in groups], dtype=float)
+    keys, coefficients = _merged_counts(n, k)
+    # Dividing by a power of two is exact, so Q is the Fractions' floats.
+    Q = np.array(keys, dtype=float) / 2.0 ** (n - 1)
+    c = np.array(coefficients, dtype=float)
     Q.setflags(write=False)
     c.setflags(write=False)
     return TermMatrix(Q, c)

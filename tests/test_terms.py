@@ -113,6 +113,19 @@ def test_total_coefficient_matches_box_count():
             assert total == energy_P(interval_set(n), k)
 
 
+# term_matrix divides the integer counts by 2^(n-1) at once; that division
+# is exact, so Q and c are the floats of the Fraction table entry by entry.
+def test_term_matrix_matches_fraction_table():
+    for n in range(2, 17):
+        for k in (2, 5):
+            groups = term_groups(n, k)
+            tm = term_matrix(n, k)
+            Q = np.array([[float(q) for q in g.q] for g in groups])
+            c = np.array([float(g.coefficient) for g in groups])
+            assert np.array_equal(tm.Q, Q), (n, k)
+            assert np.array_equal(tm.c, c), (n, k)
+
+
 def test_values_are_monomials_times_coefficients():
     rng = np.random.default_rng(3)
     for n, k in ((2, 2), (3, 4), (5, 3), (8, 2)):
