@@ -261,6 +261,24 @@ def test_probes_carry_the_batch(monkeypatch, n, k):
         assert np.array_equal(end[:n], np.eye(n))
 
 
+# Ascent iterations per solve at seed 0, capped just above today's counts
+# (52, 118 and 136).  A certifying probe run to the step stop fails at
+# n = 2, a single cold probe (89 iterations), and one that starts from the
+# cold pool again fails at n = 3 and 6 (156 and 226).
+@pytest.mark.parametrize("n,k,cap", [(2, 2, 56), (3, 2, 125), (6, 2, 145)])
+def test_ascent_iterations_per_solve(monkeypatch, n, k, cap):
+    iterations = [0]
+    inner = solver_module._project_rows
+
+    def counted(y):
+        iterations[0] += 1
+        return inner(y)
+
+    monkeypatch.setattr(solver_module, "_project_rows", counted)
+    solve_exponent(n, k, SolverConfig(rng_seed=0))
+    assert 0 < iterations[0] <= cap
+
+
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (3, 16)])
 def test_no_maximization_at_bracket_ends(monkeypatch, n, k):
     calls = _record_probes(monkeypatch)
