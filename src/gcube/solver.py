@@ -11,8 +11,9 @@ maximizer g found with M > 1 is a witness, and the root in t of
 objective(g) = 1 is a certified lower bound for the critical exponent.  The
 first bracket takes no maximization, and the loop jumps to the latest root
 (found by Newton's method from the probe) and probes just above it: the
-probe either finds the next witness or certifies the bracket.  A witness that fails to carry the bound past its
-probe makes the next probe a bisection midpoint instead.
+probe either finds the next witness or certifies the bracket.  A witness
+that fails to carry the bound past its probe makes the next probe a
+bisection midpoint instead.
 
 The inner maximization is the soft spot because the objective is not
 concave.  It is one deterministic batched projected-gradient ascent with
@@ -292,6 +293,9 @@ def witness_lower_bound(n: int, k: int, g, start: float = _ROOT_START) -> float:
         # log objective(g, t) and its derivative in t.
         E = np.exp(t * L)
         value = E @ tm.c
+        if not value > 0:
+            # Every monomial underflows: t is far above the root.
+            return -math.inf, 0.0
         return math.log(value), (E * L) @ tm.c / value
 
     t = start

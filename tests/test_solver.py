@@ -103,8 +103,10 @@ def test_witness_root_by_newton(monkeypatch):
     cold = witness_lower_bound(3, 2, g)
     assert type(cold) is float
     assert abs(cold - want) <= 1e-12
-    # A start where the objective is not above 1 falls back to the cold one.
-    assert witness_lower_bound(3, 2, g, 3.0) == cold
+    # A start where the objective is not above 1 falls back to the cold one;
+    # at 1e6 every monomial underflows.
+    for start in (3.0, 1e6):
+        assert witness_lower_bound(3, 2, g, start) == cold
     # From just below the root a few steps suffice.
     monkeypatch.setattr(solver_module, "_ROOT_STEPS", 4)
     assert abs(witness_lower_bound(3, 2, g, want - 1e-6) - want) <= 1e-12
