@@ -264,9 +264,9 @@ def test_probes_carry_the_batch(monkeypatch, n, k):
 
 
 # Ascent iterations per solve at seed 0, capped just above today's counts
-# (52, 118 and 136).  A certifying probe run to the step stop fails at
-# n = 2, a single cold probe (89 iterations), and one that starts from the
-# cold pool again fails at n = 3 and 6 (156 and 226).
+# (52, 118 and 136).  At n = 2 a solve is one probe, which takes 89 when a
+# certifying ascent runs to the step stop; at n = 3 and 6, probes that start
+# from the cold pool again take 156 and 226.
 @pytest.mark.parametrize("n,k,cap", [(2, 2, 56), (3, 2, 125), (6, 2, 145)])
 def test_ascent_iterations_per_solve(monkeypatch, n, k, cap):
     iterations = [0]
