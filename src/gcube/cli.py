@@ -9,6 +9,7 @@ and tolerance produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -142,6 +143,12 @@ def build_parser():
     return p
 
 
+# main parses with one parser per process, built on its first call:
+# parse_args keeps no state between calls, and the build costs about as
+# much as a small command.
+_parser = functools.cache(build_parser)
+
+
 def cmd_norm(args):
     f = load_function(args.f)
     power = gowers_norm_recursive(f, args.k)
@@ -182,6 +189,10 @@ def _cfg_hash(scfg):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+# The keys of a solve's result, all of which cmd_exponent prints.
+_RESULT_KEYS = ("k", "n", "t", "p", "bracket", "argmax")
+
+
 def _cache_lookup(path, k, n, cfg_hash, tol):
     try:
         with open(path) as fh:
@@ -197,14 +208,22 @@ def _cache_lookup(path, k, n, cfg_hash, tol):
             entry = json.loads(line)
         except json.JSONDecodeError:
             continue
+        # Lines of any other shape are skipped like undecodable ones.
+        if not isinstance(entry, dict):
+            continue
+        entry_tol, result = entry.get("tol"), entry.get("result")
         if (
             entry.get("command") == "exponent"
             and entry.get("k") == k
             and entry.get("n") == n
             and entry.get("cfg_hash") == cfg_hash
-            and entry.get("tol", float("inf")) <= tol
+            and isinstance(entry_tol, (int, float))
+            and not isinstance(entry_tol, bool)
+            and entry_tol <= tol
+            and isinstance(result, dict)
+            and all(key in result for key in _RESULT_KEYS)
         ):
-            hit = entry["result"]
+            hit = result
     return hit
 
 
@@ -404,9 +423,8 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -113,6 +113,41 @@ def test_exponent_cache(tmp_path, capsys):
     assert len(cache.read_text().strip().split("\n")) == 2
 
 
+# Well-formed JSON of the wrong shape is skipped like an undecodable line:
+# the solve runs and its entry is appended.
+def test_exponent_cache_skips_wrong_shapes(tmp_path, capsys, monkeypatch):
+    argv = ["exponent", "--k", "2", "--n", "2", "--json"]
+    _, fresh, _ = run(capsys, argv)
+    solves = []
+    inner = cli.solve_exponent
+
+    def counted(*args):
+        solves.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(cli, "solve_exponent", counted)
+    entry = {"command": "exponent", "k": 2, "n": 2,
+             "cfg_hash": cli._cfg_hash(SolverConfig()), "tol": 1e-9}
+    wrong = {**json.loads(fresh), "t": 9.0}
+    lines = [
+        "[1, 2]",
+        json.dumps(entry),
+        json.dumps({**entry, "tol": "1e-9", "result": wrong}),
+        json.dumps({**entry, "tol": None, "result": wrong}),
+        json.dumps({**entry, "result": [9.0]}),
+        json.dumps({**entry, "result": {k: v for k, v in wrong.items() if k != "argmax"}}),
+    ]
+    for i, line in enumerate(lines):
+        cache = tmp_path / f"cache{i}.jsonl"
+        cache.write_text(line + "\n")
+        code, out, err = run(capsys, argv + ["--cache", str(cache)])
+        assert (code, out, err) == (0, fresh, ""), line
+        assert len(solves) == i + 1, line
+        kept, appended = cache.read_text().splitlines()
+        assert kept == line
+        assert json.loads(appended)["result"] == json.loads(fresh)
+
+
 def test_cfg_hash_covers_config_and_version(monkeypatch):
     base = SolverConfig()
     reference = cli._cfg_hash(base)
@@ -321,3 +356,31 @@ def test_terms_human_renders_json_payload(capsys):
     code, human, _ = run(capsys, ["terms", "--n", "5"])
     assert code == 0
     assert human == "\n".join(lines) + "\n"
+
+
+# main parses with one parser per process.  A sequence of calls through it
+# prints what each call prints with a parser of its own.
+def test_repeated_main_calls_share_the_parser(tmp_path, capsys):
+    path = str(tmp_path / "sweep.csv")
+    sequence = [
+        ["exponent", "--k", "2"],
+        ["exponent", "--k", "2", "--n", "2"],
+        ["exponent", "--k", "2", "--n", "2", "--json"],
+        ["exponent", "--k", "2", "--n", "2"],
+        ["exponent", "--k", "2", "--n", "2", "--csv"],
+        ["asym", "--n", "2", "--k", "2,3", "--csv", path],
+        ["verify", "--suite", "?"],
+        ["verify", "--suite", "binary"],
+    ]
+    cli._parser.cache_clear()
+    shared = [run(capsys, argv) for argv in sequence]
+    sweep = (tmp_path / "sweep.csv").read_text()
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 2, 0]
+    assert shared[3][1] == shared[1][1] and shared[3][1].startswith("t = ")
+    alone = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        alone.append(run(capsys, argv))
+    assert shared == alone
+    assert (tmp_path / "sweep.csv").read_text() == sweep
