@@ -110,30 +110,35 @@ class ExponentPair:
 _COORD_FLOOR = 1e-15
 
 
-def _grad_batch(G, E, t, tm):
+def _grad_batch(G, E, t, tm, out):
     # E holds the monomials of the rows of G at t, so the gradient reuses
-    # the evaluation that accepted them.
+    # the evaluation that accepted them.  Written into `out`.
     S = (E * tm.c) @ tm.Q
-    grad = np.zeros_like(G)
+    np.multiply(t, S, out=S)
+    out.fill(0.0)
     # Coordinates at or below the floor count as being on the face; the
     # fractional powers have unbounded slope there.
-    np.divide(t * S, G, out=grad, where=G > _COORD_FLOOR)
-    return grad
+    np.divide(S, G, out=out, where=G > _COORD_FLOOR)
+    return out
 
 
 def _project_rows(y):
     # Euclidean projection of each row onto the probability simplex, in
     # place.  Coordinates below the floor, negative ones included, are
     # snapped to exact zero (their gradient would overflow) and the row is
-    # renormalized.
+    # renormalized.  The rows are sorted as -y, so w and the ratios of its
+    # cumulative sums are those of the descending sort, negated, which is
+    # exact.
     n = y.shape[1]
-    u = np.sort(y, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, n + 1)
-    cond = u - css / idx > 0
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(len(y)), rho] / (rho + 1)
-    y -= theta[:, None]
+    w = np.negative(y)
+    w.sort(axis=1)
+    ratio = np.cumsum(w, axis=1)
+    ratio += 1.0
+    ratio /= np.arange(1.0, n + 1.0)
+    # rho is the last place where the sorted row is above its ratio, and
+    # the ratio there is the threshold.
+    rho = n - 1 - (w < ratio)[:, ::-1].argmax(axis=1)
+    y += ratio[np.arange(len(y)), rho][:, None]
     y[y < _COORD_FLOOR] = 0.0
     y /= y.sum(axis=1, keepdims=True)
     return y
@@ -142,20 +147,27 @@ def _project_rows(y):
 def _ascend(G, t, tm, iters):
     # Each candidate is evaluated once: E keeps the monomials of the current
     # rows for the next gradient.  The batch keeps its shape throughout,
-    # since BLAS results per row can change in the last bit with it.
+    # since BLAS results per row can change in the last bit with it.  The
+    # gradient is turned into the candidates in place, and both it and the
+    # candidates' monomials live in one buffer each for the whole ascent.
     G = G.copy()
     E = tm.monomials(G, t)
     vals = E @ tm.c
+    cand = np.empty_like(G)
+    cE = np.empty_like(E)
     step = np.full(len(G), 0.1)
     best = vals.max()
     flat = 0
     for _ in range(iters):
-        grad = _grad_batch(G, E, t, tm)
-        cand = _project_rows(G + step[:, None] * grad)
-        cE = tm.monomials(cand, t)
+        _grad_batch(G, E, t, tm, cand)
+        cand *= step[:, None]
+        cand += G
+        _project_rows(cand)
+        tm.monomials(cand, t, cE)
         cvals = cE @ tm.c
         better = cvals > vals
-        rising = (cvals - vals > _SETTLE_RTOL * vals).any()
+        # Only an ascent whose best value is 1 reads whether a row rises.
+        rising = not best > 1.0 and (cvals - vals > _SETTLE_RTOL * vals).any()
         rows = better[:, None]
         np.copyto(G, cand, where=rows)
         np.copyto(E, cE, where=rows)

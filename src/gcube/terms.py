@@ -145,17 +145,20 @@ class TermMatrix:
     Q: np.ndarray  # (groups, n)
     c: np.ndarray  # (groups,)
 
-    def log_monomials(self, G):
+    def log_monomials(self, G, out=None):
         """log of every monomial prod_j g(j)^q_j at t = 1, one row per
-        simplex point in G; the monomials at t are exp(t * this)."""
+        simplex point in G; the monomials at t are exp(t * this).  Written
+        into `out`, a (rows, groups) float array, when one is given."""
         logs = np.full_like(G, _LOG_ZERO)
         np.log(G, out=logs, where=G > 0)
-        return logs @ self.Q.T
+        return np.matmul(logs, self.Q.T, out=out)
 
-    def monomials(self, G, t):
+    def monomials(self, G, t, out=None):
         """Every monomial prod_j g(j)^(q_j t), one row per simplex point in
-        G; the objective is this times c."""
-        return np.exp(t * self.log_monomials(G))
+        G; the objective is this times c.  Written into `out` as above."""
+        L = self.log_monomials(G, out)
+        np.multiply(t, L, out=L)
+        return np.exp(L, out=L)
 
     def values(self, G, t):
         """The objective at exponent t for every row of G."""

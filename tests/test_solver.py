@@ -1,7 +1,9 @@
 import math
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+import numpy as np
 
 import gcube.solver as solver_module
 from conftest import solve_cached
@@ -413,6 +415,45 @@ def _ref_project_rows(y):
     out = np.maximum(y - theta[:, None], 0.0)
     out[out < solver_module._COORD_FLOOR] = 0.0
     return out / out.sum(axis=1, keepdims=True)
+
+
+# Coordinates the projection must treat exactly: exact zeros, values at,
+# below and just above the floor, negative ones, and simple fractions.
+_SPECIAL_COORDS = st.sampled_from(
+    [0.0, 1e-300, 1e-16, 1e-15, 2e-15, -1e-16, -0.3, 0.25, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def _ascent_batches(draw):
+    # A batch of the solver's shape: the vertices, five structured seeds,
+    # the random starts and possibly the previous witness.  The other rows
+    # are simplex points plus a nonnegative step, as in the ascent, so most
+    # sum above 1 and some are already on the simplex.
+    n = draw(st.integers(2, 16))
+    rows = n + 5 + solver_module._MULTISTARTS + draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    y = rng.dirichlet(np.ones(n), size=rows)
+    y[:n] = np.eye(n)
+    scale = draw(st.sampled_from([1e-12, 1e-4, 1e-2, 1.0, 10.0]))
+    moved = rng.random((rows, 1)) < 0.8
+    y += moved * (rng.random(y.shape) < 0.6) * rng.exponential(scale, size=y.shape)
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, n - 1))
+    for (i, j), value in draw(st.lists(st.tuples(cells, _SPECIAL_COORDS), max_size=30)):
+        y[i, j] = value
+    # Ties: one coordinate copied to another of the same row.
+    for i, j in draw(st.lists(cells, max_size=20)):
+        y[i, j] = y[i, (j + 1) % n]
+    return y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ascent_batches())
+def test_projection_matches_reference(y):
+    want = _ref_project_rows(y.copy())
+    got = y.copy()
+    assert solver_module._project_rows(got) is got
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # With settle=False it is the loop as it stood before the settle rule,

@@ -146,6 +146,28 @@ def test_values_are_monomials_times_coefficients():
             assert np.array_equal(E[-n:], (tm.Q.T == 1.0).astype(float))
 
 
+# The ascent writes the candidates' monomials into one buffer; that path
+# must give the bits of the allocating one, which is exp(t * log_monomials).
+def test_buffered_monomials_match_allocating():
+    rng = np.random.default_rng(5)
+    for n, k in ((2, 16), (3, 4), (5, 3), (8, 2), (16, 2)):
+        tm = term_matrix(n, k)
+        G = rng.dirichlet(np.ones(n), size=40)
+        G[::4, 0] = 0.0
+        G[1::4, -1] = 1e-300
+        G = np.vstack([G / G.sum(axis=1, keepdims=True), np.eye(n)])
+        out = np.full((len(G), len(tm.c)), np.nan)
+        L = tm.log_monomials(G)
+        assert tm.log_monomials(G, out) is out
+        assert np.array_equal(out, L)
+        for t in (1.0, 2.5, k + 1.0):
+            E = tm.monomials(G, t)
+            assert np.array_equal(E, np.exp(t * L))
+            out.fill(np.nan)
+            assert tm.monomials(G, t, out) is out
+            assert np.array_equal(out, E)
+
+
 def test_objective_binary_critical_value():
     for k in (2, 3, 5, 8):
         t = math.log2(2 * k + 2)
