@@ -8,19 +8,58 @@ epsilon switched on has to be a support point itself.  The recursive
 evaluator peels one difference level per step and bottoms out at the
 squared absolute sum.
 
+Both complex evaluators run on integer codes of the points (`_coder`): a
+difference or a box vertex is then one int sum, and the codes sort as the
+points do, so every float operation, and with it every result bit, is the
+same as on coordinate tuples.
+
 Set energies are counted in exact integer arithmetic throughout; counts
 such as (2k+2)^d overflow fixed-width integers almost immediately.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from itertools import product as _product
 
 from .lattice import CubeSet, LatticeFunction, convolve_entries
 
 _IMAG_TOL = 1e-9
+
+# The recursive evaluators (gowers_norm_recursive, energy_P) take one
+# Python frame per difference level, so k above this raises ValueError
+# before recursing, well below the interpreter's default limit of 1000.
+K_RECURSION_MAX = 256
+
+
+def _coder(points, reach):
+    """Order-preserving integer codes for points in the bounding box of
+    `points` (a nonempty collection of points of Z^d).
+
+    A point's code is the base-R number whose digits are its offsets from
+    the coordinatewise minimum, the first coordinate most significant.  R
+    is above reach * (span + 1), so a sum of up to `reach` codes has every
+    digit below R and never carries: two sums of the same number of codes
+    are equal, or ordered, exactly as the sums of the points are
+    (lexicographically).  Hence codes sort as the points do, and for
+    reach >= 2 so do differences of codes, since p - q < p' - q' is
+    p + q' < p' + q.
+    """
+    pts = list(points)
+    mins = [min(c) for c in zip(*pts)]
+    span = max((x - m for p in pts for x, m in zip(p, mins)), default=0)
+    radix = reach * (span + 1) + 1
+
+    def code(p):
+        c = 0
+        for x, m in zip(p, mins):
+            c = c * radix + (x - m)
+        return c
+
+    return code
 
 
 @dataclass(frozen=True)
@@ -56,33 +95,35 @@ def gowers_inner_product(system: GowersSystem) -> complex:
     of the 2^k system functions at the box vertices."""
     k = system.k
     fns = system.functions
-    d = system.dim
-    base = fns[(0,) * k].entries
-    if not base:
+    if not fns[(0,) * k].entries:
         return 0j
-    eps_list = [(eps, sum(eps) % 2) for eps in _product((0, 1), repeat=k)]
-    unit_supports = []
-    for i in range(k):
-        e_i = tuple(1 if j == i else 0 for j in range(k))
-        unit_supports.append(sorted(fns[e_i].entries))
+    # A vertex a + sum_{i in eps} (p_i - a) is the support point y exactly
+    # when y + (|eps| - 1) a equals the sum of the p_i: sums of at most k
+    # codes on each side.
+    code = _coder([p for f in fns.values() for p in f.entries], k)
+    coded = {
+        eps: {code(p): v for p, v in f.entries.items()} for eps, f in fns.items()
+    }
+    eps_list = [(eps, coded[eps], sum(eps) % 2) for eps in _product((0, 1), repeat=k)]
+    unit_supports = [
+        sorted(coded[tuple(1 if j == i else 0 for j in range(k))])
+        for i in range(k)
+    ]
     total = 0j
-    for a in sorted(base):
-        h_ranges = [
-            [tuple(p[j] - a[j] for j in range(d)) for p in sup]
-            for sup in unit_supports
-        ]
+    for a in sorted(coded[(0,) * k]):
+        h_ranges = [[p - a for p in sup] for sup in unit_supports]
         for hs in _product(*h_ranges):
             term = 1 + 0j
-            for eps, odd in eps_list:
-                vertex = tuple(
-                    a[j] + sum(hs[i][j] for i in range(k) if eps[i]) for j in range(d)
-                )
-                v = fns[eps].entries.get(vertex)
+            for eps, entries, odd in eps_list:
+                v = entries.get(a + sum(compress(hs, eps)))
                 if v is None:
-                    term = 0j
+                    # The term is 0j, and adding 0j never changes total:
+                    # its parts start at +0.0 and a rounded sum is -0.0
+                    # only when both addends are.
                     break
                 term *= v.conjugate() if odd else v
-            total += term
+            else:
+                total += term
     return total
 
 
@@ -105,39 +146,60 @@ def gowers_norm(f: LatticeFunction, k: int) -> float:
     return gowers_norm_recursive(f, k) ** (0.5 ** k)
 
 
-def _u1_sq(entries) -> float:
-    s = 0j
-    for p in sorted(entries):
-        s += entries[p]
-    return abs(s) ** 2
-
-
-def _norm_pow_recursive(entries, k, d) -> float:
+def _norm_pow_recursive(keys, vals, k) -> float:
+    # keys: sorted point codes (_coder with reach 2); vals: f at them.
     if k == 1:
-        return _u1_sq(entries)
-    keys = sorted(entries)
-    diffs = sorted({tuple(p[j] - q[j] for j in range(d)) for p in keys for q in keys})
+        s = 0j
+        for v in vals:
+            s += v
+        return abs(s) ** 2
+    # One pass over the pairs (x, x + h), x in sorted order, builds every
+    # level-(k-1) function conj(f(. + h)) f(.) at once, each keyed in
+    # sorted order; at k = 2 their U^1 sums accumulate in place.
     total = 0.0
-    for h in diffs:
-        shifted = {}
-        for x in keys:
-            xh = tuple(x[j] + h[j] for j in range(d))
-            v = entries.get(xh)
-            if v is not None:
-                shifted[x] = v.conjugate() * entries[x]
-        if shifted:
-            total += _norm_pow_recursive(shifted, k - 1, d)
+    if k == 2:
+        sums = {}
+        for x, fx in zip(keys, vals):
+            for y, fy in zip(keys, vals):
+                h = y - x
+                sums[h] = sums.get(h, 0j) + fy.conjugate() * fx
+        for h in sorted(sums):
+            total += abs(sums[h]) ** 2
+        return total
+    shifted = {}
+    for x, fx in zip(keys, vals):
+        for y, fy in zip(keys, vals):
+            h = y - x
+            level = shifted.get(h)
+            if level is None:
+                shifted[h] = level = ([], [])
+            level[0].append(x)
+            level[1].append(fy.conjugate() * fx)
+    for h in sorted(shifted):
+        total += _norm_pow_recursive(*shifted[h], k - 1)
     return total
 
 
 def gowers_norm_recursive(f: LatticeFunction, k: int) -> float:
     """||f||_{U^k}^{2^k} via the difference recursion: each level replaces
-    f by conj(f(.+h)) f(.) summed over h in the support difference set."""
+    f by conj(f(.+h)) f(.) summed over h in the support difference set.
+
+    Raises ValueError for k above K_RECURSION_MAX and ArithmeticError when
+    the result is not finite."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > K_RECURSION_MAX:
+        raise ValueError(f"k must be <= {K_RECURSION_MAX}, got {k}")
     if not f.entries:
         return 0.0
-    return _norm_pow_recursive(f.entries, k, f.dim)
+    code = _coder(f.entries, 2)
+    keys = sorted(f.entries)
+    power = _norm_pow_recursive(
+        [code(p) for p in keys], [f.entries[p] for p in keys], k
+    )
+    if not math.isfinite(power):
+        raise ArithmeticError(f"U^{k} norm power is not finite: {power!r}")
+    return power
 
 
 def _canonical(points):
@@ -176,6 +238,8 @@ def energy_P(A: CubeSet, k: int) -> int:
     box lies entirely in A.  Equals gowers_norm_pow of the indicator."""
     if k < 2:
         raise ValueError("k must be >= 2")
+    if k > K_RECURSION_MAX:
+        raise ValueError(f"k must be <= {K_RECURSION_MAX}, got {k}")
     if not A.members:
         return 0
     return _count_boxes(_canonical(A.members), k)

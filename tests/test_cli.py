@@ -80,6 +80,30 @@ def test_energy_square(tmp_path, capsys):
     assert payload["value"] == 100  # (2^3 + 2)^2
 
 
+def test_non_finite_norm_exits_3(tmp_path, capsys):
+    # At k = 5 abs(s) ** 2 overflows; at k = 6 the complex products reach
+    # inf without raising.  Both must fail, not print inf.
+    from gcube.lattice import LatticeFunction
+
+    f = LatticeFunction(1, {(0,): 1e10, (1,): 1e10})
+    path = write_function(tmp_path, "big.json", f)
+    for k in ("5", "6"):
+        code, out, err = run(capsys, ["norm", "--f", path, "--k", k, "--format", "json"])
+        assert code == 3 and out == ""
+        assert "numeric failure" in err
+
+
+def test_k_above_recursion_limit_exits_2(tmp_path, capsys):
+    from gcube.lattice import delta
+
+    path = write_function(tmp_path, "delta.json", delta())
+    code, out, err = run(capsys, ["norm", "--f", path, "--k", "2000"])
+    assert code == 2 and out == "" and err.startswith("error:")
+    path = write_set(tmp_path, "A.json", CubeSet(1, 2, frozenset([(0,), (1,)])))
+    code, out, err = run(capsys, ["energy", "--set", path, "--kind", "P", "--k", "2000"])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_exponent_json_fields(capsys):
     code, out, _ = run(capsys, ["exponent", "--k", "2", "--n", "2", "--json"])
     assert code == 0

@@ -2,10 +2,14 @@ import math
 import random
 from itertools import product
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from gcube.gowers import (
+    K_RECURSION_MAX,
     GowersSystem,
+    _coder,
     energy_E,
     energy_E_tilde,
     energy_P,
@@ -23,6 +27,7 @@ from gcube.lattice import (
     lp_norm,
     tensor_power,
 )
+from gcube.terms import objective
 
 
 def random_function(rng, dim=1, width=5, max_size=6):
@@ -226,3 +231,220 @@ def test_d0_norm():
     scalar = LatticeFunction(0, {(): 2.0})
     assert gowers_norm_pow(scalar, 2) == pytest.approx(16.0)
     assert gowers_norm_recursive(scalar, 2) == pytest.approx(16.0)
+
+
+def test_recursion_depth_limit():
+    assert gowers_norm_recursive(delta(), K_RECURSION_MAX) == 1.0
+    assert energy_P(interval_set(2), K_RECURSION_MAX) == 2 * K_RECURSION_MAX + 2
+    with pytest.raises(ValueError):
+        gowers_norm_recursive(delta(), K_RECURSION_MAX + 1)
+    with pytest.raises(ValueError):
+        energy_P(interval_set(2), K_RECURSION_MAX + 1)
+
+
+def test_non_finite_norm_raises():
+    f = LatticeFunction(1, {(0,): 1e10, (1,): 1e10})
+    for k in (5, 6):
+        with pytest.raises(ArithmeticError):
+            gowers_norm_recursive(f, k)
+
+
+def test_norm_matches_objective_identity():
+    # p * t = 2^k: with f(j) = g(j)^(t / 2^k) on {0, ..., n-1}, the box sum
+    # ||f||_{U^k}^{2^k} is the objective at (t, g).
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        k = rng.randint(2, 4)
+        t = rng.uniform(1.0, k + 1.0)
+        w = [rng.random() if rng.random() > 0.2 else 0.0 for _ in range(n)]
+        w[rng.randrange(n)] += 0.5
+        g = [x / sum(w) for x in w]
+        f = LatticeFunction(1, {(j,): g[j] ** (t / 2 ** k) for j in range(n)})
+        assert gowers_norm_recursive(f, k) == pytest.approx(
+            objective(n, k, t, g), rel=1e-12
+        )
+
+
+# Tuple-keyed evaluators as they were before the integer coding; the coded
+# ones must reproduce them bit for bit.
+
+def _ref_u1_sq(entries):
+    s = 0j
+    for p in sorted(entries):
+        s += entries[p]
+    return abs(s) ** 2
+
+
+def _ref_norm_pow_recursive(entries, k, d):
+    if k == 1:
+        return _ref_u1_sq(entries)
+    keys = sorted(entries)
+    diffs = sorted({tuple(p[j] - q[j] for j in range(d)) for p in keys for q in keys})
+    total = 0.0
+    for h in diffs:
+        shifted = {}
+        for x in keys:
+            xh = tuple(x[j] + h[j] for j in range(d))
+            v = entries.get(xh)
+            if v is not None:
+                shifted[x] = v.conjugate() * entries[x]
+        if shifted:
+            total += _ref_norm_pow_recursive(shifted, k - 1, d)
+    return total
+
+
+def _ref_inner_product(system):
+    k = system.k
+    fns = system.functions
+    d = system.dim
+    base = fns[(0,) * k].entries
+    if not base:
+        return 0j
+    eps_list = [(eps, sum(eps) % 2) for eps in product((0, 1), repeat=k)]
+    unit_supports = []
+    for i in range(k):
+        e_i = tuple(1 if j == i else 0 for j in range(k))
+        unit_supports.append(sorted(fns[e_i].entries))
+    total = 0j
+    for a in sorted(base):
+        h_ranges = [
+            [tuple(p[j] - a[j] for j in range(d)) for p in sup]
+            for sup in unit_supports
+        ]
+        for hs in product(*h_ranges):
+            term = 1 + 0j
+            for eps, odd in eps_list:
+                vertex = tuple(
+                    a[j] + sum(hs[i][j] for i in range(k) if eps[i]) for j in range(d)
+                )
+                v = fns[eps].entries.get(vertex)
+                if v is None:
+                    term = 0j
+                    break
+                term *= v.conjugate() if odd else v
+            total += term
+    return total
+
+
+def _bits(z):
+    # Equal floats that also agree in the sign of zero; NaN is never drawn.
+    return [(x, math.copysign(1.0, x)) for x in (z.real, z.imag)]
+
+
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+_BASES = st.sampled_from([0, -3, 2 ** 40, -(2 ** 40)])
+
+
+@st.composite
+def _functions(draw, dim, max_size, base=None, reach=5):
+    # Support points within `reach` of a base point that may lie far from
+    # the origin on either side, with exact zeros in the real or imaginary
+    # parts.
+    if base is None:
+        base = [draw(_BASES) for _ in range(dim)]
+    pts = draw(st.lists(
+        st.tuples(*[st.integers(-reach, reach) for _ in range(dim)]),
+        max_size=max_size,
+    ))
+    return LatticeFunction(dim, {
+        tuple(b + c for b, c in zip(base, p)): complex(draw(_PARTS), draw(_PARTS))
+        for p in pts
+    })
+
+
+@st.composite
+def _norm_cases(draw):
+    dim = draw(st.integers(0, 3))
+    k = draw(st.integers(1, 4))
+    return draw(_functions(dim, 5 if k < 4 else 4)), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_norm_cases())
+def test_recursive_bit_identical_to_tuple_reference(case):
+    f, k = case
+    want = _ref_norm_pow_recursive(f.entries, k, f.dim) if f.entries else 0.0
+    got = gowers_norm_recursive(f, k)
+    assert got == want and _bits(complex(got)) == _bits(complex(want))
+
+
+def test_single_points_bit_identical_to_tuple_reference():
+    for d in range(4):
+        for c in (0, -7, 2 ** 40):
+            f = LatticeFunction(d, {(c,) * d: -0.75 + 0.0j})
+            for k in range(1, 5):
+                assert gowers_norm_recursive(f, k) == _ref_norm_pow_recursive(
+                    f.entries, k, d
+                )
+
+
+def test_codes_do_not_alias_vertices_or_differences():
+    # With span 4 and a radix of only 6, the vertex (1,0) + 2 * ((0,4) - (1,0))
+    # = (-1, 8) and the point (0, 2) share a code, and so do the differences
+    # (0, 4) and (1, -2).  The coder's radix keeps all of them apart.
+    fns = {
+        (0, 0): LatticeFunction(2, {(1, 0): 1.5j}),
+        (1, 0): LatticeFunction(2, {(0, 4): 2.0}),
+        (0, 1): LatticeFunction(2, {(0, 4): -1.0}),
+        (1, 1): LatticeFunction(2, {(0, 2): 0.5, (0, 0): 3.0}),
+    }
+    system = GowersSystem(2, fns)
+    assert gowers_inner_product(system) == _ref_inner_product(system) == 0j
+    f = LatticeFunction(2, {(0, 0): 1.0, (0, 4): 0.5 - 1j, (1, 2): -2.0})
+    for k in (2, 3):
+        assert gowers_norm_recursive(f, k) == _ref_norm_pow_recursive(f.entries, k, 2)
+
+
+@st.composite
+def _systems(draw):
+    # Functions on a small common box, so that box vertices often land on
+    # support points, each drawn on its own (empty, or far off and so
+    # disjoint, at times) or repeating the base function.
+    dim = draw(st.integers(0, 3))
+    k = draw(st.integers(1, 4))
+    size = 3 if k < 4 else 2
+    base = [draw(_BASES) for _ in range(dim)]
+    f = draw(_functions(dim, size, base, 2))
+    fns = {}
+    for eps in product((0, 1), repeat=k):
+        kind = draw(st.sampled_from(["same", "near", "far"]))
+        fns[eps] = (f if kind == "same" else draw(
+            _functions(dim, size, base if kind == "near" else None, 2)
+        ))
+    return GowersSystem(k, fns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_inner_product_bit_identical_to_tuple_reference(system):
+    got = gowers_inner_product(system)
+    want = _ref_inner_product(system)
+    assert got == want and _bits(got) == _bits(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.tuples(*[st.sampled_from([-(2 ** 40), -2, 0, 1, 5, 2 ** 40])] * d),
+        min_size=1, max_size=6,
+    )),
+    st.integers(2, 4),
+)
+def test_coder_orders_points_and_differences(points, reach):
+    code = _coder(points, reach)
+    coded = {p: code(p) for p in points}
+    assert sorted(points, key=coded.get) == sorted(points)
+    diffs = {(tuple(a - b for a, b in zip(p, q)), coded[p] - coded[q])
+             for p in points for q in points}
+    assert len({h for h, _ in diffs}) == len({c for _, c in diffs}) == len(diffs)
+    assert sorted(diffs) == sorted(diffs, key=lambda hc: hc[1])
+    for x, (h, c) in product(points, diffs):
+        # x + h is a point exactly when the coded sum is that point's code.
+        xh = tuple(a + b for a, b in zip(x, h))
+        assert (xh in coded) == (coded[x] + c in coded.values())
