@@ -29,9 +29,9 @@ from .lattice import CubeSet, LatticeFunction, convolve_entries
 
 _IMAG_TOL = 1e-9
 
-# The recursive evaluators (gowers_norm_recursive, energy_P) take one
-# Python frame per difference level, so k above this raises ValueError
-# before recursing, well below the interpreter's default limit of 1000.
+# gowers_norm_recursive and energy_P recurse one Python frame per
+# difference level, so both raise ValueError for k above this before
+# recursing; it is well below the interpreter's default limit of 1000.
 K_RECURSION_MAX = 256
 
 
