@@ -14,14 +14,20 @@ points do, so every float operation, and with it every result bit, is the
 same as on coordinate tuples.
 
 Set energies are counted in exact integer arithmetic throughout; counts
-such as (2k+2)^d overflow fixed-width integers almost immediately.
+such as (2k+2)^d overflow fixed-width integers almost immediately.  The
+box count P_k and the common-difference energy run on the same codes,
+translated so that the smallest is 0.  Coding keeps every relation
+x + y = z + w among the points, and those decide both energies (a box is
+a box exactly when each of its 2-faces is such a quadruple), so the coded
+set has the same counts as the point set.  Within one call two subsets
+get the same keys exactly when they are translates, and the box-count
+recursion counts each such class once, in a memo that lives for the call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from itertools import product as _product
 
@@ -32,6 +38,8 @@ _IMAG_TOL = 1e-9
 # gowers_norm_recursive and energy_P recurse one Python frame per
 # difference level, so both raise ValueError for k above this before
 # recursing; it is well below the interpreter's default limit of 1000.
+# energy_E and energy_E_tilde refuse the same k before any work: E runs
+# k - 1 convolutions, and the values of both grow to thousands of digits.
 K_RECURSION_MAX = 256
 
 
@@ -202,55 +210,81 @@ def gowers_norm_recursive(f: LatticeFunction, k: int) -> float:
     return power
 
 
-def _canonical(points):
-    pts = [tuple(p) for p in points]
-    if not pts:
-        return ()
-    d = len(pts[0])
-    mins = tuple(min(p[j] for p in pts) for j in range(d))
-    return tuple(sorted(tuple(c - m for c, m in zip(p, mins)) for p in pts))
+def _intersections(keys):
+    # The one pair-difference walk of the set energies, over sorted codes
+    # (_coder with reach 2): h >= 0 -> the keys x with x + h also a key, in
+    # sorted order; its length is r(h), the number of pairs (x, x + h).
+    # The walk stops at h = 0 because the list for -h is the one for h
+    # translated by h, so r(-h) = r(h) and both have the same box counts.
+    inters = {}
+    for i, x in enumerate(keys):
+        for y in keys[i:]:
+            h = y - x
+            inter = inters.get(h)
+            if inter is None:
+                inters[h] = inter = []
+            inter.append(x)
+    return inters
 
 
-@lru_cache(maxsize=8192)
-def _count_boxes(canon_pts, k):
+def _count_boxes(keys, k, memo):
     # Number of (a, h_1, ..., h_k) whose full epsilon-combination box stays
-    # inside the set; difference recursion down to k = 1 where the count is
-    # the squared cardinality.  Exact integers only.
-    if not canon_pts:
-        return 0
-    if k == 1:
-        return len(canon_pts) ** 2
-    pts = set(canon_pts)
-    d = len(canon_pts[0])
-    diffs = sorted({tuple(p[j] - q[j] for j in range(d)) for p in pts for q in pts})
+    # inside the set of `keys`: sorted codes of a nonempty set, the smallest
+    # 0.  Codes are injective on differences, so two subsets of one set get
+    # the same keys exactly when they are translates, whose box counts are
+    # equal; `memo` maps (keys, k) to the count for the length of one call.
+    # Difference recursion down to k = 2, where the count is the sum of
+    # r(h)^2.  Exact integers only.
+    key = (keys, k)
+    total = memo.get(key)
+    if total is not None:
+        return total
     total = 0
-    for h in diffs:
-        inter = frozenset(
-            x for x in pts if tuple(x[j] + h[j] for j in range(d)) in pts
-        )
-        if inter:
-            total += _count_boxes(_canonical(inter), k - 1)
+    for h, inter in _intersections(keys).items():
+        if k == 2:
+            count = len(inter) ** 2
+        else:
+            x0 = inter[0]
+            count = _count_boxes(tuple([x - x0 for x in inter]), k - 1, memo)
+        total += count if h == 0 else 2 * count
+    memo[key] = total
     return total
 
 
-def energy_P(A: CubeSet, k: int) -> int:
-    """Number of (k+1)-tuples (a, h_1, ..., h_k) whose epsilon-combination
-    box lies entirely in A.  Equals gowers_norm_pow of the indicator."""
+def _check_energy_k(k):
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > K_RECURSION_MAX:
         raise ValueError(f"k must be <= {K_RECURSION_MAX}, got {k}")
+
+
+def _set_keys(A):
+    # Sorted codes of A's points, translated so that the smallest is 0.
+    code = _coder(A.members, 2)
+    keys = sorted([code(p) for p in A.members])
+    x0 = keys[0]
+    return tuple([x - x0 for x in keys])
+
+
+def energy_P(A: CubeSet, k: int) -> int:
+    """Number of (k+1)-tuples (a, h_1, ..., h_k) whose epsilon-combination
+    box lies entirely in A.  Equals gowers_norm_pow of the indicator.
+
+    Raises ValueError for k below 2 or above K_RECURSION_MAX."""
+    _check_energy_k(k)
     if not A.members:
         return 0
-    return _count_boxes(_canonical(A.members), k)
+    return _count_boxes(_set_keys(A), k, {})
 
 
 def energy_E(A: CubeSet, k: int) -> int:
     """Number of 2k-tuples in A^{2k} whose first k entries and last k
     entries have equal sums; the squared ell^2 norm of the k-fold
-    self-convolution of the indicator, in exact integers."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    self-convolution of the indicator, in exact integers.
+
+    Raises ValueError for k below 2 or above K_RECURSION_MAX; below it the
+    cost still grows with k, one convolution per level."""
+    _check_energy_k(k)
     if not A.members:
         return 0
     base = {p: 1 for p in A.members}
@@ -263,14 +297,13 @@ def energy_E(A: CubeSet, k: int) -> int:
 def energy_E_tilde(A: CubeSet, k: int) -> int:
     """Number of 2k-tuples with one common consecutive-pair difference:
     sum over z of r(z)^k where r(z) counts pairs (a, b) in A^2 with
-    a - b = z."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    a - b = z.
+
+    Raises ValueError for k below 2 or above K_RECURSION_MAX."""
+    _check_energy_k(k)
     if not A.members:
         return 0
-    diffs = {}
-    for p in A.members:
-        for q in A.members:
-            z = tuple(a - b for a, b in zip(p, q))
-            diffs[z] = diffs.get(z, 0) + 1
-    return sum(r ** k for r in diffs.values())
+    return sum(
+        len(inter) ** k if h == 0 else 2 * len(inter) ** k
+        for h, inter in _intersections(_set_keys(A)).items()
+    )

@@ -104,6 +104,14 @@ def test_k_above_recursion_limit_exits_2(tmp_path, capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_energy_kinds_above_recursion_limit_exit_2(tmp_path, capsys):
+    # E and Etilde refuse k = K_RECURSION_MAX + 1 before any work, as P does.
+    path = write_set(tmp_path, "A.json", CubeSet(1, 3, frozenset([(0,), (1,), (2,)])))
+    for kind in ("E", "Etilde"):
+        code, out, err = run(capsys, ["energy", "--set", path, "--kind", kind, "--k", "257"])
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_exponent_json_fields(capsys):
     code, out, _ = run(capsys, ["exponent", "--k", "2", "--n", "2", "--json"])
     assert code == 0

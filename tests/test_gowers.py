@@ -1,5 +1,6 @@
 import math
 import random
+from functools import lru_cache
 from itertools import product
 
 import hypothesis.strategies as st
@@ -441,3 +442,157 @@ def test_coder_orders_points_and_differences(points, reach):
         # x + h is a point exactly when the coded sum is that point's code.
         xh = tuple(a + b for a, b in zip(x, h))
         assert (xh in coded) == (coded[x] + c in coded.values())
+
+
+# Set energies as they were before the integer coding: coordinate tuples,
+# each intersection re-canonicalized by sorting.  The coded ones must
+# return the same integers.
+
+def _ref_canonical(points):
+    pts = [tuple(p) for p in points]
+    if not pts:
+        return ()
+    d = len(pts[0])
+    mins = tuple(min(p[j] for p in pts) for j in range(d))
+    return tuple(sorted(tuple(c - m for c, m in zip(p, mins)) for p in pts))
+
+
+@lru_cache(maxsize=8192)
+def _ref_count_boxes(canon_pts, k):
+    if not canon_pts:
+        return 0
+    if k == 1:
+        return len(canon_pts) ** 2
+    pts = set(canon_pts)
+    d = len(canon_pts[0])
+    diffs = sorted({tuple(p[j] - q[j] for j in range(d)) for p in pts for q in pts})
+    total = 0
+    for h in diffs:
+        inter = frozenset(
+            x for x in pts if tuple(x[j] + h[j] for j in range(d)) in pts
+        )
+        if inter:
+            total += _ref_count_boxes(_ref_canonical(inter), k - 1)
+    return total
+
+
+def _ref_energy_P(A, k):
+    return _ref_count_boxes(_ref_canonical(A.members), k)
+
+
+def _ref_energy_E_tilde(A, k):
+    diffs = {}
+    for p in A.members:
+        for q in A.members:
+            z = tuple(a - b for a, b in zip(p, q))
+            diffs[z] = diffs.get(z, 0) + 1
+    return sum(r ** k for r in diffs.values())
+
+
+@st.composite
+def _cube_sets(draw, max_size=8):
+    # Subsets of a cube of side up to 60, clustered within 4 of a base
+    # point so that intersections are often large, or empty, or one point.
+    dim = draw(st.integers(0, 3))
+    base = [draw(st.integers(0, 50)) for _ in range(dim)]
+    pts = draw(st.lists(
+        st.tuples(*[st.integers(0, 4) for _ in range(dim)]), max_size=max_size,
+    ))
+    return CubeSet(dim, 60, frozenset(
+        tuple(b + c for b, c in zip(base, p)) for p in pts
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cube_sets(), st.integers(2, 5))
+def test_set_energies_equal_tuple_reference(A, k):
+    assert energy_P(A, k) == _ref_energy_P(A, k)
+    assert energy_E_tilde(A, k) == _ref_energy_E_tilde(A, k)
+
+
+def test_set_energies_of_empty_sets_and_single_points():
+    for d in range(4):
+        for c in (0, 9):
+            A = CubeSet(d, 10, frozenset([(c,) * d]))
+            for k in range(2, 6):
+                assert energy_P(A, k) == energy_E_tilde(A, k) == 1
+        empty = CubeSet(d, 10, frozenset())
+        for k in range(2, 6):
+            assert energy_P(empty, k) == energy_E_tilde(empty, k) == 0
+
+
+def _brute_force_boxes(A, k):
+    # Every (a, h_1, ..., h_k) with each a + h_i in A, counted when all 2^k
+    # vertices a + sum_{i in eps} h_i lie in A.
+    pts = A.members
+    count = 0
+    for a in pts:
+        steps = [tuple(x - y for x, y in zip(p, a)) for p in pts]
+        for hs in product(steps, repeat=k):
+            if all(
+                tuple(a[j] + sum(h[j] for h, e in zip(hs, eps) if e)
+                      for j in range(A.dim)) in pts
+                for eps in product((0, 1), repeat=k)
+            ):
+                count += 1
+    return count
+
+
+def _brute_force_tilde(A, k):
+    # Every k-tuple of pairs (a_i, b_i) in A^2 with one common a_i - b_i.
+    pairs = [(p, q) for p in A.members for q in A.members]
+    diff = [tuple(x - y for x, y in zip(p, q)) for p, q in pairs]
+    return sum(
+        1 for idx in product(range(len(pairs)), repeat=k)
+        if len({diff[i] for i in idx}) == 1
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cube_sets(max_size=6), st.integers(2, 3))
+def test_set_energies_equal_brute_force(A, k):
+    assert energy_P(A, k) == _brute_force_boxes(A, k)
+    assert energy_E_tilde(A, k) == _brute_force_tilde(A, k)
+
+
+def test_box_counts_do_not_leak_between_calls():
+    # Alternating calls on sets of different spans and dimensions, each
+    # coded with its own radix, and a set next to its translate inside a
+    # larger cube: every call must count its own set, whatever came before.
+    A = frozenset([(0, 0), (1, 0), (0, 1), (3, 2), (1, 1)])
+    sets = [
+        CubeSet(2, 4, A),
+        CubeSet(2, 20, frozenset((x + 11, y + 7) for x, y in A)),
+        CubeSet(1, 9, frozenset([(0,), (1,), (3,), (8,)])),
+        CubeSet(1, 3, frozenset([(0,), (1,), (2,)])),
+        CubeSet(3, 3, frozenset([(0, 0, 0), (1, 2, 0), (2, 2, 2), (0, 1, 1)])),
+        CubeSet(2, 3, frozenset([(0, 0), (0, 1), (2, 2)])),
+        CubeSet(1, 12, frozenset([(0,), (2,), (3,), (11,)])),
+    ]
+    for _ in range(3):
+        for k in (2, 3, 4, 3):
+            for S in sets:
+                assert energy_P(S, k) == _ref_energy_P(S, k)
+    assert energy_P(sets[0], 3) == energy_P(sets[1], 3)
+
+
+def test_sets_with_equal_codes_have_equal_energies():
+    # {0,1} x {0,1,2} codes to the integers {0, 1, 2, 7, 8, 9}.  Coding keeps
+    # every x + y = z + w, and those decide both energies, so the plane set
+    # and the line set of its codes have the same counts.
+    plane = CubeSet(2, 3, frozenset(product(range(2), range(3))))
+    line = CubeSet(1, 10, frozenset((x,) for x in (0, 1, 2, 7, 8, 9)))
+    code = _coder(plane.members, 2)
+    assert sorted(code(p) for p in plane.members) == sorted(x for x, in line.members)
+    for k in (2, 3, 4):
+        assert energy_P(plane, k) == energy_P(line, k) == _ref_energy_P(plane, k)
+        assert energy_E_tilde(plane, k) == energy_E_tilde(line, k)
+
+
+def test_energy_k_limits():
+    A = interval_set(2)
+    for energy in (energy_P, energy_E, energy_E_tilde):
+        for k in (1, K_RECURSION_MAX + 1):
+            with pytest.raises(ValueError):
+                energy(A, k)
+    assert energy_E_tilde(A, K_RECURSION_MAX) == 2 ** K_RECURSION_MAX + 2
