@@ -214,8 +214,8 @@ def _intersections(keys):
     # The one pair-difference walk of the set energies, over sorted codes
     # (_coder with reach 2): h >= 0 -> the keys x with x + h also a key, in
     # sorted order; its length is r(h), the number of pairs (x, x + h).
-    # The walk stops at h = 0 because the list for -h is the one for h
-    # translated by h, so r(-h) = r(h) and both have the same box counts.
+    # Only y >= x is walked: the list for -h is the one for h translated by
+    # h, so r(-h) = r(h) and both have the same box counts.
     inters = {}
     for i, x in enumerate(keys):
         for y in keys[i:]:

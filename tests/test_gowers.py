@@ -590,8 +590,10 @@ def test_sets_with_equal_codes_have_equal_energies():
 
 
 def test_energy_k_limits():
+    # energy_P's limits are in test_energy_P_examples and
+    # test_recursion_depth_limit.
     A = interval_set(2)
-    for energy in (energy_P, energy_E, energy_E_tilde):
+    for energy in (energy_E, energy_E_tilde):
         for k in (1, K_RECURSION_MAX + 1):
             with pytest.raises(ValueError):
                 energy(A, k)
