@@ -130,8 +130,12 @@ def lp_norm(f: LatticeFunction, p) -> float:
     return vmax * total ** (1.0 / p)
 
 
-def convolve_entries(a: dict, b: dict) -> dict:
-    """Convolution of point -> value dicts, both walked in sorted order."""
+def convolve(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
+    """(f * g)(x) = sum_y f(x - y) g(y), supports added coordinatewise and
+    both walked in sorted order."""
+    if f.dim != g.dim:
+        raise ValueError("dimension mismatch")
+    a, b = f.entries, g.entries
     out = {}
     ys = sorted(b)
     for x in sorted(a):
@@ -139,14 +143,7 @@ def convolve_entries(a: dict, b: dict) -> dict:
         for y in ys:
             z = tuple(p + q for p, q in zip(x, y))
             out[z] = out.get(z, 0) + ax * b[y]
-    return out
-
-
-def convolve(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
-    """(f * g)(x) = sum_y f(x - y) g(y), supports added coordinatewise."""
-    if f.dim != g.dim:
-        raise ValueError("dimension mismatch")
-    return LatticeFunction(f.dim, convolve_entries(f.entries, g.entries))
+    return LatticeFunction(f.dim, out)
 
 
 def reflect(f: LatticeFunction) -> LatticeFunction:

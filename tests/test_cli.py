@@ -112,6 +112,20 @@ def test_energy_kinds_above_recursion_limit_exit_2(tmp_path, capsys):
         assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_energy_E_above_power_size_bound_exits_2(tmp_path, capsys):
+    # The size check runs before the power, so a full 3 x 3 x 3 cube at
+    # k = 64 fails at once; a small 1-D set still answers at k = 256.
+    cube = CubeSet(3, 3, frozenset((x, y, z) for x in range(3) for y in range(3) for z in range(3)))
+    path = write_set(tmp_path, "cube.json", cube)
+    code, out, err = run(capsys, ["energy", "--set", path, "--kind", "E", "--k", "64"])
+    assert code == 2 and out == "" and err.startswith("error:")
+    path = write_set(tmp_path, "pair.json", CubeSet(1, 2, frozenset([(0,), (1,)])))
+    code, out, _ = run(capsys, ["energy", "--set", path, "--kind", "E", "--k", "256",
+                                "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["value"] == math.comb(512, 256)
+
+
 def test_exponent_json_fields(capsys):
     code, out, _ = run(capsys, ["exponent", "--k", "2", "--n", "2", "--json"])
     assert code == 0

@@ -598,3 +598,94 @@ def test_energy_k_limits():
             with pytest.raises(ValueError):
                 energy(A, k)
     assert energy_E_tilde(A, K_RECURSION_MAX) == 2 ** K_RECURSION_MAX + 2
+
+
+# energy_E as it was before the big-integer power: k - 1 dict convolutions
+# on coordinate tuples, then the sum of the squared counts.  The power must
+# return the same integers.
+
+def _ref_convolve_entries(a, b):
+    out = {}
+    ys = sorted(b)
+    for x in sorted(a):
+        ax = a[x]
+        for y in ys:
+            z = tuple(p + q for p, q in zip(x, y))
+            out[z] = out.get(z, 0) + ax * b[y]
+    return out
+
+
+def _ref_energy_E(A, k):
+    if not A.members:
+        return 0
+    base = {p: 1 for p in A.members}
+    conv = base
+    for _ in range(k - 1):
+        conv = _ref_convolve_entries(conv, base)
+    return sum(c * c for c in conv.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cube_sets(max_size=6), st.integers(2, 8))
+def test_energy_E_equals_convolution_reference(A, k):
+    assert energy_E(A, k) == _ref_energy_E(A, k)
+
+
+def test_energy_E_of_empty_sets_and_single_points():
+    for d in range(4):
+        for k in range(2, 9):
+            assert energy_E(CubeSet(d, 10, frozenset()), k) == 0
+            for c in (0, 9):
+                assert energy_E(CubeSet(d, 10, frozenset([(c,) * d])), k) == 1
+
+
+def test_energy_E_sums_of_codes_do_not_carry():
+    # Spans above k: codes of reach k - 1 would carry here, and (0, 4) +
+    # (0, 4) would share a code with (1, 0) + (0, 2).
+    A = CubeSet(2, 5, frozenset([(0, 4), (1, 0), (0, 2)]))
+    assert energy_E(A, 2) == _ref_energy_E(A, 2) == 15
+    rng = random.Random(16)
+    for d in (2, 3):
+        for _ in range(10):
+            A = random_cube_set(rng, dim=d, width=10, max_size=7)
+            for k in (2, 3):
+                assert energy_E(A, k) == _ref_energy_E(A, k)
+
+
+# 14 points of {0, ..., 15}: at k = 256 each count takes 122 bytes and the
+# power 0.47 MB.  The reference's k = 256 value (it took 12 s) is pinned by
+# its bit length and its residue modulo 2^127 - 1.
+_LINE14 = CubeSet(1, 16, frozenset((x,) for x in (0, 1, 2, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15)))
+_LINE14_E256 = (1942, 13311950547755603027467156720391559854)
+
+
+def test_energy_E_at_large_k_equals_convolution_reference():
+    assert energy_E(_LINE14, 64) == _ref_energy_E(_LINE14, 64)
+    e = energy_E(_LINE14, 256)
+    assert (e.bit_length(), e % (2 ** 127 - 1)) == _LINE14_E256
+
+
+def _brute_force_E(A, k):
+    # Every 2k-tuple of points whose first k and last k entries have equal
+    # coordinatewise sums.
+    pts = sorted(A.members)
+    return sum(
+        1 for t in product(pts, repeat=2 * k)
+        if all(sum(p[j] for p in t[:k]) == sum(p[j] for p in t[k:])
+               for j in range(A.dim))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cube_sets(max_size=4), st.integers(2, 3))
+def test_energy_E_equals_brute_force(A, k):
+    assert energy_E(A, k) == _brute_force_E(A, k)
+
+
+def test_energy_E_power_size_bound():
+    # The size check runs before the power: a full 3 x 3 x 3 cube at k = 64
+    # would need a power of about 180 MB.
+    cube = CubeSet(3, 3, frozenset(product(range(3), repeat=3)))
+    with pytest.raises(ValueError, match="byte"):
+        energy_E(cube, 64)
+    assert energy_E(interval_set(2), K_RECURSION_MAX) == math.comb(2 * K_RECURSION_MAX, K_RECURSION_MAX)
