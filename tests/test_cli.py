@@ -115,7 +115,9 @@ def test_energy_kinds_above_recursion_limit_exit_2(tmp_path, capsys):
 def test_energy_E_above_power_size_bound_exits_2(tmp_path, capsys):
     # The size check runs before the power, so a full 3 x 3 x 3 cube at
     # k = 64 fails at once; a small 1-D set still answers at k = 256.
-    cube = CubeSet(3, 3, frozenset((x, y, z) for x in range(3) for y in range(3) for z in range(3)))
+    cube = CubeSet(3, 3, frozenset(
+        (x, y, z) for x in range(3) for y in range(3) for z in range(3)
+    ))
     path = write_set(tmp_path, "cube.json", cube)
     code, out, err = run(capsys, ["energy", "--set", path, "--kind", "E", "--k", "64"])
     assert code == 2 and out == "" and err.startswith("error:")

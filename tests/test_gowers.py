@@ -655,7 +655,9 @@ def test_energy_E_sums_of_codes_do_not_carry():
 # 14 points of {0, ..., 15}: at k = 256 each count takes 122 bytes and the
 # power 0.47 MB.  The reference's k = 256 value (it took 12 s) is pinned by
 # its bit length and its residue modulo 2^127 - 1.
-_LINE14 = CubeSet(1, 16, frozenset((x,) for x in (0, 1, 2, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15)))
+_LINE14 = CubeSet(1, 16, frozenset(
+    (x,) for x in (0, 1, 2, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15)
+))
 _LINE14_E256 = (1942, 13311950547755603027467156720391559854)
 
 
@@ -681,11 +683,3 @@ def _brute_force_E(A, k):
 def test_energy_E_equals_brute_force(A, k):
     assert energy_E(A, k) == _brute_force_E(A, k)
 
-
-def test_energy_E_power_size_bound():
-    # The size check runs before the power: a full 3 x 3 x 3 cube at k = 64
-    # would need a power of about 180 MB.
-    cube = CubeSet(3, 3, frozenset(product(range(3), repeat=3)))
-    with pytest.raises(ValueError, match="byte"):
-        energy_E(cube, 64)
-    assert energy_E(interval_set(2), K_RECURSION_MAX) == math.comb(2 * K_RECURSION_MAX, K_RECURSION_MAX)
