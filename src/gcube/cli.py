@@ -37,6 +37,17 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 # `terms` lists every tuple: n = 12 took 14.2 s and 321 MB on a 2-core VM.
 TERMS_N_MAX = 12
+# The bounds below refuse, before any work, inputs whose time grows past
+# about a second on a 2-core VM; each lies above what the verify suites use
+# (m <= 1000, n <= 8).  `entropy --binomial M` sums M / 2 terms of M-bit
+# binomials: 1.16 s at M = 100,000, about M^2.
+BINOMIAL_M_MAX = 100_000
+# `entropy --signed` bounded by the span |h_1| + ... + |h_m| of the sum; its
+# worst case is all |h_i| = 1 (m = span, 2^m denominators): 0.82 s at 2,000
+# and 5.6 s at 4,000, about span^3.
+SIGNED_SPAN_MAX = 2_000
+# `table1` takes H_{n-1} for every n: 0.68 s at n = 2,000, about n^3.
+TABLE1_N_MAX = 2_000
 
 
 def tolerance(text):
@@ -271,6 +282,10 @@ def cmd_entropy(args):
         raise ValueError("exactly one of --binomial or --signed is required")
     if args.binomial is not None:
         m = args.binomial
+        if m > BINOMIAL_M_MAX:
+            raise ValueError(
+                f"entropy supports --binomial <= {BINOMIAL_M_MAX}, got {m}"
+            )
         h = binomial_entropy(m)
         lo, hi = binomial_entropy_bounds(m)
         if args.format == "json":
@@ -284,6 +299,12 @@ def cmd_entropy(args):
             coeffs = tuple(int(v) for v in args.signed.split(","))
         except ValueError as exc:
             raise ValueError(f"bad coefficient list {args.signed!r}") from exc
+        span = sum(abs(v) for v in coeffs)
+        if span > SIGNED_SPAN_MAX:
+            raise ValueError(
+                f"entropy supports --signed with |h_1| + ... + |h_m| <= "
+                f"{SIGNED_SPAN_MAX}, got {span}"
+            )
         pmf = pmf_signed_sum(coeffs)
         rearranged = decreasing_rearrangement(pmf)
         h = entropy(pmf)
@@ -348,6 +369,8 @@ def cmd_terms(args):
 
 
 def cmd_table1(args):
+    if args.n_max > TABLE1_N_MAX:
+        raise ValueError(f"table1 supports --n-max <= {TABLE1_N_MAX}, got {args.n_max}")
     rows = leading_coefficient_rows(args.n_max)
     if args.format == "json":
         print(dumps17([{"n": n, "coefficient": v} for n, v in rows]))

@@ -3,9 +3,15 @@ majorization, Karamata comparison, and the exhaustive entropy verifiers.
 
 The module owns signed Bernoulli sums: iter_signed_vectors enumerates their
 coefficient vectors and signed_sum_counts counts the 2^m sign vectors
-reaching each sum.  Exact work is done on those integer counts (denominator
-2^m); Fractions exist only in returned values such as pmf_signed_sum, and
+reaching each sum, as the coefficients of the product of (1 + x^|h_i|)
+packed into one Python integer (one byte slot of m // 8 + 1 bytes per
+sum).  Exact work is done on those integer counts (denominator 2^m);
+Fractions exist only in returned values such as pmf_signed_sum, and
 entropies are evaluated in floating point at the very end.
+
+The verifiers check the total of the counts exactly and share the cores of
+majorizes and entropy_bits with the public functions.  A report formats
+the message of a check only when the check fails.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _product
+from itertools import zip_longest
 
 _SUM_TOL = 1e-12
 
@@ -67,15 +74,28 @@ def iter_signed_vectors(budget, l):
             yield (v,) + rest
 
 
+def _entropy_sum(masses) -> float:
+    # -sum m log2 m over float masses, skipping zeros; no check of the total.
+    log2 = math.log2
+    h = 0.0
+    for m in masses:
+        if m > 0.0:
+            h -= m * log2(m)
+    return h
+
+
 def entropy_bits(masses) -> float:
     """Entropy in bits of a mass sequence summing to 1 (0 log 0 = 0)."""
     _check_total(masses)
-    h = 0.0
-    for m in masses:
-        m = float(m)
-        if m > 0.0:
-            h -= m * math.log2(m)
-    return h
+    return _entropy_sum(map(float, masses))
+
+
+def _counts_entropy(counts, denom) -> float:
+    # Entropy of counts over denom, with the total checked exactly; the
+    # masses c / denom round as float(Fraction(c, denom)) does.
+    if sum(counts) != denom:
+        raise ValueError("masses must sum to 1")
+    return _entropy_sum([c / denom for c in counts])
 
 
 def entropy(p: PMFVector) -> float:
@@ -88,24 +108,29 @@ def binomial_entropy(m: int) -> float:
     """Entropy H_m of the symmetric binomial distribution B(m, 1/2)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m <= 1020:
-        denom = float(2 ** m)
-        c = 1
-        h = 0.0
-        for j in range(m // 2 + 1):
-            p = c / denom
-            term = -p * math.log2(p)
-            h += term if 2 * j == m else 2.0 * term
-            c = c * (m - j) // (j + 1)
-        return h
-    # Large m: avoid float overflow of 2^m by working with log2 of counts.
+    # Terms j < m / 2 count twice by symmetry; the middle term of an even m,
+    # the last one summed, counts once.
+    log2 = math.log2
     c = 1
     h = 0.0
-    for j in range(m // 2 + 1):
-        lg = math.log2(c) - m
-        term = -(2.0 ** lg) * lg
-        h += term if 2 * j == m else 2.0 * term
+    if m <= 1020:
+        denom = float(2 ** m)
+        for j in range((m + 1) // 2):
+            p = c / denom
+            h += 2.0 * (-p * log2(p))
+            c = c * (m - j) // (j + 1)
+        if m % 2 == 0:
+            p = c / denom
+            h += -p * log2(p)
+        return h
+    # Large m: avoid float overflow of 2^m by working with log2 of counts.
+    for j in range((m + 1) // 2):
+        lg = log2(c) - m
+        h += 2.0 * (-(2.0 ** lg) * lg)
         c = c * (m - j) // (j + 1)
+    if m % 2 == 0:
+        lg = log2(c) - m
+        h += -(2.0 ** lg) * lg
     return h
 
 
@@ -121,15 +146,26 @@ def binomial_entropy_bounds(m: int) -> tuple:
 def signed_sum_counts(h) -> tuple:
     """(offset, counts): counts[i] of the 2^len(h) 0/1 vectors eps have
     h . eps = offset + i.  The empty h gives (0, (1,))."""
-    counts = {0: 1}
+    # counts is the coefficient list of prod (1 + x^|h_i|), read at x = 2^(8w):
+    # no count exceeds 2^m, which fits a slot of w = m // 8 + 1 bytes, so the
+    # slots never carry into each other.  A negative h_i is |h_i| (1 - eps_i)
+    # - |h_i|: it moves the offset down by |h_i| and counts like |h_i|.
+    bits = 8 * (len(h) // 8 + 1)
+    packed = 1
+    offset = span = 0
     for step in h:
-        nxt = {}
-        for z, c in counts.items():
-            nxt[z] = nxt.get(z, 0) + c
-            nxt[z + step] = nxt.get(z + step, 0) + c
-        counts = nxt
-    lo, hi = min(counts), max(counts)
-    return lo, tuple(counts.get(z, 0) for z in range(lo, hi + 1))
+        if step < 0:
+            offset += step
+            step = -step
+        span += step
+        packed += packed << (bits * step)
+    width = bits // 8
+    raw = packed.to_bytes(width * (span + 1), "little")
+    if width == 1:
+        return offset, tuple(raw)
+    return offset, tuple(
+        int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)
+    )
 
 
 def pmf_signed_sum(h) -> PMFVector:
@@ -149,6 +185,17 @@ def decreasing_rearrangement(p: PMFVector) -> list:
     return sorted((m for m in p.masses if m != 0), reverse=True)
 
 
+def _prefix_dominates(x, y, tol) -> bool:
+    # d is the prefix sum of x minus that of y, the shorter padded with
+    # zeros; the last one compares totals.
+    d = 0
+    for a, b in zip_longest(x, y, fillvalue=0):
+        d += a - b
+        if d < -tol:
+            return False
+    return abs(d) <= tol
+
+
 def majorizes(x, y) -> bool:
     """Prefix-sum dominance of two nonincreasing sequences of equal total,
     the shorter padded with zeros.  Raises on unsorted input."""
@@ -157,17 +204,8 @@ def majorizes(x, y) -> bool:
     for name, seq in (("x", x), ("y", y)):
         if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
             raise ValueError(f"{name} is not sorted in nonincreasing order")
-    n = max(len(x), len(y))
-    x = x + [0] * (n - len(x))
-    y = y + [0] * (n - len(y))
     tol = 0 if all(_is_exact(v) for v in x + y) else _SUM_TOL
-    # d is the prefix sum of x minus that of y; the last one compares totals.
-    d = 0
-    for a, b in zip(x, y):
-        d += a - b
-        if d < -tol:
-            return False
-    return abs(d) <= tol
+    return _prefix_dominates(x, y, tol)
 
 
 def _psi_square(v: float) -> float:
@@ -227,10 +265,12 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, ok: bool, message: str):
+    def record(self, ok: bool, message: str, *args):
+        """Count one check; on failure keep message, formatted with
+        str.format over args when any are given."""
         self.cases += 1
         if not ok:
-            self.failures.append(message)
+            self.failures.append(message.format(*args) if args else message)
 
 
 def verify_majorization_lemma(m_max: int = 4, h_bound: int = 4) -> VerificationReport:
@@ -254,23 +294,24 @@ def verify_majorization_lemma(m_max: int = 4, h_bound: int = 4) -> VerificationR
             x = sorted((c for c in counts if c), reverse=True)
             is_equal = x == binom
             all_same = len({abs(v) for v in h}) == 1
-            ok_maj = majorizes(binom, x)
-            report.record(ok_maj, f"h={h}: binomial does not majorize")
+            report.record(
+                _prefix_dominates(binom, x, 0), "h={}: binomial does not majorize", h
+            )
             report.record(
                 is_equal == all_same,
-                f"h={h}: rearrangement equality mismatch "
-                f"(equal={is_equal}, uniform |h|={all_same})",
+                "h={}: rearrangement equality mismatch (equal={}, uniform |h|={})",
+                h, is_equal, all_same,
             )
-            h_sum = entropy_bits([c / denom for c in counts])
+            h_sum = _counts_entropy(counts, denom)
             if all_same:
                 report.record(
                     abs(h_sum - h_binom) <= 1e-12,
-                    f"h={h}: expected entropy H_{m}, got {h_sum!r}",
+                    "h={}: expected entropy H_{}, got {!r}", h, m, h_sum,
                 )
             else:
                 report.record(
                     h_sum > h_binom + 1e-12,
-                    f"h={h}: entropy {h_sum!r} not strictly above H_{m}",
+                    "h={}: entropy {!r} not strictly above H_{}", h, h_sum, m,
                 )
     return report
 
@@ -286,17 +327,19 @@ def verify_entropy_corollary(n: int) -> VerificationReport:
     report = VerificationReport("entropy-corollary")
     floor = binomial_entropy(n - 1) / (n - 1)
     for l in range(1, n):
+        denom = 2 ** l
         for h in iter_signed_vectors(n - 1, l):
-            ratio = entropy_bits([c / 2 ** l for c in signed_sum_counts(h)[1]]) / l
+            ratio = _counts_entropy(signed_sum_counts(h)[1], denom) / l
             expect_equal = l == n - 1 and all(abs(v) == 1 for v in h)
             if expect_equal:
                 report.record(
                     abs(ratio - floor) <= 1e-12,
-                    f"n={n}, h={h}: expected equality, got ratio {ratio!r}",
+                    "n={}, h={}: expected equality, got ratio {!r}", n, h, ratio,
                 )
             else:
                 report.record(
                     ratio > floor + 1e-12,
-                    f"n={n}, h={h}: ratio {ratio!r} not strictly above {floor!r}",
+                    "n={}, h={}: ratio {!r} not strictly above {!r}",
+                    n, h, ratio, floor,
                 )
     return report

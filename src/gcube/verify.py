@@ -48,9 +48,9 @@ def binary_suite(k_min=2, k_max=10, grid_points=10_000, tol=1e-12):
         t = math.log2(2 * k + 2)
         vals = xs ** t + (1.0 - xs) ** t + 2 * k * (xs * (1.0 - xs)) ** (t / 2.0)
         peak = float(vals.max())
-        rep.record(peak <= 1.0 + tol, f"k={k}: grid maximum {peak!r} exceeds 1")
+        rep.record(peak <= 1.0 + tol, "k={}: grid maximum {!r} exceeds 1", k, peak)
         mid = 2.0 * 0.5 ** t + 2 * k * 0.25 ** (t / 2.0)
-        rep.record(abs(mid - 1.0) <= tol, f"k={k}: value at 1/2 is {mid!r}")
+        rep.record(abs(mid - 1.0) <= tol, "k={}: value at 1/2 is {!r}", k, mid)
     return rep
 
 
@@ -63,22 +63,25 @@ def terms_suite(trials=200, seed=1300):
         expected = sorted([1, 1, 1, 2 * k, 2 * k, 2 * k, 2 * k * (k - 1)])
         rep.record(
             multiset == expected,
-            f"k={k}: coefficient multiset {multiset} != {expected}",
+            "k={}: coefficient multiset {} != {}", k, multiset, expected,
         )
     for n in range(2, 8):
         size = enumerate_tuple_classes(n)[-1].size
-        rep.record(size == 2 ** (n - 1), f"n={n}: largest class has {size} tuples")
+        rep.record(size == 2 ** (n - 1), "n={}: largest class has {} tuples", n, size)
     for n in range(2, 6):
         for k in range(2, 5):
             pk = energy_P(interval_set(n), k)
             total = sum(g.coefficient for g in term_groups(n, k))
-            rep.record(total == pk, f"n={n}, k={k}: coefficients sum to {total} != {pk}")
+            rep.record(
+                total == pk, "n={}, k={}: coefficients sum to {} != {}", n, k, total, pk
+            )
             for t in (1.7, 2.5, float(k + 1)):
                 expect = pk * n ** (-t)
                 val = objective(n, k, t, [1.0 / n] * n)
                 rep.record(
                     abs(val - expect) <= 1e-12 * expect,
-                    f"n={n}, k={k}, t={t}: uniform value {val!r} != {expect!r}",
+                    "n={}, k={}, t={}: uniform value {!r} != {!r}",
+                    n, k, t, val, expect,
                 )
     merge(rep, check_objective_monotone(trials, seed))
     merge(rep, check_objective_symmetry(trials, seed + 1))
@@ -96,14 +99,14 @@ def entropy_suite(m_max=1000, n_max=8):
     for m in range(1, m_max + 1):
         h = binomial_entropy(m)
         lo, hi = binomial_entropy_bounds(m)
-        rep.record(lo < h < hi, f"m={m}: H_m={h!r} outside ({lo!r}, {hi!r})")
+        rep.record(lo < h < hi, "m={}: H_m={!r} outside ({!r}, {!r})", m, h, lo, hi)
         ratio = h / m
         if prev is not None:
-            rep.record(ratio < prev, f"m={m}: H_m/m not strictly decreasing")
+            rep.record(ratio < prev, "m={}: H_m/m not strictly decreasing", m)
         prev = ratio
     for n, v in TABLE_VALUES.items():
         got = leading_coefficient(n)
-        rep.record(abs(got - v) <= 1e-9, f"n={n}: coefficient {got!r} != {v}")
+        rep.record(abs(got - v) <= 1e-9, "n={}: coefficient {!r} != {}", n, got, v)
     for n in range(2, n_max + 1):
         merge(rep, verify_entropy_corollary(n))
     return rep
@@ -146,7 +149,7 @@ def check_gcs(trials=200, seed=1100):
             rhs *= gowers_norm_recursive(fns[eps], k) ** (0.5 ** k)
         rep.record(
             lhs <= rhs * (1.0 + 1e-9) + 1e-12,
-            f"trial {i} (k={k}): inner product {lhs!r} exceeds bound {rhs!r}",
+            "trial {} (k={}): inner product {!r} exceeds bound {!r}", i, k, lhs, rhs,
         )
     return rep
 
@@ -165,7 +168,7 @@ def check_triangle(trials=200, seed=1200):
         )
         rep.record(
             lhs <= rhs * (1.0 + 1e-9) + 1e-12,
-            f"trial {i} (k={k}): triangle fails, {lhs!r} > {rhs!r}",
+            "trial {} (k={}): triangle fails, {!r} > {!r}", i, k, lhs, rhs,
         )
     return rep
 
@@ -193,7 +196,7 @@ def check_young(trials=200, seed=1400):
         rhs = lp_norm(f, p) * lp_norm(g, q)
         rep.record(
             lhs <= rhs * (1.0 + 1e-9) + 1e-12,
-            f"trial {i} (p={p}, q={q}, r={r}): {lhs!r} > {rhs!r}",
+            "trial {} (p={}, q={}, r={}): {!r} > {!r}", i, p, q, r, lhs, rhs,
         )
     return rep
 
@@ -210,7 +213,7 @@ def check_tensor(trials=200, seed=1500):
         rhs = gowers_norm_recursive(g, k) ** d
         rep.record(
             abs(lhs - rhs) <= 1e-9 * (1.0 + abs(rhs)),
-            f"trial {i} (k={k}, d={d}): {lhs!r} != {rhs!r}",
+            "trial {} (k={}, d={}): {!r} != {!r}", i, k, d, lhs, rhs,
         )
     return rep
 
@@ -229,7 +232,7 @@ def check_objective_monotone(trials=200, seed=1600):
         v2 = objective(n, k, t2, g)
         rep.record(
             v1 >= v2 - 1e-12,
-            f"trial {i} (n={n}, k={k}): value rose from t={t1} to t={t2}",
+            "trial {} (n={}, k={}): value rose from t={} to t={}", i, n, k, t1, t2,
         )
     return rep
 
@@ -248,7 +251,7 @@ def check_objective_symmetry(trials=200, seed=1700):
         v2 = objective(n, k, t, g[::-1])
         rep.record(
             abs(v1 - v2) <= 1e-12 * (1.0 + abs(v1)),
-            f"trial {i} (n={n}, k={k}): reflection changed {v1!r} to {v2!r}",
+            "trial {} (n={}, k={}): reflection changed {!r} to {!r}", i, n, k, v1, v2,
         )
     return rep
 

@@ -394,6 +394,48 @@ def test_terms_n_above_limit_exits_2(monkeypatch, capsys):
     assert not out and "error" in err
 
 
+def _refuse(name):
+    def worker(*args):
+        raise AssertionError(f"{name} ran above its limit")
+    return worker
+
+
+def test_limits_lie_above_the_verify_suites():
+    assert cli.BINOMIAL_M_MAX >= 1000
+    assert cli.SIGNED_SPAN_MAX >= 7
+    assert cli.TABLE1_N_MAX >= 8
+
+
+def test_binomial_m_above_limit_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "binomial_entropy", _refuse("binomial_entropy"))
+    m = cli.BINOMIAL_M_MAX + 1
+    code, out, err = run(capsys, ["entropy", "--binomial", str(m)])
+    assert code == 2 and not out and err.startswith("error:") and str(m) in err
+    monkeypatch.setattr(cli, "binomial_entropy", lambda m: 1.0)
+    code, _, _ = run(capsys, ["entropy", "--binomial", str(cli.BINOMIAL_M_MAX)])
+    assert code == 0
+
+
+def test_signed_span_above_limit_exits_2(monkeypatch, capsys):
+    bound = cli.SIGNED_SPAN_MAX
+    code, out, _ = run(capsys, ["entropy", "--signed", str(bound), "--format", "json"])
+    assert code == 0 and len(json.loads(out)["masses"]) == bound + 1
+    monkeypatch.setattr(cli, "pmf_signed_sum", _refuse("pmf_signed_sum"))
+    for signed in (f"{bound},1", f"-{bound - 1},-2", ",".join(["1"] * (bound + 1))):
+        code, out, err = run(capsys, ["entropy", f"--signed={signed}"])
+        assert code == 2 and not out and err.startswith("error:"), signed
+        assert str(bound + 1) in err
+
+
+def test_table1_n_max_above_limit_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "leading_coefficient_rows", _refuse("table1"))
+    code, out, err = run(capsys, ["table1", "--n-max", str(cli.TABLE1_N_MAX + 1)])
+    assert code == 2 and not out and err.startswith("error:")
+    monkeypatch.setattr(cli, "leading_coefficient_rows", lambda n_max: [(2, 1.0)])
+    code, out, _ = run(capsys, ["table1", "--n-max", str(cli.TABLE1_N_MAX)])
+    assert code == 0 and out == "n = 2: 1\n"
+
+
 def test_terms_human_renders_json_payload(capsys):
     _, out, _ = run(capsys, ["terms", "--n", "5", "--json"])
     lines = []

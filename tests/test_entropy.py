@@ -11,11 +11,13 @@ import hypothesis.strategies as st
 
 from gcube.entropy import (
     PMFVector,
+    _counts_entropy,
     binomial_entropy,
     binomial_entropy_bounds,
     decreasing_rearrangement,
     entropy,
     entropy_bits,
+    iter_signed_vectors,
     karamata_compare,
     majorizes,
     pmf_signed_sum,
@@ -222,3 +224,79 @@ def test_verifiers_fail_on_wrong_counts(monkeypatch):
     assert "h=(1,): binomial does not majorize" in maj.failures
     assert "h=(1, 1): expected entropy H_2, got 0.0" in maj.failures
     assert len(cor.failures) == cor.cases
+
+
+def _ref_signed_sum_counts(h):
+    # The dict walk over reachable sums: the reference for the packed counts.
+    counts = {0: 1}
+    for step in h:
+        nxt = {}
+        for z, c in counts.items():
+            nxt[z] = nxt.get(z, 0) + c
+            nxt[z + step] = nxt.get(z + step, 0) + c
+        counts = nxt
+    lo, hi = min(counts), max(counts)
+    return lo, tuple(counts.get(z, 0) for z in range(lo, hi + 1))
+
+
+@given(st.lists(st.integers(-40, 40), max_size=20))
+@settings(max_examples=300)
+def test_packed_counts_match_dict_walk(h):
+    assert signed_sum_counts(h) == _ref_signed_sum_counts(h)
+
+
+def test_packed_counts_at_slot_boundaries():
+    # m = 7 is the last one-byte slot; m = 8 and m = 16 need 2 and 3 bytes.
+    for m in (0, 1, 7, 8, 15, 16, 20):
+        assert signed_sum_counts((0,) * m) == (0, (2 ** m,))
+        ones = signed_sum_counts((1,) * m)
+        assert ones == (0, tuple(math.comb(m, j) for j in range(m + 1)))
+        mixed = tuple(v if j % 2 else -v for j, v in enumerate(range(1, m + 1)))
+        assert signed_sum_counts(mixed) == _ref_signed_sum_counts(mixed)
+
+
+BINOMIAL_ENTROPY_HEX = {
+    1: "0x1.0000000000000p+0",
+    2: "0x1.8000000000000p+0",
+    3: "0x1.cfafec54831f2p+0",
+    7: "0x1.392b7dca2916fp+1",
+    100: "0x1.179de2079dadbp+2",
+    999: "0x1.81df7e1318a61p+2",
+    1000: "0x1.81eb5123e3086p+2",
+    1020: "0x1.82d55b03b5a03p+2",
+    1021: "0x1.82e0efc9e347bp+2",
+    5000: "0x1.cc388dc5f88e1p+2",
+}
+
+
+def test_binomial_entropy_bits_pinned():
+    # Both branches, either side of the float-overflow switch at m = 1020.
+    got = {m: binomial_entropy(m).hex() for m in BINOMIAL_ENTROPY_HEX}
+    assert got == BINOMIAL_ENTROPY_HEX
+
+
+def _walk_vectors():
+    values = [v for v in range(-4, 5) if v]
+    for m in range(1, 5):
+        yield from product(values, repeat=m)
+    for n in range(2, 9):
+        for l in range(1, n):
+            yield from iter_signed_vectors(n - 1, l)
+
+
+def test_walk_entropies_match_entropy_bits():
+    vectors = list(_walk_vectors())
+    assert len(vectors) == 7952
+    for h in vectors:
+        counts = signed_sum_counts(h)[1]
+        denom = 2 ** len(h)
+        expect = entropy_bits([c / denom for c in counts])
+        assert _counts_entropy(counts, denom).hex() == expect.hex(), h
+
+
+def test_counts_entropy_checks_total_exactly():
+    assert _counts_entropy((1, 2, 1), 4) == 1.5
+    with pytest.raises(ValueError, match="masses must sum to 1"):
+        _counts_entropy((1, 2, 1), 8)
+    with pytest.raises(ValueError, match="masses must sum to 1"):
+        _counts_entropy((2 ** 60, 1), 2 ** 60)
