@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 internal
-numeric failure.  JSON output carries 17 significant digits for round-trip
-safety; human output uses 10.  Identical invocations with identical seed
-and tolerance produce byte-identical output.
+numeric failure.  JSON and CSV output carry 17 significant digits for
+round-trip safety; human output uses 10.  Identical invocations with
+identical seed and tolerance produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 
-from .asymptotics import asymptotic_sweep, leading_coefficient_rows, sweep_csv
+from .asymptotics import asymptotic_sweep, leading_coefficient_rows
 from .entropy import (
     binomial_entropy,
     binomial_entropy_bounds,
@@ -71,10 +71,6 @@ def positive_int(text):
     return value
 
 
-def _f17(x):
-    return format(float(x), ".17g")
-
-
 def _f10(x):
     return format(float(x), ".10g")
 
@@ -82,13 +78,39 @@ def _f10(x):
 def dumps17(obj):
     """Deterministic JSON with floats at 17 significant digits."""
     if isinstance(obj, float):
-        return _f17(obj)
+        return format(obj, ".17g")
     if isinstance(obj, dict):
         inner = ",".join(f"{json.dumps(str(k))}:{dumps17(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps17(v) for v in obj) + "]"
     return json.dumps(obj)
+
+
+def _emit(args, record, human, columns=()):
+    """Print a command's record in the requested format; return EXIT_OK.
+
+    JSON is the record through dumps17.  CSV is a header of `columns` and a
+    row per record (a list of records is a table), each cell through
+    dumps17; `asym --csv PATH` writes it to PATH.  Human output is the lines
+    of `human(record)`.  Only the requested form is built.
+    """
+    path = getattr(args, "csv_path", None)
+    if path or args.format == "csv":
+        rows = record if isinstance(record, list) else [record]
+        lines = [",".join(columns)]
+        lines += [",".join(dumps17(row[c]) for c in columns) for row in rows]
+    elif args.format == "json":
+        lines = [dumps17(record)]
+    else:
+        lines = human(record)
+    if path:
+        with open(path, "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        lines = [f"wrote {path}"]
+    for line in lines:
+        print(line)
+    return EXIT_OK
 
 
 def build_parser():
@@ -130,7 +152,8 @@ def build_parser():
 
     s = sub.add_parser("entropy", parents=[records], help="entropy utilities")
     s.add_argument("--binomial", type=int, default=None, metavar="M")
-    s.add_argument("--signed", default=None, metavar="H1,H2,...")
+    s.add_argument("--signed", default=None, metavar="H1,H2,...",
+                   help="coefficients h_i; write --signed=-1,2 when h_1 < 0")
 
     s = sub.add_parser("terms", parents=[records],
                        help="tuple classes with q vectors")
@@ -163,13 +186,9 @@ _parser = functools.cache(build_parser)
 def cmd_norm(args):
     f = load_function(args.f)
     power = gowers_norm_recursive(f, args.k)
-    norm = power ** (0.5 ** args.k)
-    if args.format == "json":
-        print(dumps17({"k": args.k, "power": power, "norm": norm}))
-    else:
-        print(f"norm_power = {_f10(power)}")
-        print(f"norm = {_f10(norm)}")
-    return EXIT_OK
+    record = {"k": args.k, "power": power, "norm": power ** (0.5 ** args.k)}
+    return _emit(args, record, lambda r: (f"norm_power = {_f10(r['power'])}",
+                                          f"norm = {_f10(r['norm'])}"))
 
 
 _ENERGY = {"P": energy_P, "E": energy_E, "Etilde": energy_E_tilde}
@@ -178,12 +197,8 @@ _ENERGY = {"P": energy_P, "E": energy_E, "Etilde": energy_E_tilde}
 def cmd_energy(args):
     A = load_set(args.set)
     value = _ENERGY[args.kind](A, args.k)
-    if args.format == "json":
-        print(dumps17({"kind": args.kind, "k": args.k, "size": A.size,
-                       "value": value}))
-    else:
-        print(value)
-    return EXIT_OK
+    record = {"kind": args.kind, "k": args.k, "size": A.size, "value": value}
+    return _emit(args, record, lambda r: (str(r["value"]),))
 
 
 def _solver_config(args):
@@ -263,18 +278,9 @@ def cmd_exponent(args):
         }
         if args.cache:
             _cache_append(args.cache, args.k, args.n, cfg_hash, args.tol, result)
-    if args.format == "json":
-        print(dumps17(result))
-    elif args.format == "csv":
-        print("k,n,t,p,bracket")
-        print(",".join([str(result["k"]), str(result["n"])]
-                       + [_f17(result[key]) for key in
-                          ("t", "p", "bracket")]))
-    else:
-        print(f"t = {_f10(result['t'])}")
-        print(f"p = {_f10(result['p'])}")
-        print(f"bracket = {_f10(result['bracket'])}")
-    return EXIT_OK
+    return _emit(args, result,
+                 lambda r: [f"{key} = {_f10(r[key])}" for key in ("t", "p", "bracket")],
+                 columns=("k", "n", "t", "p", "bracket"))
 
 
 def cmd_entropy(args):
@@ -288,40 +294,41 @@ def cmd_entropy(args):
             )
         h = binomial_entropy(m)
         lo, hi = binomial_entropy_bounds(m)
-        if args.format == "json":
-            print(dumps17({"m": m, "entropy": h, "lower": lo, "upper": hi}))
-        else:
-            print(f"H_{m} = {_f10(h)}")
-            print(f"lower = {_f10(lo)}")
-            print(f"upper = {_f10(hi)}")
-    else:
-        try:
-            coeffs = tuple(int(v) for v in args.signed.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad coefficient list {args.signed!r}") from exc
-        span = sum(abs(v) for v in coeffs)
-        if span > SIGNED_SPAN_MAX:
-            raise ValueError(
-                f"entropy supports --signed with |h_1| + ... + |h_m| <= "
-                f"{SIGNED_SPAN_MAX}, got {span}"
-            )
-        pmf = pmf_signed_sum(coeffs)
-        rearranged = decreasing_rearrangement(pmf)
-        h = entropy(pmf)
-        if args.format == "json":
-            print(dumps17({
-                "coefficients": list(coeffs),
-                "offset": pmf.support_offset,
-                "masses": [str(m) for m in pmf.masses],
-                "rearrangement": [str(m) for m in rearranged],
-                "entropy": h,
-            }))
-        else:
-            print(f"offset = {pmf.support_offset}")
-            print("masses = " + " ".join(str(m) for m in pmf.masses))
-            print("rearrangement = " + " ".join(str(m) for m in rearranged))
-            print(f"entropy = {_f10(h)}")
-    return EXIT_OK
+        record = {"m": m, "entropy": h, "lower": lo, "upper": hi}
+        return _emit(args, record, lambda r: (f"H_{r['m']} = {_f10(r['entropy'])}",
+                                              f"lower = {_f10(r['lower'])}",
+                                              f"upper = {_f10(r['upper'])}"))
+    try:
+        coeffs = tuple(int(v) for v in args.signed.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad coefficient list {args.signed!r}") from exc
+    span = sum(abs(v) for v in coeffs)
+    if span > SIGNED_SPAN_MAX:
+        raise ValueError(
+            f"entropy supports --signed with |h_1| + ... + |h_m| <= "
+            f"{SIGNED_SPAN_MAX}, got {span}"
+        )
+    pmf = pmf_signed_sum(coeffs)
+    record = {
+        "coefficients": list(coeffs),
+        "offset": pmf.support_offset,
+        "masses": [str(m) for m in pmf.masses],
+        "rearrangement": [str(m) for m in decreasing_rearrangement(pmf)],
+        "entropy": entropy(pmf),
+    }
+    return _emit(args, record, lambda r: (
+        f"offset = {r['offset']}",
+        "masses = " + " ".join(r["masses"]),
+        "rearrangement = " + " ".join(r["rearrangement"]),
+        f"entropy = {_f10(r['entropy'])}",
+    ))
+
+
+def _terms_lines(payload):
+    for c in payload["classes"]:
+        yield f"l={c['l']} size={c['size']}"
+        for t in c["tuples"]:
+            yield f"  a={t['a']} h={t['h']} q=({', '.join(t['q'])})"
 
 
 def cmd_terms(args):
@@ -358,30 +365,16 @@ def cmd_terms(args):
             for c in classes
         ],
     }
-    if args.format == "json":
-        print(dumps17(payload))
-    else:
-        for c in payload["classes"]:
-            print(f"l={c['l']} size={c['size']}")
-            for t in c["tuples"]:
-                print(f"  a={t['a']} h={t['h']} q=({', '.join(t['q'])})")
-    return EXIT_OK
+    return _emit(args, payload, _terms_lines)
 
 
 def cmd_table1(args):
     if args.n_max > TABLE1_N_MAX:
         raise ValueError(f"table1 supports --n-max <= {TABLE1_N_MAX}, got {args.n_max}")
-    rows = leading_coefficient_rows(args.n_max)
-    if args.format == "json":
-        print(dumps17([{"n": n, "coefficient": v} for n, v in rows]))
-    elif args.format == "csv":
-        print("n,coefficient")
-        for n, v in rows:
-            print(f"{n},{_f17(v)}")
-    else:
-        for n, v in rows:
-            print(f"n = {n}: {_f10(v)}")
-    return EXIT_OK
+    rows = [{"n": n, "coefficient": v} for n, v in leading_coefficient_rows(args.n_max)]
+    return _emit(args, rows,
+                 lambda rs: [f"n = {r['n']}: {_f10(r['coefficient'])}" for r in rs],
+                 columns=("n", "coefficient"))
 
 
 def cmd_asym(args):
@@ -390,33 +383,23 @@ def cmd_asym(args):
     except ValueError as exc:
         raise ValueError(f"bad k list {args.k!r}") from exc
     reports = asymptotic_sweep(args.n, ks, _solver_config(args), args.threads)
-    text = sweep_csv(reports)
-    if args.csv_path:
-        with open(args.csv_path, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.csv_path}")
-    elif args.format == "json":
-        print(dumps17([
-            {
-                "k": r.k,
-                "n": r.n,
-                "t_solver": r.t_solver,
-                "t_formula": r.t_formula,
-                "gap": r.gap,
-                "lower13": r.large_n_lower,
-                "upper": r.upper_trivial,
-            }
-            for r in reports
-        ]))
-    elif args.format == "csv":
-        sys.stdout.write(text)
-    else:
-        for r in reports:
-            print(
-                f"k = {r.k}: t = {_f10(r.t_solver)}, formula = "
-                f"{_f10(r.t_formula)}, gap = {_f10(r.gap)}"
-            )
-    return EXIT_OK
+    rows = [
+        {
+            "k": r.k,
+            "n": r.n,
+            "t_solver": r.t_solver,
+            "t_formula": r.t_formula,
+            "gap": r.gap,
+            "lower13": r.large_n_lower,
+            "upper": r.upper_trivial,
+        }
+        for r in reports
+    ]
+    return _emit(args, rows, lambda rs: [
+        f"k = {r['k']}: t = {_f10(r['t_solver'])}, formula = "
+        f"{_f10(r['t_formula'])}, gap = {_f10(r['gap'])}"
+        for r in rs
+    ], columns=tuple(rows[0]))
 
 
 def cmd_verify(args):

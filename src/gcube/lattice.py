@@ -181,12 +181,21 @@ def function_to_json(f: LatticeFunction) -> dict:
     }
 
 
+def _json_int(value):
+    # int() would truncate 1.9 to 1 and read true or "1" as 1.
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def function_from_json(obj) -> LatticeFunction:
     try:
-        dim = int(obj["d"])
+        dim = _json_int(obj["d"])
         entries = {}
         for e in obj["entries"]:
-            p = tuple(int(c) for c in e["p"])
+            p = tuple(map(_json_int, e["p"]))
+            if p in entries:
+                raise ValueError(f"point {list(p)} is repeated")
             entries[p] = complex(float(e["re"]), float(e.get("im", 0.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed function JSON: {exc}") from exc
@@ -199,9 +208,11 @@ def set_to_json(A: CubeSet) -> dict:
 
 def set_from_json(obj) -> CubeSet:
     try:
-        dim = int(obj["d"])
-        side = int(obj["n"])
-        members = frozenset(tuple(int(c) for c in p) for p in obj["members"])
+        dim = _json_int(obj["d"])
+        side = _json_int(obj["n"])
+        members = [tuple(map(_json_int, p)) for p in obj["members"]]
+        if len(set(members)) != len(members):
+            raise ValueError("a member is repeated")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed set JSON: {exc}") from exc
     return CubeSet(dim, side, members)

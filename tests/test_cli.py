@@ -474,3 +474,63 @@ def test_repeated_main_calls_share_the_parser(tmp_path, capsys):
         alone.append(run(capsys, argv))
     assert shared == alone
     assert (tmp_path / "sweep.csv").read_text() == sweep
+
+
+@pytest.mark.parametrize("kind,blob", [
+    ("f", {"d": 1, "entries": [{"p": [0.5], "re": 1.0}, {"p": [1.9], "re": 1.0}]}),
+    ("f", {"d": 1, "entries": [{"p": [True], "re": 1.0}]}),
+    ("f", {"d": 1.5, "entries": [{"p": [0], "re": 1.0}]}),
+    ("f", {"d": 1, "entries": [{"p": [0], "re": 1.0}, {"p": [0], "re": 2.0}]}),
+    ("set", {"d": 1, "n": 2.5, "members": [[0]]}),
+    ("set", {"d": 1, "n": 2, "members": [[0], [1], [0]]}),
+])
+def test_malformed_input_json_exits_2(tmp_path, capsys, kind, blob):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(blob))
+    argv = (["norm", "--f", str(path)] if kind == "f"
+            else ["energy", "--set", str(path), "--kind", "P"])
+    code, out, err = run(capsys, argv + ["--k", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed ")
+
+
+def test_signed_first_value_negative(capsys):
+    code, out, _ = run(capsys, ["entropy", "--signed=-1,2"])
+    assert code == 0
+    assert out.startswith("offset = -1\n")
+
+
+# bench/tracer.py swaps a wrapper onto each of these names in gcube.cli (a
+# new dict for _ENERGY and SUITES); a command that bound one of them at
+# import time would bypass it.
+@pytest.mark.parametrize("name,key,argv", [
+    ("solve_exponent", None, ["exponent", "--k", "2", "--n", "2"]),
+    ("_ENERGY", "P", ["energy", "--set", "{A}", "--kind", "P", "--k", "2"]),
+    ("_ENERGY", "E", ["energy", "--set", "{A}", "--kind", "E", "--k", "2"]),
+    ("_ENERGY", "Etilde", ["energy", "--set", "{A}", "--kind", "Etilde", "--k", "2"]),
+    ("load_function", None, ["norm", "--f", "{f}", "--k", "2"]),
+    ("load_set", None, ["energy", "--set", "{A}", "--kind", "P", "--k", "2"]),
+    ("pmf_signed_sum", None, ["entropy", "--signed", "1,1"]),
+    ("SUITES", "binary", ["verify", "--suite", "binary"]),
+])
+def test_traced_names_are_looked_up_per_call(tmp_path, capsys, monkeypatch,
+                                             name, key, argv):
+    files = {"f": write_function(tmp_path, "f.json", indicator([(0,), (1,)])),
+             "A": write_set(tmp_path, "A.json", CubeSet(1, 2, frozenset([(0,), (1,)])))}
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return counted
+
+    if key is None:
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+    else:
+        table = dict(getattr(cli, name))
+        table[key] = counting(table[key])
+        monkeypatch.setattr(cli, name, table)
+    code, _, _ = run(capsys, [a.format(**files) for a in argv])
+    assert code == 0
+    assert len(calls) == 1

@@ -149,3 +149,33 @@ def test_json_round_trip():
         function_from_json({"entries": []})
     with pytest.raises(ValueError):
         set_from_json({"d": 1, "n": 2})
+
+
+@pytest.mark.parametrize("blob", [
+    {"d": 1, "entries": [{"p": [0.5], "re": 1.0}]},
+    {"d": 1, "entries": [{"p": [1.9], "re": 1.0}]},
+    {"d": 1, "entries": [{"p": [True], "re": 1.0}]},
+    {"d": 1, "entries": [{"p": ["1"], "re": 1.0}]},
+    {"d": 1.5, "entries": [{"p": [0], "re": 1.0}]},
+    {"d": True, "entries": [{"p": [0], "re": 1.0}]},
+    {"d": "1", "entries": [{"p": [0], "re": 1.0}]},
+    {"d": 1, "entries": [{"p": [0], "re": 1.0}, {"p": [0], "re": 2.0}]},
+])
+def test_function_json_rejects_non_integers_and_repeats(blob):
+    with pytest.raises(ValueError, match="malformed function JSON"):
+        function_from_json(blob)
+
+
+@pytest.mark.parametrize("blob", [
+    {"d": 1, "n": 2, "members": [[0.5]]},
+    {"d": 1, "n": 2, "members": [[True]]},
+    {"d": 1, "n": 2, "members": [["1"]]},
+    {"d": 1.5, "n": 2, "members": [[0]]},
+    {"d": 1, "n": 2.0, "members": [[0]]},
+    {"d": 1, "n": False, "members": []},
+    {"d": 1, "n": "2", "members": [[0]]},
+    {"d": 1, "n": 2, "members": [[1], [0], [1]]},
+])
+def test_set_json_rejects_non_integers_and_repeats(blob):
+    with pytest.raises(ValueError, match="malformed set JSON"):
+        set_from_json(blob)
