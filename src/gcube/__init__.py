@@ -63,7 +63,6 @@ from .asymptotics import (
     large_n_lower_main_term,
     leading_coefficient,
     leading_coefficient_rows,
-    sweep_csv,
 )
 
 __version__ = "0.1.0"

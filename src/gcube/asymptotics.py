@@ -62,25 +62,10 @@ class AsymptoticReport:
     upper_trivial: float
 
 
-def asymptotic_sweep(n: int, k_list, cfg: SolverConfig | None = None,
-                     threads: int = 1) -> list:
-    """Solve each k in k_list at side n and tabulate the formula gaps,
-    sorted by k; with threads > 1 the solves run in that many worker
-    processes."""
-    if threads < 1:
-        raise ValueError("threads must be positive")
-    cfg = cfg or SolverConfig()
-    params = [(n, k, cfg) for k in sorted(k_list)]
-    if threads == 1:
-        return list(map(_solve_report, params))
-    # Imported here so that serial runs do not pay for the pool modules at
-    # start-up.  spawn, not fork: the parent may already run BLAS threads.
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    with ProcessPoolExecutor(max_workers=threads,
-                             mp_context=get_context("spawn")) as pool:
-        return list(pool.map(_solve_report, params))
+def asymptotic_sweep(n: int, k_list, cfg: SolverConfig | None = None) -> list:
+    """Solve each distinct k in k_list at side n, in ascending order, and
+    tabulate the formula gaps; the solves run one after another."""
+    return [report_for(solve_exponent(n, k, cfg)) for k in sorted(set(k_list))]
 
 
 def report_for(pair) -> AsymptoticReport:
@@ -94,31 +79,6 @@ def report_for(pair) -> AsymptoticReport:
         large_n_lower=large_n_lower_main_term(pair.k, pair.n),
         upper_trivial=float(pair.k + 1),
     )
-
-
-def _solve_report(params) -> AsymptoticReport:
-    # Picklable worker for process-pool sweeps.
-    n, k, cfg = params
-    return report_for(solve_exponent(n, k, cfg))
-
-
-CSV_HEADER = "k,n,t_solver,t_formula,gap,lower13,upper"
-
-
-def sweep_csv(reports) -> str:
-    lines = [CSV_HEADER]
-    for r in sorted(reports, key=lambda r: r.k):
-        lines.append(
-            ",".join(
-                [str(r.k), str(r.n)]
-                + [
-                    format(v, ".17g")
-                    for v in (r.t_solver, r.t_formula, r.gap,
-                              r.large_n_lower, r.upper_trivial)
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
 
 
 def leading_coefficient_rows(n_max: int = 6) -> list:

@@ -64,13 +64,6 @@ def nonnegative_int(text):
     return value
 
 
-def positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
 def _f10(x):
     return format(float(x), ".10g")
 
@@ -168,8 +161,6 @@ def build_parser():
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", required=True, help="comma-separated k values")
     s.add_argument("--csv", default=None, dest="csv_path", metavar="PATH")
-    s.add_argument("--threads", type=positive_int, default=1,
-                   help="worker processes for the sweep")
 
     s = sub.add_parser("verify", help="run a verification suite")
     s.add_argument("--suite", required=True)
@@ -382,7 +373,7 @@ def cmd_asym(args):
         ks = [int(v) for v in args.k.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad k list {args.k!r}") from exc
-    reports = asymptotic_sweep(args.n, ks, _solver_config(args), args.threads)
+    reports = asymptotic_sweep(args.n, ks, _solver_config(args))
     rows = [
         {
             "k": r.k,

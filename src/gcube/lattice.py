@@ -19,7 +19,8 @@ def _check_point(p, dim):
     if not isinstance(p, tuple) or len(p) != dim:
         raise ValueError(f"point {p!r} does not have dimension {dim}")
     for c in p:
-        if not isinstance(c, int):
+        # The rule of _json_int: a bool is an int subclass, not a coordinate.
+        if type(c) is not int:
             raise ValueError(f"point {p!r} has a non-integer coordinate {c!r}")
 
 
@@ -168,7 +169,7 @@ def tensor_power(g: LatticeFunction, d: int) -> LatticeFunction:
 
 
 # JSON wire formats.
-#   function: {"d": int, "entries": [{"p": [ints], "re": float, "im": float}]}
+#   function: {"d": int, "entries": [{"p": [ints], "re": number, "im": number}]}
 #   set:      {"d": int, "n": int, "members": [[ints]]}
 
 def function_to_json(f: LatticeFunction) -> dict:
@@ -188,6 +189,13 @@ def _json_int(value):
     return value
 
 
+def _json_number(value):
+    # float() would read "2" as 2.0 and true as 1.0.
+    if type(value) not in (int, float):
+        raise ValueError(f"{value!r} is not a number")
+    return value
+
+
 def function_from_json(obj) -> LatticeFunction:
     try:
         dim = _json_int(obj["d"])
@@ -196,7 +204,8 @@ def function_from_json(obj) -> LatticeFunction:
             p = tuple(map(_json_int, e["p"]))
             if p in entries:
                 raise ValueError(f"point {list(p)} is repeated")
-            entries[p] = complex(float(e["re"]), float(e.get("im", 0.0)))
+            entries[p] = complex(_json_number(e["re"]),
+                                 _json_number(e.get("im", 0.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed function JSON: {exc}") from exc
     return LatticeFunction(dim, entries)

@@ -4,14 +4,12 @@ import pytest
 
 from conftest import solve_cached
 from gcube.asymptotics import (
-    CSV_HEADER,
     eisner_tao_constant,
     large_k_main_term,
     large_n_lower_main_term,
     leading_coefficient,
     leading_coefficient_rows,
     report_for,
-    sweep_csv,
 )
 from gcube.entropy import binomial_entropy, binomial_entropy_bounds
 
@@ -82,10 +80,6 @@ def test_report_and_csv():
     rep = report_for(pair)
     assert rep.gap == pytest.approx(pair.t - math.log2(4), abs=1e-12)
     assert rep.upper_trivial == 3.0
-    text = sweep_csv([rep])
-    lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER == "k,n,t_solver,t_formula,gap,lower13,upper"
-    assert lines[1].startswith("2,2,")
 
 
 def test_binary_gap_identity():

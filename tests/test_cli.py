@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import gcube.asymptotics as asymptotics
 import gcube.cli as cli
 import gcube.solver as solver_module
 from gcube.entropy import VerificationReport
@@ -13,7 +14,7 @@ from gcube.lattice import (
     indicator,
     set_to_json,
 )
-from gcube.solver import SolverConfig
+from gcube.solver import SolverConfig, solve_exponent
 from gcube.terms import pmf_of_tuple
 
 
@@ -300,13 +301,19 @@ def test_asym_csv(tmp_path, capsys):
     assert payload[0]["gap"] == pytest.approx(math.log2(1.5), abs=1e-6)
 
 
-def test_asym_threads_byte_identical(capsys):
-    argv = ["asym", "--n", "2", "--k", "2,3", "--format", "csv"]
-    code1, out1, _ = run(capsys, argv + ["--threads", "1"])
-    code2, out2, _ = run(capsys, argv + ["--threads", "2"])
-    assert code1 == code2 == 0
-    assert out1 == out2
-    assert out1.startswith("k,n,t_solver")
+def test_asym_solves_each_k_once(monkeypatch, capsys):
+    solved = []
+
+    def counting(n, k, cfg=None):
+        solved.append(k)
+        return solve_exponent(n, k, cfg)
+
+    monkeypatch.setattr(asymptotics, "solve_exponent", counting)
+    code, out, _ = run(capsys, ["asym", "--n", "3", "--k", "2,3,2", "--format", "csv"])
+    assert code == 0
+    assert solved == [2, 3]
+    rows = out.strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == ["2", "3"]
 
 
 @pytest.mark.parametrize("argv,alias,fmt", [
@@ -483,6 +490,8 @@ def test_repeated_main_calls_share_the_parser(tmp_path, capsys):
     ("f", {"d": 1, "entries": [{"p": [0], "re": 1.0}, {"p": [0], "re": 2.0}]}),
     ("set", {"d": 1, "n": 2.5, "members": [[0]]}),
     ("set", {"d": 1, "n": 2, "members": [[0], [1], [0]]}),
+    ("f", {"d": 1, "entries": [{"p": [0], "re": "2", "im": True}]}),
+    ("f", {"d": 1, "entries": [{"p": [0], "re": 2.0, "im": "0"}]}),
 ])
 def test_malformed_input_json_exits_2(tmp_path, capsys, kind, blob):
     path = tmp_path / "in.json"

@@ -151,6 +151,30 @@ def test_json_round_trip():
         set_from_json({"d": 1, "n": 2})
 
 
+def test_function_json_values_are_numbers():
+    blob = {"d": 1, "entries": [{"p": [0], "re": 2}, {"p": [1], "re": 0.5, "im": -1}]}
+    assert function_from_json(blob).entries == {(0,): 2 + 0j, (1,): 0.5 - 1j}
+
+
+def test_bool_coordinate_rejected():
+    with pytest.raises(ValueError, match="non-integer coordinate"):
+        LatticeFunction(1, {(True,): 1.0})
+    with pytest.raises(ValueError, match="non-integer coordinate"):
+        CubeSet(1, 3, {(True,), (2,)})
+
+
+@given(dim=st.integers(1, 3), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_function_and_set_json_round_trip(dim, data):
+    f = LatticeFunction(dim, data.draw(entries(dim)))
+    blob = json.loads(json.dumps(function_to_json(f)))
+    assert function_from_json(blob).entries == f.entries
+    side = data.draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(0, side - 1) for _ in range(dim)])
+    A = CubeSet(dim, side, data.draw(st.frozensets(point, max_size=8)))
+    assert set_from_json(json.loads(json.dumps(set_to_json(A)))) == A
+
+
 @pytest.mark.parametrize("blob", [
     {"d": 1, "entries": [{"p": [0.5], "re": 1.0}]},
     {"d": 1, "entries": [{"p": [1.9], "re": 1.0}]},
@@ -160,6 +184,11 @@ def test_json_round_trip():
     {"d": True, "entries": [{"p": [0], "re": 1.0}]},
     {"d": "1", "entries": [{"p": [0], "re": 1.0}]},
     {"d": 1, "entries": [{"p": [0], "re": 1.0}, {"p": [0], "re": 2.0}]},
+    {"d": 1, "entries": [{"p": [0], "re": "2"}]},
+    {"d": 1, "entries": [{"p": [0], "re": True}]},
+    {"d": 1, "entries": [{"p": [0], "re": 2.0, "im": True}]},
+    {"d": 1, "entries": [{"p": [0], "re": 2, "im": "1"}]},
+    {"d": 1, "entries": [{"p": [0], "re": None}]},
 ])
 def test_function_json_rejects_non_integers_and_repeats(blob):
     with pytest.raises(ValueError, match="malformed function JSON"):
