@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
+import math
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -27,7 +27,7 @@ from .entropy import (
 )
 from .gowers import energy_E, energy_E_tilde, energy_P, gowers_norm_recursive
 from .lattice import load_function, load_set
-from .solver import SOLVER_VERSION, SolverConfig, solve_exponent
+from .solver import SOLVER_VERSION, ExponentPair, SolverConfig, solve_exponent
 from .terms import enumerate_tuple_classes
 from .verify import SUITES
 
@@ -198,7 +198,10 @@ def _solver_config(args):
 
 def _cfg_hash(scfg):
     # The tolerance stays out: the cache entry's own `tol` decides reuse, so
-    # a looser request can be served by a tighter entry.
+    # a looser request can be served by a tighter entry.  hashlib loads
+    # libcrypto, so only a run with --cache imports it.
+    import hashlib
+
     payload = {f.name: getattr(scfg, f.name) for f in fields(SolverConfig)
                if f.name != "t_tolerance"}
     payload["solver_version"] = SOLVER_VERSION
@@ -210,7 +213,48 @@ def _cfg_hash(scfg):
 _RESULT_KEYS = ("k", "n", "t", "p", "bracket", "argmax")
 
 
+def _finite_number(value):
+    # JSON reads true as a number and NaN and Infinity as floats.
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _result_record(pair):
+    """The record cmd_exponent prints for a solved or cached pair."""
+    return {
+        "k": pair.k,
+        "n": pair.n,
+        "t": pair.t,
+        "p": pair.p,
+        "bracket": pair.bracket_width,
+        "argmax": list(pair.argmax),
+    }
+
+
+def _cached_pair(result, k, n):
+    """The ExponentPair a cache entry's result rebuilds into, or None.
+
+    The result must carry every printed key, finite numbers where numbers
+    are printed, the requested (k, n), and pass the pair's own checks
+    (t > 0, p * t = 2^k, t <= k + 1)."""
+    if not isinstance(result, dict) or not all(key in result for key in _RESULT_KEYS):
+        return None
+    numbers, argmax = [result["t"], result["p"], result["bracket"]], result["argmax"]
+    if not (result["k"] == k and result["n"] == n and isinstance(argmax, list)
+            and all(map(_finite_number, numbers + argmax)) and result["bracket"] >= 0):
+        return None
+    t, p, bracket = map(float, numbers)
+    try:
+        return ExponentPair(k=k, n=n, t=t, p=p, bracket_width=bracket,
+                            argmax=tuple(map(float, argmax)))
+    except ValueError:
+        return None
+
+
 def _cache_lookup(path, k, n, cfg_hash, tol):
+    """The pair of the last entry for (k, n, cfg_hash) solved at a
+    tolerance in (0, tol] whose result rebuilds, or None; every other
+    line is skipped."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -228,19 +272,19 @@ def _cache_lookup(path, k, n, cfg_hash, tol):
         # Lines of any other shape are skipped like undecodable ones.
         if not isinstance(entry, dict):
             continue
-        entry_tol, result = entry.get("tol"), entry.get("result")
-        if (
+        entry_tol = entry.get("tol")
+        if not (
             entry.get("command") == "exponent"
             and entry.get("k") == k
             and entry.get("n") == n
             and entry.get("cfg_hash") == cfg_hash
-            and isinstance(entry_tol, (int, float))
-            and not isinstance(entry_tol, bool)
-            and entry_tol <= tol
-            and isinstance(result, dict)
-            and all(key in result for key in _RESULT_KEYS)
+            and _finite_number(entry_tol)
+            and 0 < entry_tol <= tol
         ):
-            hit = result
+            continue
+        pair = _cached_pair(entry.get("result"), k, n)
+        if pair is not None:
+            hit = pair
     return hit
 
 
@@ -253,23 +297,16 @@ def _cache_append(path, k, n, cfg_hash, tol, result):
 
 def cmd_exponent(args):
     scfg = _solver_config(args)
-    cfg_hash = _cfg_hash(scfg)
-    result = None
+    pair = None
     if args.cache:
-        result = _cache_lookup(args.cache, args.k, args.n, cfg_hash, args.tol)
-    if result is None:
+        cfg_hash = _cfg_hash(scfg)
+        pair = _cache_lookup(args.cache, args.k, args.n, cfg_hash, args.tol)
+    if pair is None:
         pair = solve_exponent(args.n, args.k, scfg)
-        result = {
-            "k": pair.k,
-            "n": pair.n,
-            "t": pair.t,
-            "p": pair.p,
-            "bracket": pair.bracket_width,
-            "argmax": list(pair.argmax),
-        }
         if args.cache:
-            _cache_append(args.cache, args.k, args.n, cfg_hash, args.tol, result)
-    return _emit(args, result,
+            _cache_append(args.cache, args.k, args.n, cfg_hash, args.tol,
+                          _result_record(pair))
+    return _emit(args, _result_record(pair),
                  lambda r: [f"{key} = {_f10(r[key])}" for key in ("t", "p", "bracket")],
                  columns=("k", "n", "t", "p", "bracket"))
 

@@ -30,6 +30,15 @@ next gradient.  All partial derivatives of the objective are nonnegative,
 which keeps the ascent on the current face: the simplex projection only
 ever removes mass.
 
+Each ascent works in one workspace: it allocates every array it touches
+once (the monomial logs, the masks, E * c and its product with Q, the
+values and the step factors), and every iteration writes into them
+through ufunc `out=` arguments; the `G > 0` mask of the log kernel is the
+one array an iteration still allocates.  The projection keeps its sorted
+rows, ratios and mask per thread for the latest batch shape, with its
+index constants.  Every operation keeps its operands and their order, so
+the ascent gives the bits of the plain array expressions.
+
 The ascent stops when every step is below 1e-18, after 200 iterations,
 or once it has settled for 30 consecutive iterations.  A maximization
 whose best value stays at 1 certifies the upper end of the bracket; it
@@ -42,6 +51,7 @@ settled when the best value rises by no more than that.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +111,8 @@ class ExponentPair:
     argmax: tuple
 
     def __post_init__(self):
+        if not self.t > 0:
+            raise ValueError("t must be positive")
         if abs(self.p * self.t - 2.0 ** self.k) > 1e-12 * 2.0 ** self.k:
             raise ValueError("p * t must equal 2^k")
         if self.t > self.k + 1 + 1e-9:
@@ -109,17 +121,44 @@ class ExponentPair:
 
 _COORD_FLOOR = 1e-15
 
+_scratch = threading.local()
 
-def _grad_batch(G, E, t, tm, out):
-    # E holds the monomials of the rows of G at t, so the gradient reuses
-    # the evaluation that accepted them.  Written into `out`.
-    S = (E * tm.c) @ tm.Q
-    np.multiply(t, S, out=S)
-    out.fill(0.0)
-    # Coordinates at or below the floor count as being on the face; the
-    # fractional powers have unbounded slope there.
-    np.divide(S, G, out=out, where=G > _COORD_FLOOR)
-    return out
+# The loop's constant operands as 0-d arrays: a ufunc converts a Python
+# float operand again on every call, and both give the same float64 result.
+_FLOOR = np.array(_COORD_FLOOR)
+_RTOL = np.array(_SETTLE_RTOL)
+_ZERO = np.array(0.0)
+_ONE = np.array(1.0)
+# Every row's first step, and the step stop: the ascent ends once every
+# step is below it.
+_STEP_START = 0.1
+_STEP_STOP = 1e-18
+# Step factors of a rejected and an accepted candidate.  Halving is exact
+# and 1.3 only raises a step, so after i updates every step is at least
+# 0.1 / 2^i, and the step stop cannot fire before this many updates.
+_STEP_FACTORS = np.array([0.5, 1.3])
+_STEP_STOP_UPDATES = math.ceil(math.log2(_STEP_START / _STEP_STOP))
+
+
+def _projection_scratch(shape):
+    # The projection's buffers for batches of this shape, kept per thread
+    # for the latest shape (a solve projects one shape throughout): the
+    # sorted rows, their ratios, the comparison mask and its reversed view,
+    # the row thresholds and indices, and the constants, the divisors 1..n
+    # of every row and each row's flat offset of its last place.  Operands
+    # of the batch's own shape keep the ufunc loops contiguous.  The
+    # projection writes every buffer before it reads it, so no value
+    # carries from one call to the next.
+    cached = getattr(_scratch, "projection", None)
+    if cached is None or cached[0] != shape:
+        rows, n = shape
+        mask, theta = np.empty(shape, dtype=bool), np.empty(rows)
+        cached = _scratch.projection = (
+            shape, np.empty(shape), np.empty(shape), mask, mask[:, ::-1],
+            theta, theta[:, None], np.empty(rows, dtype=np.intp),
+            np.tile(np.arange(1.0, n + 1.0), (rows, 1)), np.arange(n - 1, rows * n, n),
+        )
+    return cached[1:]
 
 
 def _project_rows(y):
@@ -129,55 +168,94 @@ def _project_rows(y):
     # renormalized.  The rows are sorted as -y, so w and the ratios of its
     # cumulative sums are those of the descending sort, negated, which is
     # exact.
-    n = y.shape[1]
-    w = np.negative(y)
+    (w, ratio, mask, reversed_mask, theta, theta_col, at, divisors,
+     last) = _projection_scratch(y.shape)
+    np.negative(y, out=w)
     w.sort(axis=1)
-    ratio = np.cumsum(w, axis=1)
-    ratio += 1.0
-    ratio /= np.arange(1.0, n + 1.0)
+    np.add.accumulate(w, axis=1, out=ratio)
+    np.add(ratio, _ONE, out=ratio)
+    np.divide(ratio, divisors, out=ratio)
     # rho is the last place where the sorted row is above its ratio, and
-    # the ratio there is the threshold.
-    rho = n - 1 - (w < ratio)[:, ::-1].argmax(axis=1)
-    y += ratio[np.arange(len(y)), rho][:, None]
-    y[y < _COORD_FLOOR] = 0.0
-    y /= y.sum(axis=1, keepdims=True)
+    # the ratio there is the threshold: the first place of the reversed
+    # mask, counted back from the row's last flat offset.
+    np.less(w, ratio, out=mask)
+    reversed_mask.argmax(axis=1, out=at)
+    np.subtract(last, at, out=at)
+    ratio.take(at, out=theta, mode="clip")
+    np.add(y, theta_col, out=y)
+    np.less(y, _FLOOR, out=mask)
+    np.copyto(y, _ZERO, where=mask)
+    np.add.reduce(y, axis=1, out=theta)
+    np.divide(y, theta_col, out=y)
     return y
 
 
 def _ascend(G, t, tm, iters):
-    # Each candidate is evaluated once: E keeps the monomials of the current
-    # rows for the next gradient.  The batch keeps its shape throughout,
-    # since BLAS results per row can change in the last bit with it.  The
-    # gradient is turned into the candidates in place, and both it and the
-    # candidates' monomials live in one buffer each for the whole ascent.
+    # Each candidate is evaluated once: the monomials E that value a row
+    # also give its next gradient, through E * c, which is all the loop
+    # keeps of them.  The batch keeps its shape throughout, since BLAS
+    # results per row can change in the last bit with it.  Every array the
+    # loop touches is allocated here, once per ascent, and each iteration
+    # writes into them; the gradient is turned into the candidates in
+    # place, and an accepted row's E * c is written over its old one.
     G = G.copy()
-    E = tm.monomials(G, t)
-    vals = E @ tm.c
-    cand = np.empty_like(G)
-    cE = np.empty_like(E)
-    step = np.full(len(G), 0.1)
-    best = vals.max()
+    t = np.array(t)
+    Q, c = tm.Q, tm.c
+    logs = np.empty_like(G)
+    Ec = tm.monomials(G, t, logs=logs)
+    vals = Ec @ c
+    # c in every row, so that E * c is one contiguous loop.
+    c_rows = np.tile(c, (len(G), 1))
+    np.multiply(Ec, c_rows, out=Ec)
+    cand, S = np.empty_like(G), np.empty_like(G)
+    live = np.empty(G.shape, dtype=bool)
+    cE = np.empty_like(Ec)
+    cvals, rise, rise_tol = np.empty_like(vals), np.empty_like(vals), np.empty_like(vals)
+    better, rising_rows = np.empty(len(G), dtype=bool), np.empty(len(G), dtype=bool)
+    rows, accepted = better[:, None], better.view(np.uint8)
+    step, factor = np.full(len(G), _STEP_START), np.empty(len(G))
+    step_col = step[:, None]
+    best = np.maximum.reduce(vals)
     flat = 0
-    for _ in range(iters):
-        _grad_batch(G, E, t, tm, cand)
-        cand *= step[:, None]
-        cand += G
+    # Bound once: at these sizes the attribute lookups are a measurable
+    # share of an iteration.
+    add, copyto, divide, greater = np.add, np.copyto, np.divide, np.greater
+    matmul, multiply, subtract = np.matmul, np.multiply, np.subtract
+    max_of, any_of = np.maximum.reduce, np.logical_or.reduce
+    for i in range(iters):
+        # The gradient t (E * c) Q / G, zero at coordinates at or below the
+        # floor: they count as being on the face, and the fractional powers
+        # have unbounded slope there.
+        matmul(Ec, Q, out=S)
+        multiply(t, S, out=S)
+        cand.fill(0.0)
+        greater(G, _FLOOR, out=live)
+        divide(S, G, out=cand, where=live)
+        multiply(cand, step_col, out=cand)
+        add(cand, G, out=cand)
         _project_rows(cand)
-        tm.monomials(cand, t, cE)
-        cvals = cE @ tm.c
-        better = cvals > vals
+        tm.monomials(cand, t, cE, logs)
+        matmul(cE, c, out=cvals)
+        greater(cvals, vals, out=better)
         # Only an ascent whose best value is 1 reads whether a row rises.
-        rising = not best > 1.0 and (cvals - vals > _SETTLE_RTOL * vals).any()
-        rows = better[:, None]
-        np.copyto(G, cand, where=rows)
-        np.copyto(E, cE, where=rows)
-        np.copyto(vals, cvals, where=better)
-        step *= np.where(better, 1.3, 0.5)
-        if step.max() < 1e-18:
+        rising = False
+        if not best > 1.0:
+            subtract(cvals, vals, out=rise)
+            multiply(_RTOL, vals, out=rise_tol)
+            greater(rise, rise_tol, out=rising_rows)
+            rising = any_of(rising_rows)
+        copyto(G, cand, where=rows)
+        multiply(cE, c_rows, out=Ec, where=rows)
+        copyto(vals, cvals, where=better)
+        # A step grows by 1.3 where its candidate was accepted and halves
+        # elsewhere.
+        _STEP_FACTORS.take(accepted, out=factor, mode="clip")
+        multiply(step, factor, out=step)
+        if i + 1 >= _STEP_STOP_UPDATES and max_of(step) < _STEP_STOP:
             break
         # Above 1 only the best value must settle; at 1 the ascent certifies
         # M(t) = 1, so every row must have stopped rising.
-        prev, best = best, vals.max()
+        prev, best = best, max_of(vals)
         settled = best - prev <= _SETTLE_RTOL * prev if best > 1.0 else not rising
         flat = flat + 1 if settled else 0
         if flat == _SETTLE_WINDOW:
@@ -195,11 +273,14 @@ def _structured_seeds(n, k):
     return seeds
 
 
-def _start_pool(n, k, cfg, start=None):
-    # The cold pool: vertices, structured profiles, seeded random points
-    # and, when given, the simplex point `start`.
+def _start_pool(n, k, cfg, start=None, seeds=None):
+    # The cold pool: vertices, structured profiles (`seeds`, built here
+    # when not given), seeded random points and, when given, the simplex
+    # point `start`.
+    if seeds is None:
+        seeds = _structured_seeds(n, k)
     rng = np.random.default_rng(cfg.rng_seed)
-    blocks = [np.eye(n), *_structured_seeds(n, k),
+    blocks = [np.eye(n), *seeds,
               rng.dirichlet(np.ones(n), size=_MULTISTARTS)]
     if start is not None:
         blocks.append(np.array([start], dtype=float))
@@ -260,11 +341,12 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
     if cfg.t_tolerance < 2 * math.ulp(k + 1):
         raise ValueError(f"tolerance {cfg.t_tolerance!r} is below 2 * ulp({k + 1}) = "
                          f"{2 * math.ulp(k + 1)!r}, twice the float spacing of t")
-    seeds = [tuple(g.tolist()) for g in np.vstack(_structured_seeds(n, k))
+    structured = _structured_seeds(n, k)
+    seeds = [tuple(g.tolist()) for g in np.vstack(structured)
              if g.max() <= _POINT_MASS]
     lo, witness = max((witness_lower_bound(n, k, g), g) for g in seeds)
     hi, bisect = float(k + 1), False
-    batch = _start_pool(n, k, cfg, witness)
+    batch = _start_pool(n, k, cfg, witness, structured)
     while hi - lo > cfg.t_tolerance:
         probe = 0.5 * (lo + hi) if bisect else lo + 0.5 * cfg.t_tolerance
         v, g, batch = _probe(n, k, probe, batch)

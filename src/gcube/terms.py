@@ -145,18 +145,23 @@ class TermMatrix:
     Q: np.ndarray  # (groups, n)
     c: np.ndarray  # (groups,)
 
-    def log_monomials(self, G, out=None):
+    def log_monomials(self, G, out=None, logs=None):
         """log of every monomial prod_j g(j)^q_j at t = 1, one row per
         simplex point in G; the monomials at t are exp(t * this).  Written
-        into `out`, a (rows, groups) float array, when one is given."""
-        logs = np.full_like(G, _LOG_ZERO)
+        into `out`, a (rows, groups) float array, when one is given; the
+        logs of G go to `logs`, a float array of G's shape, when one is
+        given, so a loop can keep both buffers."""
+        if logs is None:
+            logs = np.empty_like(G)
+        logs.fill(_LOG_ZERO)
         np.log(G, out=logs, where=G > 0)
         return np.matmul(logs, self.Q.T, out=out)
 
-    def monomials(self, G, t, out=None):
+    def monomials(self, G, t, out=None, logs=None):
         """Every monomial prod_j g(j)^(q_j t), one row per simplex point in
-        G; the objective is this times c.  Written into `out` as above."""
-        L = self.log_monomials(G, out)
+        G; the objective is this times c.  Written into `out` and `logs`
+        as above."""
+        L = self.log_monomials(G, out, logs)
         np.multiply(t, L, out=L)
         return np.exp(L, out=L)
 

@@ -197,6 +197,114 @@ def test_exponent_cache_skips_wrong_shapes(tmp_path, capsys, monkeypatch):
         assert json.loads(appended)["result"] == json.loads(fresh)
 
 
+def _cache_case(tmp_path, capsys, monkeypatch, line):
+    # Runs `exponent --n 2 --k 2 --json` on a cache holding `line` alone;
+    # returns (stdout, solves run, cache lines after the run).
+    solves = []
+    inner = cli.solve_exponent
+
+    def counted(*args):
+        solves.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(cli, "solve_exponent", counted)
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(line + "\n")
+    code, out, err = run(capsys, ["exponent", "--k", "2", "--n", "2", "--json",
+                                  "--cache", str(cache)])
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(cli, "solve_exponent", inner)
+    return out, len(solves), cache.read_text().splitlines()
+
+
+def _cache_entry(capsys, **changes):
+    # A well-formed entry for (n, k) = (2, 2) at the default config, with
+    # the result of a real solve; `changes` replace entry or result keys.
+    _, fresh, _ = run(capsys, ["exponent", "--k", "2", "--n", "2", "--json"])
+    result = json.loads(fresh)
+    entry = {"command": "exponent", "k": 2, "n": 2,
+             "cfg_hash": cli._cfg_hash(SolverConfig()), "tol": 1e-9, "result": result}
+    for key, value in changes.items():
+        (result if key in result else entry)[key] = value
+    return fresh, entry
+
+
+def _assert_skipped(tmp_path, capsys, monkeypatch, fresh, line):
+    out, solves, lines = _cache_case(tmp_path, capsys, monkeypatch, line)
+    assert out == fresh, line
+    assert solves == 1, line
+    assert lines[0] == line and json.loads(lines[1])["result"] == json.loads(fresh)
+
+
+def test_exponent_cache_serves_a_valid_entry(tmp_path, capsys, monkeypatch):
+    fresh, entry = _cache_entry(capsys, tol=1e-10)
+    line = json.dumps(entry)
+    out, solves, lines = _cache_case(tmp_path, capsys, monkeypatch, line)
+    assert (out, solves, lines) == (fresh, 0, [line])
+
+
+# Python's json reads -Infinity and NaN; a tolerance must lie in (0, tol].
+@pytest.mark.parametrize("tol", ["-Infinity", "NaN", "Infinity", "0", "0.0", "-1e-09"])
+def test_exponent_cache_skips_tolerance_outside_range(tmp_path, capsys, monkeypatch, tol):
+    fresh, entry = _cache_entry(capsys, t=9.5, p=4 / 9.5)
+    line = json.dumps(entry).replace('"tol": 1e-09', f'"tol": {tol}')
+    assert f'"tol": {tol}' in line
+    _assert_skipped(tmp_path, capsys, monkeypatch, fresh, line)
+
+
+# t above k + 1, though p * t = 2^k.
+def test_exponent_cache_skips_t_above_trivial_bound(tmp_path, capsys, monkeypatch):
+    fresh, entry = _cache_entry(capsys, t=9.5, p=4 / 9.5)
+    _assert_skipped(tmp_path, capsys, monkeypatch, fresh, json.dumps(entry))
+
+
+def test_exponent_cache_skips_p_times_t_off(tmp_path, capsys, monkeypatch):
+    fresh, entry = _cache_entry(capsys, p=1.5)
+    _assert_skipped(tmp_path, capsys, monkeypatch, fresh, json.dumps(entry))
+
+
+def test_exponent_cache_skips_nonpositive_t(tmp_path, capsys, monkeypatch):
+    fresh, entry = _cache_entry(capsys, t=-2.0, p=-2.0)
+    _assert_skipped(tmp_path, capsys, monkeypatch, fresh, json.dumps(entry))
+
+
+@pytest.mark.parametrize("changes", [
+    {"t": "2.5", "p": 1.6},
+    {"t": True},
+    {"bracket": -1e-10},
+    {"bracket": None},
+    {"argmax": 0.5},
+    {"argmax": [0.5, "0.5"]},
+    {"k": 3},
+])
+def test_exponent_cache_skips_results_that_do_not_rebuild(
+        tmp_path, capsys, monkeypatch, changes):
+    fresh, entry = _cache_entry(capsys)
+    entry["result"].update(changes)
+    _assert_skipped(tmp_path, capsys, monkeypatch, fresh, json.dumps(entry))
+
+
+def test_exponent_cache_skips_nonfinite_result(tmp_path, capsys, monkeypatch):
+    fresh, entry = _cache_entry(capsys)
+    for key in ("t", "p", "bracket"):
+        line = json.dumps({**entry, "result": {**entry["result"], key: math.nan}})
+        _assert_skipped(tmp_path, capsys, monkeypatch, fresh, line)
+
+
+def test_exponent_hashes_only_under_cache(tmp_path, capsys, monkeypatch):
+    _, fresh, _ = run(capsys, ["exponent", "--k", "2", "--n", "3", "--json"])
+
+    def refuse(scfg):
+        raise AssertionError("config hashed without --cache")
+
+    monkeypatch.setattr(cli, "_cfg_hash", refuse)
+    for fmt in ("human", "json", "csv"):
+        code, out, err = run(capsys, ["exponent", "--k", "2", "--n", "3",
+                                      "--format", fmt])
+        assert (code, err) == (0, "")
+    assert run(capsys, ["exponent", "--k", "2", "--n", "3", "--json"])[1] == fresh
+
+
 def test_cfg_hash_covers_config_and_version(monkeypatch):
     base = SolverConfig()
     reference = cli._cfg_hash(base)
