@@ -19,16 +19,16 @@ The inner maximization is the soft spot because the objective is not
 concave.  It is one deterministic batched projected-gradient ascent with
 per-candidate backtracking.  The first probe of a solve starts it at once
 from the vertices, a few structured profiles (uniform, binomial and
-powered Gaussians), seeded random interior points and the best seed's
-witness; every later probe starts from the batch the previous probe ended
-with, in the same shape and row order, so the previous witness is in it
-and a certifying probe starts next to the local maxima.  The vertices
-never move and a step is only taken when it raises the value, so the
-reported maximum is an exact evaluation and never below 1.  Each point is
-evaluated once: the monomials that value an accepted step also give its
-next gradient.  All partial derivatives of the objective are nonnegative,
-which keeps the ascent on the current face: the simplex projection only
-ever removes mass.
+powered Gaussians), 32 random points uniform on the simplex and the best
+seed's witness; every later probe starts from the batch the previous
+probe ended with, in the same shape and row order, so the previous
+witness is in it and a certifying probe starts next to the local maxima.
+The vertices never move and a step is only taken when it raises the
+value, so the reported maximum is an exact evaluation and never below 1.
+Each point is evaluated once: the monomials that value an accepted step
+also give its next gradient.  All partial derivatives of the objective
+are nonnegative, which keeps the ascent on the current face: the simplex
+projection only ever removes mass.
 
 Each ascent works in one workspace: it allocates every array it touches
 once (the monomial logs, the masks, E * c and its product with Q, the
@@ -46,11 +46,17 @@ has settled when no row's value rises by more than a relative 1e-15.
 Once the best value is above 1, M(t) > 1 is already certified and the
 outer loop reads only the argmax, for its witness root, so the ascent has
 settled when the best value rises by no more than that.
+
+The random points are normalized exponentials -log(1 - U), with U drawn
+from `random.Random(seed).random()`: CPython keeps that sequence for a
+given seed across versions, so the pool does not depend on the installed
+NumPy's generators, and a solve imports no `numpy.random`.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import threading
 from dataclasses import dataclass
 
@@ -62,7 +68,7 @@ from .terms import check_simplex, term_matrix
 
 # Identifies the outer loop and the search stages; results cached under an
 # older version are not served for this one.
-SOLVER_VERSION = 8
+SOLVER_VERSION = 9
 
 # The fixed search: seeded random starts and ascent iterations.
 _MULTISTARTS = 32
@@ -93,6 +99,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.t_tolerance <= 0:
             raise ValueError("t_tolerance must be positive")
+        # A bool is an int subclass, and random.Random would take -s as the
+        # stream of s and accept a float.
+        if type(self.rng_seed) is not int or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a nonnegative int, not {self.rng_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -273,15 +283,26 @@ def _structured_seeds(n, k):
     return seeds
 
 
+def _random_starts(n, seed):
+    # _MULTISTARTS points uniform on the simplex, drawn row by row: n
+    # standard exponentials -log(1 - U), normalized.  Only random() is
+    # drawn (see the module docstring).
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(_MULTISTARTS):
+        row = [-math.log(1.0 - rng.random()) for _ in range(n)]
+        total = sum(row)
+        rows.append([x / total for x in row])
+    return np.array(rows)
+
+
 def _start_pool(n, k, cfg, start=None, seeds=None):
     # The cold pool: vertices, structured profiles (`seeds`, built here
     # when not given), seeded random points and, when given, the simplex
     # point `start`.
     if seeds is None:
         seeds = _structured_seeds(n, k)
-    rng = np.random.default_rng(cfg.rng_seed)
-    blocks = [np.eye(n), *seeds,
-              rng.dirichlet(np.ones(n), size=_MULTISTARTS)]
+    blocks = [np.eye(n), *seeds, _random_starts(n, cfg.rng_seed)]
     if start is not None:
         blocks.append(np.array([start], dtype=float))
     return np.vstack(blocks)

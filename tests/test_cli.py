@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -303,6 +307,38 @@ def test_exponent_hashes_only_under_cache(tmp_path, capsys, monkeypatch):
                                       "--format", fmt])
         assert (code, err) == (0, "")
     assert run(capsys, ["exponent", "--k", "2", "--n", "3", "--json"])[1] == fresh
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+# Modules a solve has no use for: numpy's generators, and the libcrypto
+# chain secrets -> hmac -> hashlib that importing numpy.random pulls in.
+_HEAVY_MODULES = ("numpy.random", "secrets", "hmac", "hashlib")
+
+
+def _modules_after(argv):
+    """Which of _HEAVY_MODULES a fresh interpreter holds after one gcube
+    command."""
+    script = ("import json, sys\n"
+              "import gcube.cli\n"
+              "code = gcube.cli.main(sys.argv[1:])\n"
+              f"print(json.dumps([m for m in {_HEAVY_MODULES!r} if m in sys.modules]))\n"
+              "sys.exit(code)\n")
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [["exponent", "--n", "3", "--k", "2"],
+                                  ["asym", "--n", "3", "--k", "2,4"]])
+def test_solve_loads_no_generator_or_crypto(argv):
+    assert _modules_after(argv) == []
+
+
+def test_cache_loads_hashlib(tmp_path):
+    argv = ["exponent", "--n", "3", "--k", "2", "--cache", str(tmp_path / "cache.jsonl")]
+    assert "hashlib" in _modules_after(argv)
 
 
 def test_cfg_hash_covers_config_and_version(monkeypatch):

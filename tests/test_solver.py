@@ -196,6 +196,14 @@ def test_max_objective_start_not_below_its_value():
         assert value >= objective(n, k, t, g)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_solver_config_rejects_seed(seed):
+    # random.Random takes -s as the stream of s and accepts a float, so the
+    # config checks the seed itself, before any solve.
+    with pytest.raises(ValueError, match="rng_seed"):
+        SolverConfig(rng_seed=seed)
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(t_tolerance=0.0)
@@ -502,11 +510,10 @@ _NEAR_CRITICAL = {
 
 def _pools(n, k):
     # The default pool of max_objective, without and with a start point.
-    rng = np.random.default_rng(0)
-    pool = np.vstack([np.eye(n), *solver_module._structured_seeds(n, k),
-                      rng.dirichlet(np.ones(n), size=solver_module._MULTISTARTS)])
+    cfg = SolverConfig()
     start = np.arange(1.0, n + 1.0) / (n * (n + 1) / 2)
-    return pool, np.vstack([pool, start])
+    return (solver_module._start_pool(n, k, cfg),
+            solver_module._start_pool(n, k, cfg, start))
 
 
 @pytest.mark.parametrize("n,k", sorted(_NEAR_CRITICAL))
