@@ -18,12 +18,15 @@ bisection midpoint instead.
 The inner maximization is the soft spot because the objective is not
 concave.  It is one deterministic batched projected-gradient ascent with
 per-candidate backtracking.  The first probe of a solve starts it at once
-from the vertices, a few structured profiles (uniform, binomial and
-powered Gaussians), 32 random points uniform on the simplex and the best
-seed's witness; every later probe starts from the batch the previous
-probe ended with, in the same shape and row order, so the previous
-witness is in it and a certifying probe starts next to the local maxima.
-The vertices never move and a step is only taken when it raises the
+from a pool of 14 rows at every n: five structured profiles (uniform,
+binomial and powered Gaussians), 8 random points uniform on the simplex
+and the best seed's witness; every later probe starts from the batch the
+previous probe ended with, in the same shape and row order, so the
+previous witness is in it and a certifying probe starts next to the local
+maxima.  The vertices are not in the pool: each is a fixed point of the
+ascent (a dead coordinate gets no gradient) valued exactly 1, so a probe
+reports max(best, 1) and, when that is 1, counts the vertex (0, ..., 0, 1)
+among the rows tied at it.  A step is only taken when it raises the
 value, so the reported maximum is an exact evaluation and never below 1.
 Each point is evaluated once: the monomials that value an accepted step
 also give its next gradient.  All partial derivatives of the objective
@@ -68,10 +71,10 @@ from .terms import check_simplex, term_matrix
 
 # Identifies the outer loop and the search stages; results cached under an
 # older version are not served for this one.
-SOLVER_VERSION = 9
+SOLVER_VERSION = 10
 
 # The fixed search: seeded random starts and ascent iterations.
-_MULTISTARTS = 32
+_MULTISTARTS = 8
 _ASCENT_ITERATIONS = 200
 # Settle rule: the ascent stops after this many consecutive iterations in
 # which the best value, or while it is 1 every row's value, rose by no
@@ -97,8 +100,10 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.t_tolerance <= 0:
-            raise ValueError("t_tolerance must be positive")
+        # Written so that NaN fails too.
+        if not 0 < self.t_tolerance < math.inf:
+            raise ValueError("t_tolerance must be positive and finite, "
+                             f"not {self.t_tolerance!r}")
         # A bool is an int subclass, and random.Random would take -s as the
         # stream of s and accept a float.
         if type(self.rng_seed) is not int or self.rng_seed < 0:
@@ -297,12 +302,12 @@ def _random_starts(n, seed):
 
 
 def _start_pool(n, k, cfg, start=None, seeds=None):
-    # The cold pool: vertices, structured profiles (`seeds`, built here
-    # when not given), seeded random points and, when given, the simplex
-    # point `start`.
+    # The cold pool: structured profiles (`seeds`, built here when not
+    # given), seeded random points and, when given, the simplex point
+    # `start`.  No vertex: _probe accounts for them.
     if seeds is None:
         seeds = _structured_seeds(n, k)
-    blocks = [np.eye(n), *seeds, _random_starts(n, cfg.rng_seed)]
+    blocks = [*seeds, _random_starts(n, cfg.rng_seed)]
     if start is not None:
         blocks.append(np.array([start], dtype=float))
     return np.vstack(blocks)
@@ -310,21 +315,27 @@ def _start_pool(n, k, cfg, start=None, seeds=None):
 
 def _probe(n, k, t, G):
     # One maximization at t from the rows of G: (value, argmax, final
-    # batch), the batch in G's shape and row order.
+    # batch), the batch in G's shape and row order.  Every vertex values
+    # exactly 1, so the value is at least 1, and at 1 the smallest vertex
+    # (0, ..., 0, 1) is tied with the rows there.
     G, vals = _ascend(G, t, term_matrix(n, k), _ASCENT_ITERATIONS)
-    best_val = float(vals.max())
-    return best_val, min(tuple(g.tolist()) for g in G[vals == best_val]), G
+    best_val = max(float(vals.max()), 1.0)
+    tied = [tuple(g.tolist()) for g in G[vals == best_val]]
+    if best_val == 1.0:
+        tied.append((0.0,) * (n - 1) + (1.0,))
+    return best_val, min(tied), G
 
 
 def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     """Best found value of the objective over the simplex at exponent t.
 
-    One projected ascent from the vertices, the structured profiles, the
-    seeded random points and, when given, the simplex point `start` (the
-    previous witness).  Returns (value, argmax), the smallest point among
-    those tied at the best value.  The value is a certified lower estimate
-    of the true supremum (every reported value is an exact evaluation), at
-    least 1 because the vertices are always in the pool.  The ascent ends
+    One projected ascent from the structured profiles, the seeded random
+    points and, when given, the simplex point `start` (the previous
+    witness).  Returns (value, argmax): the value is max(best, 1), since
+    every vertex values exactly 1, and the argmax the smallest point among
+    the ascended rows tied at it and, when it is 1, the vertex
+    (0, ..., 0, 1).  The value is a certified lower estimate of the true
+    supremum (every reported value is an exact evaluation).  The ascent ends
     when it has settled for 30 iterations: while the value is 1, no row
     rises by more than a relative 1e-15; once it is above 1, the value
     does not, which moves the argmax by about 1e-8.

@@ -140,9 +140,11 @@ def term_groups(n: int, k: int) -> tuple:
 @dataclass(frozen=True)
 class TermMatrix:
     """term_groups(n, k) in float form: row i of Q is the q vector of group
-    i and c[i] its coefficient."""
+    i and c[i] its coefficient.  QT is Q transposed and stored C-contiguous,
+    because BLAS multiplies by a transposed view through a slower path."""
 
     Q: np.ndarray  # (groups, n)
+    QT: np.ndarray  # (n, groups)
     c: np.ndarray  # (groups,)
 
     def log_monomials(self, G, out=None, logs=None):
@@ -155,7 +157,7 @@ class TermMatrix:
             logs = np.empty_like(G)
         logs.fill(_LOG_ZERO)
         np.log(G, out=logs, where=G > 0)
-        return np.matmul(logs, self.Q.T, out=out)
+        return np.matmul(logs, self.QT, out=out)
 
     def monomials(self, G, t, out=None, logs=None):
         """Every monomial prod_j g(j)^(q_j t), one row per simplex point in
@@ -175,10 +177,11 @@ def term_matrix(n: int, k: int) -> TermMatrix:
     keys, coefficients = _merged_counts(n, k)
     # Dividing by a power of two is exact, so Q is the Fractions' floats.
     Q = np.array(keys, dtype=float) / 2.0 ** (n - 1)
+    QT = np.ascontiguousarray(Q.T)
     c = np.array(coefficients, dtype=float)
-    Q.setflags(write=False)
-    c.setflags(write=False)
-    return TermMatrix(Q, c)
+    for a in (Q, QT, c):
+        a.setflags(write=False)
+    return TermMatrix(Q, QT, c)
 
 
 def check_simplex(g, n):

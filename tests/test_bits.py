@@ -65,27 +65,27 @@ _PINNED_VALUES = {
         ('0x1.0000000000000p+0', '0x1.7c50cc984fa07p-2', '0x1.214622d530ce4p-1'),
     ),
     (5, 2): (
-        ('0x1.0000000000000p+0', '0x1.b5931bc932186p-1', '0x1.d2beb0834568ep-1'),
+        ('0x1.0000000000000p+0', '0x1.b5931bc932186p-1', '0x1.d2beb0834568cp-1'),
         ('0x1.0000000000000p+0', '0x1.b5931bc932186p-1', '0x1.d2beb0834568dp-1'),
     ),
     (5, 4): (
-        ('0x1.0000000000000p+0', '0x1.1b970a48bd714p-1', '0x1.5e880e37768e9p-1'),
+        ('0x1.0000000000000p+0', '0x1.1b970a48bd714p-1', '0x1.5e880e37768e8p-1'),
         ('0x1.0000000000000p+0', '0x1.1b970a48bd714p-1', '0x1.5e880e37768e8p-1'),
     ),
     (5, 16): (
-        ('0x1.0000000000000p+0', '0x1.a4aef281f3315p-4', '0x1.b32598b2c90acp-3'),
+        ('0x1.0000000000000p+0', '0x1.a4aef281f3315p-4', '0x1.b32598b2c90a2p-3'),
         ('0x1.0000000000000p+0', '0x1.a4aef281f3315p-4', '0x1.b32598b2c90a3p-3'),
     ),
     (8, 2): (
-        ('0x1.0000000000000p+0', '0x1.aa16309ffaa45p-1', '0x1.cc8d053e20bf8p-1'),
+        ('0x1.0000000000000p+0', '0x1.aa16309ffaa45p-1', '0x1.cc8d053e20bf9p-1'),
         ('0x1.0000000000000p+0', '0x1.aa16309ffaa44p-1', '0x1.cc8d053e20bfap-1'),
     ),
     (8, 4): (
-        ('0x1.0000000000000p+0', '0x1.d3648897abb5ap-2', '0x1.38fa11d6f7db2p-1'),
+        ('0x1.0000000000000p+0', '0x1.d3648897abb5bp-2', '0x1.38fa11d6f7db2p-1'),
         ('0x1.0000000000000p+0', '0x1.d3648897abb5ap-2', '0x1.38fa11d6f7db3p-1'),
     ),
     (8, 16): (
-        ('0x1.0000000000000p+0', '0x1.29736d67af1f2p-6', '0x1.c8e436e624ae4p-5'),
+        ('0x1.0000000000000p+0', '0x1.29736d67af1f2p-6', '0x1.c8e436e624ae5p-5'),
         ('0x1.0000000000000p+0', '0x1.29736d67af1f1p-6', '0x1.c8e436e624ae6p-5'),
     ),
 }
@@ -125,14 +125,14 @@ _PINNED_ROOTS = {
     ),
     (5, 16): (
         ('0x1.585781feb4be7p+2', '0x1.585781feb4be7p+2'),
-        ('0x1.a84123608b549p+2', '0x1.a84123608b549p+2'),
+        ('0x1.a84123608b548p+2', '0x1.a84123608b548p+2'),
     ),
     (8, 2): (
         ('0x1.5a302b8eda1dcp+1', '0x1.5a302b8eda1dcp+1'),
         ('0x1.66562c971fcd4p+1', '0x1.66562c971fcd4p+1'),
     ),
     (8, 4): (
-        ('0x1.d472b17961d97p+1', '0x1.d472b17961d97p+1'),
+        ('0x1.d472b17961d98p+1', '0x1.d472b17961d98p+1'),
         ('0x1.0231e7f34dc27p+2', '0x1.0231e7f34dc27p+2'),
     ),
     (8, 16): (
@@ -170,30 +170,6 @@ _PINNED_RANDOM_BLOCK = (
     ('0x1.269e485a652fep-2', '0x1.dee0e0d1651eap-5', '0x1.4ec2cdc5b7163p-1'),
     ('0x1.f3bd5e054b261p-1', '0x1.acdb7aa818d40p-7', '0x1.63cd04051da47p-7'),
     ('0x1.895d1913bcf6ap-3', '0x1.611d06f5894b8p-1', '0x1.e45d962c3bb6ep-4'),
-    ('0x1.301cc61923f93p-2', '0x1.559624f197592p-1', '0x1.25b7801d6aa4cp-5'),
-    ('0x1.5398564976c27p-3', '0x1.86432df4ca5d3p-2', '0x1.cff0a6e67a418p-2'),
-    ('0x1.5ebf2305e12e3p-2', '0x1.5aee0ae14a742p-2', '0x1.4652d218d45d9p-2'),
-    ('0x1.41c0b9071ef63p-1', '0x1.65c7b8843551cp-2', '0x1.6b6d56d8cc1e0p-6'),
-    ('0x1.fcb828b7c40fep-2', '0x1.c7141eb5b28edp-3', '0x1.1fbdc7ed62a8bp-2'),
-    ('0x1.dca31df6ba503p-6', '0x1.62c036b9e9b1cp-1', '0x1.1cb560acc0f77p-2'),
-    ('0x1.234fbad0816c4p-4', '0x1.c948ea20f620ap-3', '0x1.6943ce1db24a5p-1'),
-    ('0x1.17c100500269fp-2', '0x1.365d45365de71p-1', '0x1.ee11d50d071f6p-4'),
-    ('0x1.17c3dd2c8aa37p-1', '0x1.5e554082e992fp-2', '0x1.c88c14900498bp-4'),
-    ('0x1.7245d2bf18742p-3', '0x1.bf8d1a1c618bdp-2', '0x1.874ffc84123a1p-2'),
-    ('0x1.baa5838667eb4p-2', '0x1.17a08aafc3bdcp-1', '0x1.619671a109921p-6'),
-    ('0x1.d8a72a578c2bdp-4', '0x1.533e7ac445aedp-1', '0x1.c6b27fc3232ebp-3'),
-    ('0x1.61ad1f721e1ffp-4', '0x1.726f4462abebbp-2', '0x1.1a92b9e066463p-1'),
-    ('0x1.08d4d836b1454p-1', '0x1.bb29bad187cc9p-3', '0x1.10c17229d98f4p-2'),
-    ('0x1.ec7bc68b2ac08p-3', '0x1.0549caa812486p-1', '0x1.fe5d0ed48c1dfp-3'),
-    ('0x1.a982969c61573p-2', '0x1.1e762d0481028p-1', '0x1.9910f5a9ca3e7p-6'),
-    ('0x1.108d56673d5c6p-7', '0x1.d19fce2fe4c37p-3', '0x1.8755d71a69d9ap-1'),
-    ('0x1.2247e23dbb323p-1', '0x1.42e3f1dd0a6e3p-2', '0x1.e231269dfcb69p-4'),
-    ('0x1.cd8a81c7ec41cp-4', '0x1.4c949bb251e9ep-1', '0x1.e6e85052c237dp-3'),
-    ('0x1.080f79cdde062p-2', '0x1.4f0067c143664p-1', '0x1.67bedabe6cb5fp-4'),
-    ('0x1.3efa570369b16p-3', '0x1.50e5a72dcc53ep-1', '0x1.7d6f0c4564ff5p-3'),
-    ('0x1.6d62d2367b167p-2', '0x1.750976d5a6e86p-3', '0x1.d818725eb1756p-2'),
-    ('0x1.581a66335cf31p-1', '0x1.404dcb7dadd78p-10', '0x1.4e8ae5cdc86c2p-2'),
-    ('0x1.4fa8128066561p-2', '0x1.a8b3b7e2e2c4fp-2', '0x1.07a4359cb6e50p-2'),
 )
 
 
@@ -210,11 +186,11 @@ _EXPONENT_JSON = {
         '"argmax":[0.24106844232433988,0.51786311535132035,0.24106844232433988]}\n'
     ),
     (6, 2, 7): (
-        '{"k":2,"n":6,"t":2.8286209328183558,"p":1.4141166649765673,'
+        '{"k":2,"n":6,"t":2.8286209328183629,"p":1.4141166649765637,'
         '"bracket":5.000000413701855e-10,'
-        '"argmax":[0.055271010430623269,0.16432268797706442,'
-        '0.2804063015923155,0.28040630159231689,0.1643226879770697,'
-        '0.055271010430610362]}\n'
+        '"argmax":[0.055271004253626202,0.1643226823612339,'
+        '0.28040629726101629,0.28040630759592711,0.16432269613966519,'
+        '0.055271012388531451]}\n'
     ),
     (2, 16, 0): (
         '{"k":16,"n":2,"t":5.08746284150034,"p":12881.863129377241,'

@@ -37,6 +37,22 @@ def test_max_objective_ternary_above_critical_t():
     assert value == pytest.approx(1.0, abs=1e-12)  # vertices attain exactly 1
 
 
+# No row of the pool rises above 1 at the trivial bound t = k + 1, so the
+# value is the vertices' exact 1 and the argmax the smallest vertex.
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("k", [2, 5])
+def test_max_objective_at_trivial_bound_is_smallest_vertex(n, k):
+    assert max_objective(n, k, k + 1) == (1.0, (0.0,) * (n - 1) + (1.0,))
+
+
+# The cold pool has no vertex rows: the five structured seeds and the
+# random starts, 13 rows at every n.
+@pytest.mark.parametrize("n", [2, 8, 24])
+def test_start_pool_rows_independent_of_n(n):
+    pool = solver_module._start_pool(n, 2, SolverConfig())
+    assert pool.shape == (5 + solver_module._MULTISTARTS, n) == (13, n)
+
+
 def test_solve_binary_golden_values():
     pair = solve_cached(2, 2)
     assert pair.t == pytest.approx(LOG2_6, abs=1e-6)
@@ -204,6 +220,14 @@ def test_solver_config_rejects_seed(seed):
         SolverConfig(rng_seed=seed)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_solver_config_rejects_nonfinite_tolerance(tol):
+    # A NaN passes a plain `tol <= 0` check, and a solve with it stopped on
+    # a bracket 0.28 wide.
+    with pytest.raises(ValueError, match="t_tolerance"):
+        SolverConfig(t_tolerance=tol)
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(t_tolerance=0.0)
@@ -248,7 +272,8 @@ def test_witness_loop_call_count(monkeypatch, n):
 
 
 # Each probe starts from the batch the previous one ended with, so the
-# rows keep their places across the solve and the vertices stay put.
+# rows keep their places across the solve, and every batch has the same 14
+# rows at every n: the structured seeds, the random starts and the witness.
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (3, 16)])
 def test_probes_carry_the_batch(monkeypatch, n, k):
     batches = []
@@ -269,8 +294,7 @@ def test_probes_carry_the_batch(monkeypatch, n, k):
     for (_, end), (start, _) in zip(batches, batches[1:]):
         assert np.array_equal(start, end)
     for start, end in batches:
-        assert start.shape == end.shape == first.shape
-        assert np.array_equal(end[:n], np.eye(n))
+        assert start.shape == end.shape == first.shape == (5 + solver_module._MULTISTARTS + 1, n)
 
 
 # Ascent iterations per solve at seed 0, capped just above today's counts
@@ -433,10 +457,11 @@ _SPECIAL_COORDS = st.sampled_from(
 
 @st.composite
 def _ascent_batches(draw):
-    # A batch of the solver's shape: the vertices, five structured seeds,
-    # the random starts and possibly the previous witness.  The other rows
-    # are simplex points plus a nonnegative step, as in the ascent, so most
-    # sum above 1 and some are already on the simplex.
+    # A batch of the solver's rows (five structured seeds, the random
+    # starts and possibly the previous witness) plus the n vertices, which
+    # a row can still reach.  The rows past the vertices are simplex points
+    # plus a nonnegative step, as in the ascent, so most sum above 1 and
+    # some are already on the simplex.
     n = draw(st.integers(2, 16))
     rows = n + 5 + solver_module._MULTISTARTS + draw(st.integers(0, 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -529,15 +554,24 @@ def test_ascent_matches_two_evaluation_reference(n, k):
 
 
 def _best(G, vals):
-    # The value and argmax max_objective reports for an ascended batch.
+    # The best value of an ascended batch and the smallest row tied at it.
     best = vals.max()
     return best, np.array(min(tuple(g) for g in G[vals == best]))
 
 
-# Where the best value stays at 1 the ascent certifies M(t) <= 1.  The
-# settle rule may end it before the step stop, but with the same verdict
-# and argmax as the loop without the rule, and every row's value close to
-# where that loop leaves it.
+def _reported_at_one(G, vals):
+    # The argmax max_objective reports for an ascended batch whose rows all
+    # value at most 1: the smallest of the rows at exactly 1 and the vertex
+    # (0, ..., 0, 1).
+    n = G.shape[1]
+    tied = [tuple(g) for g in G[vals == 1.0]] + [(0.0,) * (n - 1) + (1.0,)]
+    return np.array(min(tied))
+
+
+# Where no row rises above 1 the ascent certifies M(t) <= 1, and the probe
+# reports exactly 1.  The settle rule may end it before the step stop, but
+# with the same verdict and argmax as the loop without the rule, and every
+# row's value close to where that loop leaves it.
 @pytest.mark.parametrize("n,k", sorted(_NEAR_CRITICAL))
 def test_certifying_ascent_unchanged_by_settle_rule(n, k):
     tm = term_matrix(n, k)
@@ -545,11 +579,12 @@ def test_certifying_ascent_unchanged_by_settle_rule(n, k):
     for t in (float(k + 1), solve_cached(n, k).t + 1e-6):
         for G in _pools(n, k):
             want_G, want_vals = _ref_ascend(G, t, tm, iters, settle=False)
-            assert want_vals.max() == 1.0, (n, k, t)
-            got_G, got_vals = solver_module._ascend(G, t, tm, iters)
-            got_val, got_g = _best(got_G, got_vals)
+            assert want_vals.max() <= 1.0, (n, k, t)
+            _, got_vals = solver_module._ascend(G, t, tm, iters)
+            assert got_vals.max() <= 1.0, (n, k, t, len(G))
+            got_val, got_g, _ = solver_module._probe(n, k, t, G)
             assert got_val == 1.0, (n, k, t, len(G))
-            assert np.array_equal(got_g, _best(want_G, want_vals)[1]), (n, k, t, len(G))
+            assert np.array_equal(got_g, _reported_at_one(want_G, want_vals)), (n, k, t, len(G))
             assert np.abs(got_vals - want_vals).max() <= 1e-15, (n, k, t, len(G))
 
 
