@@ -8,6 +8,7 @@ Example:
 import argparse
 import time
 
+from gcube.cli import nonnegative_int, tolerance
 from gcube.solver import SolverConfig, solve_exponent, trivial_bounds
 
 
@@ -15,8 +16,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", default="2,3", help="comma-separated side lengths")
     ap.add_argument("--k", default="2,3,4", help="comma-separated box orders")
-    ap.add_argument("--tol", type=float, default=1e-9)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--tol", type=tolerance, default=1e-9)
+    ap.add_argument("--seed", type=nonnegative_int, default=0)
     args = ap.parse_args()
 
     cfg = SolverConfig(t_tolerance=args.tol, rng_seed=args.seed)
@@ -27,7 +28,12 @@ def main():
     for n in ns:
         for k in ks:
             t0 = time.time()
-            pair = solve_exponent(n, k, cfg)
+            try:
+                pair = solve_exponent(n, k, cfg)
+            except ValueError as exc:
+                # The solver's input checks, such as a tolerance below the
+                # float spacing of t, run before any maximization.
+                ap.error(str(exc))
             lo, hi = trivial_bounds(n, k)
             print(
                 f"{n:>3} {k:>3} {pair.t:>16.10f} {pair.p:>16.10f} "

@@ -236,12 +236,12 @@ def _cached_pair(result, k, n):
 
     The result must carry every printed key, finite numbers where numbers
     are printed, the requested (k, n), and pass the pair's own checks
-    (t > 0, p * t = 2^k, t <= k + 1)."""
+    (t > 0, p * t = 2^k, t <= k + 1, 0 <= bracket < inf)."""
     if not isinstance(result, dict) or not all(key in result for key in _RESULT_KEYS):
         return None
     numbers, argmax = [result["t"], result["p"], result["bracket"]], result["argmax"]
     if not (result["k"] == k and result["n"] == n and isinstance(argmax, list)
-            and all(map(_finite_number, numbers + argmax)) and result["bracket"] >= 0):
+            and all(map(_finite_number, numbers + argmax))):
         return None
     t, p, bracket = map(float, numbers)
     try:

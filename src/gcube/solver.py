@@ -37,10 +37,10 @@ Each ascent works in one workspace: it allocates every array it touches
 once (the monomial logs, the masks, E * c and its product with Q, the
 values and the step factors), and every iteration writes into them
 through ufunc `out=` arguments; the `G > 0` mask of the log kernel is the
-one array an iteration still allocates.  The projection keeps its sorted
-rows, ratios and mask per thread for the latest batch shape, with its
-index constants.  Every operation keeps its operands and their order, so
-the ascent gives the bits of the plain array expressions.
+one array an iteration still allocates.  The projection's sorted rows,
+ratios, mask and index constants are in the same workspace.  Every
+operation keeps its operands and their order, so the ascent gives the
+bits of the plain array expressions.
 
 The ascent stops when every step is below 1e-18, after 200 iterations,
 or once it has settled for 30 consecutive iterations.  A maximization
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +99,11 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # Written so that NaN fails too.
-        if not 0 < self.t_tolerance < math.inf:
+        # Written so that NaN fails too.  A bool is an int, and True would
+        # pass as a tolerance of 1.
+        tol = self.t_tolerance
+        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                or not 0 < tol < math.inf):
             raise ValueError("t_tolerance must be positive and finite, "
                              f"not {self.t_tolerance!r}")
         # A bool is an int subclass, and random.Random would take -s as the
@@ -128,15 +130,16 @@ class ExponentPair:
     def __post_init__(self):
         if not self.t > 0:
             raise ValueError("t must be positive")
-        if abs(self.p * self.t - 2.0 ** self.k) > 1e-12 * 2.0 ** self.k:
+        # Written so that NaN fails too.
+        if not abs(self.p * self.t - 2.0 ** self.k) <= 1e-12 * 2.0 ** self.k:
             raise ValueError("p * t must equal 2^k")
+        if not 0 <= self.bracket_width < math.inf:
+            raise ValueError("bracket_width must be nonnegative and finite")
         if self.t > self.k + 1 + 1e-9:
             raise ValueError("t exceeds the trivial upper bound k + 1")
 
 
 _COORD_FLOOR = 1e-15
-
-_scratch = threading.local()
 
 # The loop's constant operands as 0-d arrays: a ufunc converts a Python
 # float operand again on every call, and both give the same float64 result.
@@ -155,36 +158,29 @@ _STEP_FACTORS = np.array([0.5, 1.3])
 _STEP_STOP_UPDATES = math.ceil(math.log2(_STEP_START / _STEP_STOP))
 
 
-def _projection_scratch(shape):
-    # The projection's buffers for batches of this shape, kept per thread
-    # for the latest shape (a solve projects one shape throughout): the
-    # sorted rows, their ratios, the comparison mask and its reversed view,
-    # the row thresholds and indices, and the constants, the divisors 1..n
-    # of every row and each row's flat offset of its last place.  Operands
-    # of the batch's own shape keep the ufunc loops contiguous.  The
-    # projection writes every buffer before it reads it, so no value
-    # carries from one call to the next.
-    cached = getattr(_scratch, "projection", None)
-    if cached is None or cached[0] != shape:
-        rows, n = shape
-        mask, theta = np.empty(shape, dtype=bool), np.empty(rows)
-        cached = _scratch.projection = (
-            shape, np.empty(shape), np.empty(shape), mask, mask[:, ::-1],
-            theta, theta[:, None], np.empty(rows, dtype=np.intp),
-            np.tile(np.arange(1.0, n + 1.0), (rows, 1)), np.arange(n - 1, rows * n, n),
-        )
-    return cached[1:]
+def _projection_workspace(shape):
+    # The projection's buffers for batches of this shape: the sorted rows,
+    # their ratios, the comparison mask and its reversed view, the row
+    # thresholds and indices, and the constants, the divisors 1..n of every
+    # row and each row's flat offset of its last place.  Operands of the
+    # batch's own shape keep the ufunc loops contiguous.  The projection
+    # writes every buffer before it reads it, so no value carries from one
+    # call to the next.
+    rows, n = shape
+    mask, theta = np.empty(shape, dtype=bool), np.empty(rows)
+    return (np.empty(shape), np.empty(shape), mask, mask[:, ::-1], theta, theta[:, None],
+            np.empty(rows, dtype=np.intp), np.tile(np.arange(1.0, n + 1.0), (rows, 1)),
+            np.arange(n - 1, rows * n, n))
 
 
-def _project_rows(y):
+def _project_rows(y, ws):
     # Euclidean projection of each row onto the probability simplex, in
     # place.  Coordinates below the floor, negative ones included, are
     # snapped to exact zero (their gradient would overflow) and the row is
     # renormalized.  The rows are sorted as -y, so w and the ratios of its
     # cumulative sums are those of the descending sort, negated, which is
-    # exact.
-    (w, ratio, mask, reversed_mask, theta, theta_col, at, divisors,
-     last) = _projection_scratch(y.shape)
+    # exact.  ws is _projection_workspace(y.shape).
+    w, ratio, mask, reversed_mask, theta, theta_col, at, divisors, last = ws
     np.negative(y, out=w)
     w.sort(axis=1)
     np.add.accumulate(w, axis=1, out=ratio)
@@ -210,9 +206,10 @@ def _ascend(G, t, tm, iters):
     # also give its next gradient, through E * c, which is all the loop
     # keeps of them.  The batch keeps its shape throughout, since BLAS
     # results per row can change in the last bit with it.  Every array the
-    # loop touches is allocated here, once per ascent, and each iteration
-    # writes into them; the gradient is turned into the candidates in
-    # place, and an accepted row's E * c is written over its old one.
+    # loop touches is allocated here, once per ascent, the projection's
+    # buffers included, and each iteration writes into them; the gradient
+    # is turned into the candidates in place, and an accepted row's E * c
+    # is written over its old one.
     G = G.copy()
     t = np.array(t)
     Q, c = tm.Q, tm.c
@@ -230,6 +227,7 @@ def _ascend(G, t, tm, iters):
     rows, accepted = better[:, None], better.view(np.uint8)
     step, factor = np.full(len(G), _STEP_START), np.empty(len(G))
     step_col = step[:, None]
+    projection = _projection_workspace(G.shape)
     best = np.maximum.reduce(vals)
     flat = 0
     # Bound once: at these sizes the attribute lookups are a measurable
@@ -248,7 +246,7 @@ def _ascend(G, t, tm, iters):
         divide(S, G, out=cand, where=live)
         multiply(cand, step_col, out=cand)
         add(cand, G, out=cand)
-        _project_rows(cand)
+        _project_rows(cand, projection)
         tm.monomials(cand, t, cE, logs)
         matmul(cE, c, out=cvals)
         greater(cvals, vals, out=better)
@@ -279,13 +277,10 @@ def _ascend(G, t, tm, iters):
 
 
 def _structured_seeds(n, k):
-    seeds = [np.full((1, n), 1.0 / n)]
     binom = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
-    seeds.append((binom / binom.sum())[None, :])
-    for M in (1.5, 2.0, 3.0):
-        g = profile_to_simplex(gaussian_witness(n, M), 2.0 ** k / (k + 1.0))
-        seeds.append(np.array([g]))
-    return seeds
+    gaussians = [profile_to_simplex(gaussian_witness(n, M), 2.0 ** k / (k + 1.0))
+                 for M in (1.5, 2.0, 3.0)]
+    return np.array([np.full(n, 1.0 / n), binom / binom.sum(), *gaussians])
 
 
 def _random_starts(n, seed):
@@ -307,7 +302,7 @@ def _start_pool(n, k, cfg, start=None, seeds=None):
     # `start`.  No vertex: _probe accounts for them.
     if seeds is None:
         seeds = _structured_seeds(n, k)
-    blocks = [*seeds, _random_starts(n, cfg.rng_seed)]
+    blocks = [seeds, _random_starts(n, cfg.rng_seed)]
     if start is not None:
         blocks.append(np.array([start], dtype=float))
     return np.vstack(blocks)
@@ -374,8 +369,7 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
         raise ValueError(f"tolerance {cfg.t_tolerance!r} is below 2 * ulp({k + 1}) = "
                          f"{2 * math.ulp(k + 1)!r}, twice the float spacing of t")
     structured = _structured_seeds(n, k)
-    seeds = [tuple(g.tolist()) for g in np.vstack(structured)
-             if g.max() <= _POINT_MASS]
+    seeds = [tuple(g.tolist()) for g in structured if g.max() <= _POINT_MASS]
     lo, witness = max((witness_lower_bound(n, k, g), g) for g in seeds)
     hi, bisect = float(k + 1), False
     batch = _start_pool(n, k, cfg, witness, structured)

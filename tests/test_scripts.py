@@ -4,6 +4,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -14,3 +16,14 @@ def test_exponent_table_prints_t(monkeypatch, capsys):
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     # Columns n, k, t, p, lower, upper, sec; the seconds vary between runs.
     assert [row.split()[2] for row in rows] == ["2.5849625010", "2.7207109976"]
+
+
+# The CLI's argument checks: a usage error with exit 2, before any solve.
+@pytest.mark.parametrize("flag,value", [("--tol", "0"), ("--seed", "-1")])
+def test_exponent_table_rejects_argument(monkeypatch, capsys, flag, value):
+    script = SCRIPTS / "exponent_table.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--n", "2", "--k", "2", flag, value])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err

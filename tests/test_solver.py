@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ import numpy as np
 import gcube.solver as solver_module
 from conftest import solve_cached
 from gcube.solver import (
+    ExponentPair,
     SolverConfig,
     gaussian_witness,
     gaussian_witness_bound,
@@ -228,6 +230,36 @@ def test_solver_config_rejects_nonfinite_tolerance(tol):
         SolverConfig(t_tolerance=tol)
 
 
+@pytest.mark.parametrize("tol", [True, "1e-9", None])
+def test_solver_config_rejects_non_numeric_tolerance(tol):
+    # A bool is an int and 0 < True < inf holds: a solve at (3, 2) with
+    # t_tolerance=True stopped on a bracket 0.28 wide.
+    with pytest.raises(ValueError, match="t_tolerance"):
+        SolverConfig(t_tolerance=tol)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("p", math.nan), ("bracket_width", -1e-10), ("bracket_width", math.nan),
+    ("bracket_width", math.inf),
+])
+def test_exponent_pair_rejects(field, value):
+    t = math.log2(6)
+    fields = dict(k=2, n=2, t=t, p=4.0 / t, bracket_width=1e-10, argmax=(0.5, 0.5))
+    ExponentPair(**fields)
+    with pytest.raises(ValueError):
+        ExponentPair(**{**fields, field: value})
+
+
+def test_concurrent_solves_match_serial():
+    # Every buffer a solve writes belongs to its own ascent, so solves on
+    # several threads give the serial bits.
+    points = [(3, 4), (6, 2), (2, 16), (8, 2)]
+    serial = [solve_exponent(n, k) for n, k in points]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda nk: solve_exponent(*nk), points))
+    assert threaded == serial
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(t_tolerance=0.0)
@@ -306,9 +338,9 @@ def test_ascent_iterations_per_solve(monkeypatch, n, k, cap):
     iterations = [0]
     inner = solver_module._project_rows
 
-    def counted(y):
+    def counted(y, *args):
         iterations[0] += 1
-        return inner(y)
+        return inner(y, *args)
 
     monkeypatch.setattr(solver_module, "_project_rows", counted)
     solve_exponent(n, k, SolverConfig(rng_seed=0))
@@ -484,7 +516,7 @@ def _ascent_batches(draw):
 def test_projection_matches_reference(y):
     want = _ref_project_rows(y.copy())
     got = y.copy()
-    assert solver_module._project_rows(got) is got
+    assert solver_module._project_rows(got, solver_module._projection_workspace(got.shape)) is got
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
