@@ -12,21 +12,23 @@ from gcube.cli import nonnegative_int, tolerance
 from gcube.solver import SolverConfig, solve_exponent, trivial_bounds
 
 
+def int_list(text):
+    return sorted(int(v) for v in text.split(","))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", default="2,3", help="comma-separated side lengths")
-    ap.add_argument("--k", default="2,3,4", help="comma-separated box orders")
+    ap.add_argument("--n", type=int_list, default="2,3", help="comma-separated side lengths")
+    ap.add_argument("--k", type=int_list, default="2,3,4", help="comma-separated box orders")
     ap.add_argument("--tol", type=tolerance, default=1e-9)
     ap.add_argument("--seed", type=nonnegative_int, default=0)
     args = ap.parse_args()
 
     cfg = SolverConfig(t_tolerance=args.tol, rng_seed=args.seed)
-    ns = sorted(int(v) for v in args.n.split(","))
-    ks = sorted(int(v) for v in args.k.split(","))
 
     print(f"{'n':>3} {'k':>3} {'t':>16} {'p':>16} {'lower':>12} {'upper':>7} {'sec':>6}")
-    for n in ns:
-        for k in ks:
+    for n in args.n:
+        for k in args.k:
             t0 = time.time()
             try:
                 pair = solve_exponent(n, k, cfg)

@@ -19,7 +19,7 @@ def test_exponent_table_prints_t(monkeypatch, capsys):
 
 
 # The CLI's argument checks: a usage error with exit 2, before any solve.
-@pytest.mark.parametrize("flag,value", [("--tol", "0"), ("--seed", "-1")])
+@pytest.mark.parametrize("flag,value", [("--tol", "0"), ("--seed", "-1"), ("--n", "x")])
 def test_exponent_table_rejects_argument(monkeypatch, capsys, flag, value):
     script = SCRIPTS / "exponent_table.py"
     monkeypatch.setattr(sys, "argv", [str(script), "--n", "2", "--k", "2", flag, value])
