@@ -9,7 +9,7 @@ import argparse
 import time
 
 from gcube.cli import nonnegative_int, tolerance
-from gcube.solver import SolverConfig, solve_exponent, trivial_bounds
+from gcube.solver import SolverConfig, check_problem, solve_exponent, trivial_bounds
 
 
 def int_list(text):
@@ -25,22 +25,24 @@ def main():
     args = ap.parse_args()
 
     cfg = SolverConfig(t_tolerance=args.tol, rng_seed=args.seed)
+    grid = [(n, k) for n in args.n for k in args.k]
+    # Every point passes the solver's input checks, such as a tolerance
+    # below the float spacing of t, before the table starts.
+    for n, k in grid:
+        try:
+            check_problem(n, k, cfg)
+        except ValueError as exc:
+            ap.error(str(exc))
 
     print(f"{'n':>3} {'k':>3} {'t':>16} {'p':>16} {'lower':>12} {'upper':>7} {'sec':>6}")
-    for n in args.n:
-        for k in args.k:
-            t0 = time.time()
-            try:
-                pair = solve_exponent(n, k, cfg)
-            except ValueError as exc:
-                # The solver's input checks, such as a tolerance below the
-                # float spacing of t, run before any maximization.
-                ap.error(str(exc))
-            lo, hi = trivial_bounds(n, k)
-            print(
-                f"{n:>3} {k:>3} {pair.t:>16.10f} {pair.p:>16.10f} "
-                f"{lo:>12.6f} {hi:>7.2f} {time.time() - t0:>6.2f}"
-            )
+    for n, k in grid:
+        t0 = time.time()
+        pair = solve_exponent(n, k, cfg)
+        lo, hi = trivial_bounds(n, k)
+        print(
+            f"{n:>3} {k:>3} {pair.t:>16.10f} {pair.p:>16.10f} "
+            f"{lo:>12.6f} {hi:>7.2f} {time.time() - t0:>6.2f}"
+        )
 
 
 if __name__ == "__main__":

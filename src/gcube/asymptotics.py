@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .entropy import binomial_entropy
-from .solver import SolverConfig, solve_exponent
+from .solver import SolverConfig, check_problem, solve_exponent
 
 
 def large_k_main_term(k: int, n: int) -> float:
@@ -64,8 +64,13 @@ class AsymptoticReport:
 
 def asymptotic_sweep(n: int, k_list, cfg: SolverConfig | None = None) -> list:
     """Solve each distinct k in k_list at side n, in ascending order, and
-    tabulate the formula gaps; the solves run one after another."""
-    return [report_for(solve_exponent(n, k, cfg)) for k in sorted(set(k_list))]
+    tabulate the formula gaps; the solves run one after another.  Every k
+    passes `check_problem` before the first solve."""
+    cfg = cfg or SolverConfig()
+    ks = sorted(set(k_list))
+    for k in ks:
+        check_problem(n, k, cfg)
+    return [report_for(solve_exponent(n, k, cfg)) for k in ks]
 
 
 def report_for(pair) -> AsymptoticReport:
@@ -81,7 +86,7 @@ def report_for(pair) -> AsymptoticReport:
     )
 
 
-def leading_coefficient_rows(n_max: int = 6) -> list:
+def leading_coefficient_rows(n_max: int) -> list:
     """(n, (n-1)/H_{n-1}) rows for n = 2, ..., n_max."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")

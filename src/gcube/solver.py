@@ -64,9 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gowers import energy_P
-from .lattice import interval_set
-from .terms import check_simplex, term_matrix
+from .terms import _merged_counts, check_simplex, term_matrix
 
 # Identifies the outer loop and the search stages; results cached under an
 # older version are not served for this one.
@@ -91,6 +89,9 @@ _ROOT_STEPS = 100
 # Largest coordinate of a simplex point that is not a point mass; a point
 # mass has the constant objective 1 and no witness root.
 _POINT_MASS = 1.0 - 1e-12
+
+# Fixed-point rounds of gaussian_witness_bound.
+_GAUSSIAN_ROUNDS = 6
 
 
 @dataclass(frozen=True)
@@ -341,6 +342,21 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     return _probe(n, k, t, _start_pool(n, k, cfg, start))[:2]
 
 
+def check_problem(n: int, k: int, cfg: SolverConfig) -> None:
+    """Raise ValueError for an (n, k, cfg) that solve_exponent refuses: n or
+    k below 2, k above 1023, where 2^k overflows a float, and a tolerance
+    below 2 * ulp(k + 1), where lo + tol/2 can round to lo and the bracket
+    stop narrowing.  A sweep calls it for every point before its first
+    solve."""
+    if n < 2 or k < 2:
+        raise ValueError("n >= 2 and k >= 2 required")
+    if k > _K_MAX:
+        raise ValueError(f"k <= {_K_MAX} required: 2^k overflows a float at k = {k}")
+    if cfg.t_tolerance < 2 * math.ulp(k + 1):
+        raise ValueError(f"tolerance {cfg.t_tolerance!r} is below 2 * ulp({k + 1}) = "
+                         f"{2 * math.ulp(k + 1)!r}, twice the float spacing of t")
+
+
 def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentPair:
     """Smallest t <= k + 1 with M(t) = 1, by Dinkelbach's iteration.
 
@@ -357,17 +373,9 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
     once: each probe ascends from the batch the previous one ended with.
     `argmax` is the witness that set the final lower end, a maximizer or a
     structured seed, never a vertex.
-    Two inputs raise ValueError before any maximization: k above 1023,
-    where 2^k overflows a float, and a tolerance below 2 * ulp(k + 1),
-    where lo + tol/2 can round to lo and the bracket stop narrowing."""
+    `check_problem` runs before any maximization."""
     cfg = cfg or SolverConfig()
-    if n < 2 or k < 2:
-        raise ValueError("n >= 2 and k >= 2 required")
-    if k > _K_MAX:
-        raise ValueError(f"k <= {_K_MAX} required: 2^k overflows a float at k = {k}")
-    if cfg.t_tolerance < 2 * math.ulp(k + 1):
-        raise ValueError(f"tolerance {cfg.t_tolerance!r} is below 2 * ulp({k + 1}) = "
-                         f"{2 * math.ulp(k + 1)!r}, twice the float spacing of t")
+    check_problem(n, k, cfg)
     structured = _structured_seeds(n, k)
     seeds = [tuple(g.tolist()) for g in structured if g.max() <= _POINT_MASS]
     lo, witness = max((witness_lower_bound(n, k, g), g) for g in seeds)
@@ -437,8 +445,9 @@ def witness_lower_bound(n: int, k: int, g, start: float = _ROOT_START) -> float:
 
 def trivial_bounds(n: int, k: int) -> tuple:
     """(log_n of the full-interval box count, k + 1); these always sandwich
-    the critical exponent."""
-    pk = energy_P(interval_set(n), k)
+    the critical exponent.  The box count P_k({0, ..., n-1}) is the
+    coefficient sum of the term table, which has no recursion limit in k."""
+    pk = sum(_merged_counts(n, k)[1])
     return (math.log(pk) / math.log(n), float(k + 1))
 
 
@@ -466,7 +475,7 @@ def profile_to_simplex(profile, power: float) -> tuple:
     return tuple((w / s).tolist())
 
 
-def gaussian_witness_bound(n: int, M: float, k: int, rounds: int = 6) -> float:
+def gaussian_witness_bound(n: int, M: float, k: int) -> float:
     """Lower bound on the critical exponent from the Gaussian profile.
 
     The profile enters through g proportional to f^(2^k / t); t is refined
@@ -476,7 +485,7 @@ def gaussian_witness_bound(n: int, M: float, k: int, rounds: int = 6) -> float:
     prof = gaussian_witness(n, M)
     t = float(k + 1)
     best = 0.0
-    for _ in range(rounds):
+    for _ in range(_GAUSSIAN_ROUNDS):
         g = profile_to_simplex(prof, 2.0 ** k / t)
         t = witness_lower_bound(n, k, g)
         best = max(best, t)

@@ -2,7 +2,23 @@
 
 Each suite runs a batch of deterministic checks (exhaustive where the
 range is finite, seeded random trials otherwise) and returns a report
-listing any counterexamples.
+listing any counterexamples.  No suite and no check takes a parameter:
+`gcube verify --suite S` runs each over one fixed range.
+
+- binary: k = 2, ..., 10 on a 10,000-point grid of [0, 1], tolerance 1e-12.
+- terms: the coefficient multisets at n = 3, k in {2, 3, 5}; the largest
+  class size for n = 2, ..., 7; the coefficient sum and the uniform-point
+  identity for n = 2, ..., 5, k = 2, 3, 4; then the objective's
+  monotonicity in t (seed 1300) and reflection symmetry (seed 1301).
+- entropy: H_m, its bounds and the ratio H_m / m for m = 1, ..., 1000; the
+  leading coefficient table n = 2, ..., 6; the corollary for n = 2, ..., 8.
+- majorization: the majorization lemma for m <= 4, |h_i| <= 4.
+- gcs: the Gowers-Cauchy-Schwarz bound (seed 1100) and the triangle
+  inequality (seed 1200).
+- young: the convolution norm bound (seed 1400).
+- tensor: box-norm multiplicativity of tensor powers (seed 1500).
+
+Every randomized check runs TRIALS trials from `random.Random(seed)`.
 """
 
 from __future__ import annotations
@@ -38,13 +54,17 @@ TABLE_VALUES = {
     6: 2.2745961522,
 }
 
+# Trials of every randomized check.
+TRIALS = 200
 
-def binary_suite(k_min=2, k_max=10, grid_points=10_000, tol=1e-12):
+
+def binary_suite():
     """Grid check of x^t + (1-x)^t + 2k (x(1-x))^(t/2) <= 1 on [0, 1] at
     t = log2(2k+2), with exact value 1 at x = 1/2."""
     rep = VerificationReport("binary")
-    xs = np.linspace(0.0, 1.0, grid_points)
-    for k in range(k_min, k_max + 1):
+    tol = 1e-12
+    xs = np.linspace(0.0, 1.0, 10_000)
+    for k in range(2, 11):
         t = math.log2(2 * k + 2)
         vals = xs ** t + (1.0 - xs) ** t + 2 * k * (xs * (1.0 - xs)) ** (t / 2.0)
         peak = float(vals.max())
@@ -54,7 +74,7 @@ def binary_suite(k_min=2, k_max=10, grid_points=10_000, tol=1e-12):
     return rep
 
 
-def terms_suite(trials=200, seed=1300):
+def terms_suite():
     """Coefficient audit, class sizes, the uniform-point identity, and the
     random monotonicity and reflection properties of the objective."""
     rep = VerificationReport("terms")
@@ -83,20 +103,20 @@ def terms_suite(trials=200, seed=1300):
                     "n={}, k={}, t={}: uniform value {!r} != {!r}",
                     n, k, t, val, expect,
                 )
-    merge(rep, check_objective_monotone(trials, seed))
-    merge(rep, check_objective_symmetry(trials, seed + 1))
+    merge(rep, check_objective_monotone())
+    merge(rep, check_objective_symmetry())
     return rep
 
 
-def entropy_suite(m_max=1000, n_max=8):
+def entropy_suite():
     """Exact small entropies, strict two-sided bounds and strict ratio
-    decrease up to m_max, the leading coefficient table, and the
-    exhaustive small-side corollary checks."""
+    decrease, the leading coefficient table, and the exhaustive small-side
+    corollary checks."""
     rep = VerificationReport("entropy")
     rep.record(binomial_entropy(1) == 1.0, "H_1 != 1")
     rep.record(binomial_entropy(2) == 1.5, "H_2 != 3/2")
     prev = None
-    for m in range(1, m_max + 1):
+    for m in range(1, 1001):
         h = binomial_entropy(m)
         lo, hi = binomial_entropy_bounds(m)
         rep.record(lo < h < hi, "m={}: H_m={!r} outside ({!r}, {!r})", m, h, lo, hi)
@@ -107,13 +127,15 @@ def entropy_suite(m_max=1000, n_max=8):
     for n, v in TABLE_VALUES.items():
         got = leading_coefficient(n)
         rep.record(abs(got - v) <= 1e-9, "n={}: coefficient {!r} != {}", n, got, v)
-    for n in range(2, n_max + 1):
+    for n in range(2, 9):
         merge(rep, verify_entropy_corollary(n))
     return rep
 
 
-def majorization_suite(m_max=4, h_bound=4):
-    return verify_majorization_lemma(m_max, h_bound)
+def majorization_suite():
+    # Reads verify_majorization_lemma from this module's globals at call
+    # time, so a wrapper set there sees the call.
+    return verify_majorization_lemma(4, 4)
 
 
 def merge(rep, other):
@@ -122,27 +144,27 @@ def merge(rep, other):
     return rep
 
 
-def _random_function(rng, width=4, dim=1):
-    # Complex values with magnitude in [0.1, 1.1]; support is a random
-    # nonempty subset of the width-box.
+def _random_function(rng, width):
+    # Complex values with magnitude in [0.1, 1.1] on a random nonempty
+    # subset of {0, ..., width - 1}.
     while True:
         entries = {}
-        for p in _product(range(width), repeat=dim):
+        for x in range(width):
             if rng.random() < 0.7:
                 mag = 0.1 + rng.random()
                 phase = rng.uniform(0.0, 2.0 * math.pi)
-                entries[p] = complex(mag * math.cos(phase), mag * math.sin(phase))
+                entries[(x,)] = complex(mag * math.cos(phase), mag * math.sin(phase))
         if entries:
-            return LatticeFunction(dim, entries)
+            return LatticeFunction(1, entries)
 
 
-def check_gcs(trials=200, seed=1100):
+def check_gcs():
     """|Gowers inner product| <= product of the 2^k individual norms."""
     rep = VerificationReport("gcs")
-    rng = random.Random(seed)
-    for i in range(trials):
+    rng = random.Random(1100)
+    for i in range(TRIALS):
         k = rng.choice((2, 3))
-        fns = {eps: _random_function(rng) for eps in _product((0, 1), repeat=k)}
+        fns = {eps: _random_function(rng, 4) for eps in _product((0, 1), repeat=k)}
         lhs = abs(gowers_inner_product(GowersSystem(k, fns)))
         rhs = 1.0
         for eps in sorted(fns):
@@ -154,13 +176,13 @@ def check_gcs(trials=200, seed=1100):
     return rep
 
 
-def check_triangle(trials=200, seed=1200):
+def check_triangle():
     rep = VerificationReport("triangle")
-    rng = random.Random(seed)
-    for i in range(trials):
+    rng = random.Random(1200)
+    for i in range(TRIALS):
         k = rng.choice((2, 3))
-        f1 = _random_function(rng)
-        f2 = _random_function(rng)
+        f1 = _random_function(rng, 4)
+        f2 = _random_function(rng, 4)
         lhs = gowers_norm_recursive(f1 + f2, k) ** (0.5 ** k)
         rhs = (
             gowers_norm_recursive(f1, k) ** (0.5 ** k)
@@ -173,18 +195,17 @@ def check_triangle(trials=200, seed=1200):
     return rep
 
 
-def gcs_suite(trials=200, seed=1100):
-    rep = check_gcs(trials, seed)
-    return merge(rep, check_triangle(trials, seed + 100))
+def gcs_suite():
+    return merge(check_gcs(), check_triangle())
 
 
-def check_young(trials=200, seed=1400):
+def check_young():
     """Convolution norm bound over random admissible exponent triples."""
     rep = VerificationReport("young")
-    rng = random.Random(seed)
-    for i in range(trials):
-        f = _random_function(rng, width=5)
-        g = _random_function(rng, width=5)
+    rng = random.Random(1400)
+    for i in range(TRIALS):
+        f = _random_function(rng, 5)
+        g = _random_function(rng, 5)
         inv_r = rng.random()
         s = 1.0 + inv_r
         inv_p = rng.uniform(s - 1.0, 1.0)
@@ -201,14 +222,14 @@ def check_young(trials=200, seed=1400):
     return rep
 
 
-def check_tensor(trials=200, seed=1500):
+def check_tensor():
     """Box-norm multiplicativity of tensor powers, d <= 3."""
     rep = VerificationReport("tensor")
-    rng = random.Random(seed)
-    for i in range(trials):
+    rng = random.Random(1500)
+    for i in range(TRIALS):
         k = rng.choice((2, 3))
         d = rng.choice((1, 2, 3))
-        g = _random_function(rng, width=2)
+        g = _random_function(rng, 2)
         lhs = gowers_norm_recursive(tensor_power(g, d), k)
         rhs = gowers_norm_recursive(g, k) ** d
         rep.record(
@@ -218,10 +239,10 @@ def check_tensor(trials=200, seed=1500):
     return rep
 
 
-def check_objective_monotone(trials=200, seed=1600):
+def check_objective_monotone():
     rep = VerificationReport("objective-monotone")
-    rng = random.Random(seed)
-    for i in range(trials):
+    rng = random.Random(1300)
+    for i in range(TRIALS):
         n = rng.choice((2, 3, 4))
         k = rng.choice((2, 3))
         raw = [rng.random() + 1e-3 for _ in range(n)]
@@ -237,10 +258,10 @@ def check_objective_monotone(trials=200, seed=1600):
     return rep
 
 
-def check_objective_symmetry(trials=200, seed=1700):
+def check_objective_symmetry():
     rep = VerificationReport("objective-symmetry")
-    rng = random.Random(seed)
-    for i in range(trials):
+    rng = random.Random(1301)
+    for i in range(TRIALS):
         n = rng.choice((2, 3, 4, 5))
         k = rng.choice((2, 3))
         raw = [rng.random() for _ in range(n)]

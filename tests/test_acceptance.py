@@ -179,7 +179,7 @@ def test_criterion_9_property_suites():
         (check_objective_monotone, "objective monotone in t"),
         (check_objective_symmetry, "objective reflection symmetry"),
     ):
-        rep = check(trials=200)
+        rep = check()
         assert rep.passed, (name, rep.failures[:3])
         assert rep.cases == 200, name
     _report(9, "six randomized property suites, 200 seeded trials each")

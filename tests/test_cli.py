@@ -1,7 +1,9 @@
+import argparse
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -477,6 +479,12 @@ def test_asym_bad_k_list(capsys):
     assert code == 2
 
 
+def test_asym_checks_every_k_before_solving(monkeypatch, capsys):
+    monkeypatch.setattr(asymptotics, "solve_exponent", _refuse("solve_exponent"))
+    code, out, err = run(capsys, ["asym", "--n", "40", "--k", "2,3,1024"])
+    assert code == 2 and not out and err.startswith("error:") and "1023" in err
+
+
 def test_verify_pass_and_unknown(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "binary"])
     assert code == 0
@@ -687,3 +695,24 @@ def test_traced_names_are_looked_up_per_call(tmp_path, capsys, monkeypatch,
     code, _, _ = run(capsys, [a.format(**files) for a in argv])
     assert code == 0
     assert len(calls) == 1
+
+
+def _subcommand_flags():
+    # {subcommand: its option strings}, read from the parser itself.
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: set(p._option_string_actions) - {"-h", "--help"}
+            for name, p in sub.choices.items()}
+
+
+def test_readme_command_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    flags = _subcommand_flags()
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.MULTILINE)
+    assert {name for name, _ in rows} == set(flags)
+    for name, cell in rows:
+        listed = set(re.findall(r"--[a-z][a-z-]*", cell))
+        assert listed <= flags[name], (name, listed - flags[name])
+    for name, options in flags.items():
+        for flag in options:
+            assert re.search(re.escape(flag) + r"(?![\w-])", readme), (name, flag)

@@ -27,3 +27,16 @@ def test_exponent_table_rejects_argument(monkeypatch, capsys, flag, value):
         runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+# A point that fails the solver's input checks stops the script before the
+# table header, even when it comes after points that would solve.
+def test_exponent_table_checks_grid_before_table(monkeypatch, capsys):
+    script = SCRIPTS / "exponent_table.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--n", "2,1", "--k", "2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "n >= 2 and k >= 2 required" in err

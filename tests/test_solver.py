@@ -168,6 +168,17 @@ def test_trivial_bounds_examples():
     assert hi == 4.0
 
 
+def test_trivial_bounds_above_box_count_recursion():
+    # Past the box-count recursion's k <= 256: P_k is 2k + 2 on {0, 1} and
+    # 2k^2 + 4k + 3 on {0, 1, 2}, by counting h with |h|_1 < n.
+    for k in (300, 1023):
+        lo, hi = trivial_bounds(2, k)
+        assert lo == pytest.approx(math.log2(2 * k + 2), rel=1e-12)
+        assert hi == k + 1
+        lo, _ = trivial_bounds(3, k)
+        assert lo == pytest.approx(math.log(2 * k * k + 4 * k + 3, 3), rel=1e-12)
+
+
 def test_trivial_bounds_sandwich_solver():
     for n, k in ((2, 2), (3, 2), (3, 3), (4, 2)):
         lo, hi = trivial_bounds(n, k)

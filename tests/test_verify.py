@@ -1,19 +1,7 @@
 import gcube.cli as cli
 import gcube.verify as verify_module
 from gcube.entropy import VerificationReport, binomial_entropy
-from gcube.verify import (
-    SUITES,
-    binary_suite,
-    check_gcs,
-    check_objective_monotone,
-    check_objective_symmetry,
-    check_tensor,
-    check_triangle,
-    check_young,
-    entropy_suite,
-    majorization_suite,
-    terms_suite,
-)
+from gcube.verify import SUITES, binary_suite
 
 
 def test_registry_names():
@@ -25,29 +13,6 @@ def test_registry_names():
 def test_binary_suite():
     rep = binary_suite()
     assert rep.passed and rep.cases == 18
-
-
-def test_terms_suite():
-    rep = terms_suite(trials=40)
-    assert rep.passed, rep.failures[:3]
-
-
-def test_entropy_suite_trimmed():
-    rep = entropy_suite(m_max=150, n_max=6)
-    assert rep.passed, rep.failures[:3]
-
-
-def test_majorization_suite():
-    rep = majorization_suite(3, 3)
-    assert rep.passed, rep.failures[:3]
-
-
-def test_random_suites_trimmed():
-    for check in (check_gcs, check_triangle, check_young, check_tensor,
-                  check_objective_monotone, check_objective_symmetry):
-        rep = check(trials=40)
-        assert rep.passed, (rep.name, rep.failures[:3])
-        assert rep.cases == 40
 
 
 # The full check count of every suite, as `gcube verify --suite S` prints it.
@@ -89,3 +54,29 @@ def test_forced_failure_prints_the_message(monkeypatch, capsys):
         for m in range(1, 1001)
     ]
     assert lines == expect + [f"suite entropy: FAIL ({FULL_COUNTS['entropy']} checks)"]
+
+
+# The suites read these names from gcube.verify's globals at each call, so
+# a wrapper set on the module (a tracer, a counter) sees every call.  The
+# counts are those of one run of every suite.
+MODULE_CALLS = {
+    "verify_majorization_lemma": 1,
+    "verify_entropy_corollary": 7,
+    "term_groups": 15,
+    "objective": 836,
+    "energy_P": 12,
+    "gowers_norm_recursive": 2180,
+    "gowers_inner_product": 200,
+}
+
+
+def test_suites_call_through_module_globals(monkeypatch):
+    calls = dict.fromkeys(MODULE_CALLS, 0)
+    for name in MODULE_CALLS:
+        def counted(*args, _name=name, _fn=getattr(verify_module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(verify_module, name, counted)
+    for suite in SUITES.values():
+        suite()
+    assert calls == MODULE_CALLS
