@@ -40,7 +40,7 @@ def main():
         pair = solve_exponent(n, k, cfg)
         lo, hi = trivial_bounds(n, k)
         print(
-            f"{n:>3} {k:>3} {pair.t:>16.10f} {pair.p:>16.10f} "
+            f"{n:>3} {k:>3} {pair.t:>16.10f} {pair.p:>16.10g} "
             f"{lo:>12.6f} {hi:>7.2f} {time.time() - t0:>6.2f}"
         )
 

@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
-from dataclasses import fields
 from fractions import Fraction
 
 from .asymptotics import asymptotic_sweep, leading_coefficient_rows
@@ -27,7 +25,13 @@ from .entropy import (
 )
 from .gowers import energy_E, energy_E_tilde, energy_P, gowers_norm_recursive
 from .lattice import load_function, load_set
-from .solver import SOLVER_VERSION, ExponentPair, SolverConfig, solve_exponent
+from .solver import (
+    SOLVER_VERSION,
+    ExponentPair,
+    SolverConfig,
+    check_problem,
+    solve_exponent,
+)
 from .terms import enumerate_tuple_classes
 from .verify import SUITES
 
@@ -196,27 +200,12 @@ def _solver_config(args):
     return SolverConfig(t_tolerance=args.tol, rng_seed=args.seed)
 
 
-def _cfg_hash(scfg):
-    # The tolerance stays out: the cache entry's own `tol` decides reuse, so
-    # a looser request can be served by a tighter entry.  hashlib loads
-    # libcrypto, so only a run with --cache imports it.
-    import hashlib
-
-    payload = {f.name: getattr(scfg, f.name) for f in fields(SolverConfig)
-               if f.name != "t_tolerance"}
-    payload["solver_version"] = SOLVER_VERSION
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-# The keys of a solve's result, all of which cmd_exponent prints.
-_RESULT_KEYS = ("k", "n", "t", "p", "bracket", "argmax")
-
-
-def _finite_number(value):
-    # JSON reads true as a number and NaN and Infinity as floats.
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+def _cache_key(scfg, k, n):
+    """The fields that pick a cache entry for `exponent --k k --n n`.  The
+    tolerance stays out: the entry's own `tol` decides reuse, so a looser
+    request can be served by a tighter entry."""
+    return {"command": "exponent", "k": k, "n": n, "seed": scfg.rng_seed,
+            "solver_version": SOLVER_VERSION}
 
 
 def _result_record(pair):
@@ -231,29 +220,10 @@ def _result_record(pair):
     }
 
 
-def _cached_pair(result, k, n):
-    """The ExponentPair a cache entry's result rebuilds into, or None.
-
-    The result must carry every printed key, finite numbers where numbers
-    are printed, the requested (k, n), and pass the pair's own checks
-    (t > 0, p * t = 2^k, t <= k + 1, 0 <= bracket < inf)."""
-    if not isinstance(result, dict) or not all(key in result for key in _RESULT_KEYS):
-        return None
-    numbers, argmax = [result["t"], result["p"], result["bracket"]], result["argmax"]
-    if not (result["k"] == k and result["n"] == n and isinstance(argmax, list)
-            and all(map(_finite_number, numbers + argmax))):
-        return None
-    t, p, bracket = map(float, numbers)
-    try:
-        return ExponentPair(k=k, n=n, t=t, p=p, bracket_width=bracket,
-                            argmax=tuple(map(float, argmax)))
-    except ValueError:
-        return None
-
-
-def _cache_lookup(path, k, n, cfg_hash, tol):
-    """The pair of the last entry for (k, n, cfg_hash) solved at a
-    tolerance in (0, tol] whose result rebuilds, or None; every other
+def _cache_lookup(path, key, tol):
+    """The pair of the last entry whose fields equal `key`, in type too,
+    solved at a tolerance in (0, tol], whose result is for the key's (k, n)
+    and rebuilds into an ExponentPair; None if there is none.  Every other
     line is skipped."""
     try:
         with open(path) as fh:
@@ -262,50 +232,33 @@ def _cache_lookup(path, k, n, cfg_hash, tol):
         return None
     hit = None
     for line in lines:
-        line = line.strip()
-        if not line:
-            continue
         try:
             entry = json.loads(line)
-        except json.JSONDecodeError:
+            # type() too: JSON false equals 0, and 2.0 equals 2.
+            if any(type(entry[f]) is not type(v) or entry[f] != v
+                   for f, v in key.items()) or not 0 < entry["tol"] <= tol:
+                continue
+            r = entry["result"]
+            if (r["k"], r["n"]) != (key["k"], key["n"]):
+                continue
+            hit = ExponentPair(k=key["k"], n=key["n"], t=r["t"], p=r["p"],
+                               bracket_width=r["bracket"], argmax=tuple(r["argmax"]))
+        except (ValueError, KeyError, TypeError):
             continue
-        # Lines of any other shape are skipped like undecodable ones.
-        if not isinstance(entry, dict):
-            continue
-        entry_tol = entry.get("tol")
-        if not (
-            entry.get("command") == "exponent"
-            and entry.get("k") == k
-            and entry.get("n") == n
-            and entry.get("cfg_hash") == cfg_hash
-            and _finite_number(entry_tol)
-            and 0 < entry_tol <= tol
-        ):
-            continue
-        pair = _cached_pair(entry.get("result"), k, n)
-        if pair is not None:
-            hit = pair
     return hit
-
-
-def _cache_append(path, k, n, cfg_hash, tol, result):
-    entry = {"command": "exponent", "k": k, "n": n,
-             "cfg_hash": cfg_hash, "tol": tol, "result": result}
-    with open(path, "a") as fh:
-        fh.write(dumps17(entry) + "\n")
 
 
 def cmd_exponent(args):
     scfg = _solver_config(args)
-    pair = None
-    if args.cache:
-        cfg_hash = _cfg_hash(scfg)
-        pair = _cache_lookup(args.cache, args.k, args.n, cfg_hash, args.tol)
+    check_problem(args.n, args.k, scfg)
+    cache_key = _cache_key(scfg, args.k, args.n)
+    pair = _cache_lookup(args.cache, cache_key, args.tol) if args.cache else None
     if pair is None:
         pair = solve_exponent(args.n, args.k, scfg)
         if args.cache:
-            _cache_append(args.cache, args.k, args.n, cfg_hash, args.tol,
-                          _result_record(pair))
+            with open(args.cache, "a") as fh:
+                fh.write(dumps17({**cache_key, "tol": args.tol,
+                                  "result": _result_record(pair)}) + "\n")
     return _emit(args, _result_record(pair),
                  lambda r: [f"{key} = {_f10(r[key])}" for key in ("t", "p", "bracket")],
                  columns=("k", "n", "t", "p", "bracket"))

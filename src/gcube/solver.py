@@ -119,7 +119,8 @@ class ExponentPair:
 
     t is the midpoint of the final bracket, bracket_width its width and
     argmax the witness (a maximizer or a structured seed) that set the
-    lower end."""
+    lower end.  The checks below are the whole rule for a valid result:
+    the CLI serves a cached result only when it rebuilds into a pair."""
 
     k: int
     n: int
@@ -129,6 +130,12 @@ class ExponentPair:
     argmax: tuple
 
     def __post_init__(self):
+        # A bool is an int, and JSON reads NaN and Infinity as floats.
+        for x in (self.t, self.p, self.bracket_width, *self.argmax):
+            if (isinstance(x, bool) or not isinstance(x, (int, float))
+                    or not math.isfinite(x)):
+                raise ValueError(f"expected a finite number, not {x!r}")
+        check_simplex(self.argmax, self.n)
         if not self.t > 0:
             raise ValueError("t must be positive")
         # Written so that NaN fails too.
@@ -347,7 +354,7 @@ def check_problem(n: int, k: int, cfg: SolverConfig) -> None:
     k below 2, k above 1023, where 2^k overflows a float, and a tolerance
     below 2 * ulp(k + 1), where lo + tol/2 can round to lo and the bracket
     stop narrowing.  A sweep calls it for every point before its first
-    solve."""
+    solve, and `gcube exponent` before it reads its cache."""
     if n < 2 or k < 2:
         raise ValueError("n >= 2 and k >= 2 required")
     if k > _K_MAX:

@@ -181,9 +181,12 @@ def test_exponent_cache_skips_wrong_shapes(tmp_path, capsys, monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(cli, "solve_exponent", counted)
-    entry = {"command": "exponent", "k": 2, "n": 2,
-             "cfg_hash": cli._cfg_hash(SolverConfig()), "tol": 1e-9}
+    entry = {**cli._cache_key(SolverConfig(), 2, 2), "tol": 1e-9}
     wrong = {**json.loads(fresh), "t": 9.0}
+    # An entry of the former format, keyed by a config hash, whose result
+    # would be served under the current key.
+    old_format = {"command": "exponent", "k": 2, "n": 2, "cfg_hash": "0123456789abcdef",
+                  "tol": 1e-9, "result": json.loads(fresh)}
     lines = [
         "[1, 2]",
         json.dumps(entry),
@@ -191,6 +194,9 @@ def test_exponent_cache_skips_wrong_shapes(tmp_path, capsys, monkeypatch):
         json.dumps({**entry, "tol": None, "result": wrong}),
         json.dumps({**entry, "result": [9.0]}),
         json.dumps({**entry, "result": {k: v for k, v in wrong.items() if k != "argmax"}}),
+        json.dumps(old_format),
+        # JSON false equals 0, but is not the seed 0.
+        json.dumps({**entry, "seed": False, "result": json.loads(fresh)}),
     ]
     for i, line in enumerate(lines):
         cache = tmp_path / f"cache{i}.jsonl"
@@ -200,7 +206,7 @@ def test_exponent_cache_skips_wrong_shapes(tmp_path, capsys, monkeypatch):
         assert len(solves) == i + 1, line
         kept, appended = cache.read_text().splitlines()
         assert kept == line
-        assert json.loads(appended)["result"] == json.loads(fresh)
+        assert json.loads(appended) == {**entry, "result": json.loads(fresh)}
 
 
 def _cache_case(tmp_path, capsys, monkeypatch, line):
@@ -228,8 +234,7 @@ def _cache_entry(capsys, **changes):
     # the result of a real solve; `changes` replace entry or result keys.
     _, fresh, _ = run(capsys, ["exponent", "--k", "2", "--n", "2", "--json"])
     result = json.loads(fresh)
-    entry = {"command": "exponent", "k": 2, "n": 2,
-             "cfg_hash": cli._cfg_hash(SolverConfig()), "tol": 1e-9, "result": result}
+    entry = {**cli._cache_key(SolverConfig(), 2, 2), "tol": 1e-9, "result": result}
     for key, value in changes.items():
         (result if key in result else entry)[key] = value
     return fresh, entry
@@ -282,6 +287,8 @@ def test_exponent_cache_skips_nonpositive_t(tmp_path, capsys, monkeypatch):
     {"argmax": 0.5},
     {"argmax": [0.5, "0.5"]},
     {"k": 3},
+    {"argmax": [0.5]},
+    {"argmax": [-3.0, 7.0, 1e300]},
 ])
 def test_exponent_cache_skips_results_that_do_not_rebuild(
         tmp_path, capsys, monkeypatch, changes):
@@ -297,18 +304,21 @@ def test_exponent_cache_skips_nonfinite_result(tmp_path, capsys, monkeypatch):
         _assert_skipped(tmp_path, capsys, monkeypatch, fresh, line)
 
 
-def test_exponent_hashes_only_under_cache(tmp_path, capsys, monkeypatch):
+# A cache does not widen the inputs `exponent` accepts: with an entry on
+# file under the requested key, a tolerance below 2 * ulp(k + 1) and a k
+# whose 2^k overflows still exit 2 with the message of a run without it.
+@pytest.mark.parametrize("k,tol", [(2, "1e-17"), (2000, "1e-9")])
+def test_exponent_cache_keeps_input_checks(tmp_path, capsys, k, tol):
     _, fresh, _ = run(capsys, ["exponent", "--k", "2", "--n", "3", "--json"])
-
-    def refuse(scfg):
-        raise AssertionError("config hashed without --cache")
-
-    monkeypatch.setattr(cli, "_cfg_hash", refuse)
-    for fmt in ("human", "json", "csv"):
-        code, out, err = run(capsys, ["exponent", "--k", "2", "--n", "3",
-                                      "--format", fmt])
-        assert (code, err) == (0, "")
-    assert run(capsys, ["exponent", "--k", "2", "--n", "3", "--json"])[1] == fresh
+    entry = {**cli._cache_key(SolverConfig(), k, 3), "tol": 1e-18,
+             "result": {**json.loads(fresh), "k": k}}
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(cli.dumps17(entry) + "\n")
+    argv = ["exponent", "--k", str(k), "--n", "3", "--tol", tol, "--json"]
+    plain = run(capsys, argv)
+    assert plain[0] == 2 and plain[2].startswith("error: ")
+    assert run(capsys, argv + ["--cache", str(cache)]) == plain
+    assert cache.read_text() == cli.dumps17(entry) + "\n"
 
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -338,24 +348,24 @@ def test_solve_loads_no_generator_or_crypto(argv):
     assert _modules_after(argv) == []
 
 
-def test_cache_loads_hashlib(tmp_path):
+def test_cache_loads_no_crypto(tmp_path):
     argv = ["exponent", "--n", "3", "--k", "2", "--cache", str(tmp_path / "cache.jsonl")]
-    assert "hashlib" in _modules_after(argv)
+    assert _modules_after(argv) == []
 
 
-def test_cfg_hash_covers_config_and_version(monkeypatch):
+def test_cache_key_covers_config_and_version(monkeypatch):
     base = SolverConfig()
-    reference = cli._cfg_hash(base)
-    assert cli._cfg_hash(dataclasses.replace(base, t_tolerance=1e-6)) == reference
+    reference = cli._cache_key(base, 2, 2)
+    assert cli._cache_key(dataclasses.replace(base, t_tolerance=1e-6), 2, 2) == reference
     for field in dataclasses.fields(SolverConfig):
         if field.name == "t_tolerance":
             continue
         value = getattr(base, field.name)
         changed = (not value) if isinstance(value, bool) else value + 1
         other = dataclasses.replace(base, **{field.name: changed})
-        assert cli._cfg_hash(other) != reference, field.name
+        assert cli._cache_key(other, 2, 2) != reference, field.name
     monkeypatch.setattr(cli, "SOLVER_VERSION", cli.SOLVER_VERSION + 1)
-    assert cli._cfg_hash(base) != reference
+    assert cli._cache_key(base, 2, 2) != reference
 
 
 def test_exponent_bracket_failure_exit_code(capsys, monkeypatch):
@@ -703,6 +713,24 @@ def _subcommand_flags():
                if isinstance(a, argparse._SubParsersAction))
     return {name: set(p._option_string_actions) - {"-h", "--help"}
             for name, p in sub.choices.items()}
+
+
+def test_readme_library_block_matches_library():
+    # Runs the calls of README's "Library" block and checks the values its
+    # comments give.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#") for line in block.splitlines() if line.strip()]
+    assert [comment.strip() for *_, comment in lines[2:]] == [
+        "6.0", "19, exact integer", "t = 2.72071099764..., p * t = 4"]
+    namespace = {}
+    exec("\n".join(code for code, *_ in lines[:2]), namespace)
+    assert eval(lines[2][0], namespace) == 6.0
+    assert eval(lines[3][0], namespace) == 19
+    exec(lines[4][0], namespace)
+    pair = namespace["pair"]
+    assert pair.t == pytest.approx(2.72071099764, rel=1e-9)
+    assert pair.p * pair.t == pytest.approx(4.0, rel=1e-12)
 
 
 def test_readme_command_table_matches_parser():

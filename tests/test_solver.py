@@ -251,7 +251,8 @@ def test_solver_config_rejects_non_numeric_tolerance(tol):
 
 @pytest.mark.parametrize("field,value", [
     ("p", math.nan), ("bracket_width", -1e-10), ("bracket_width", math.nan),
-    ("bracket_width", math.inf),
+    ("bracket_width", math.inf), ("t", True), ("p", "1.5"), ("argmax", (1.0,)),
+    ("argmax", (0.5, math.nan)), ("argmax", (True, False)),
 ])
 def test_exponent_pair_rejects(field, value):
     t = math.log2(6)
