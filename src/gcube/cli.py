@@ -224,16 +224,18 @@ def _cache_lookup(path, key, tol):
     """The pair of the last entry whose fields equal `key`, in type too,
     solved at a tolerance in (0, tol], whose result is for the key's (k, n)
     and rebuilds into an ExponentPair; None if there is none.  Every other
-    line is skipped."""
+    line is skipped, one that is not UTF-8 or nests too deep included."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             lines = fh.readlines()
     except FileNotFoundError:
         return None
     hit = None
-    for line in lines:
+    for raw in lines:
         try:
-            entry = json.loads(line)
+            # Decoded here, not by json.loads, which would take bytes as
+            # UTF-16 or UTF-32 by their first bytes.
+            entry = json.loads(raw.decode("utf-8"))
             # type() too: JSON false equals 0, and 2.0 equals 2.
             if any(type(entry[f]) is not type(v) or entry[f] != v
                    for f, v in key.items()) or not 0 < entry["tol"] <= tol:
@@ -243,7 +245,7 @@ def _cache_lookup(path, key, tol):
                 continue
             hit = ExponentPair(k=key["k"], n=key["n"], t=r["t"], p=r["p"],
                                bracket_width=r["bracket"], argmax=tuple(r["argmax"]))
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
             continue
     return hit
 

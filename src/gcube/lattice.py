@@ -227,11 +227,19 @@ def set_from_json(obj) -> CubeSet:
     return CubeSet(dim, side, members)
 
 
-def load_function(path) -> LatticeFunction:
+def _load_json(path, what):
+    # json.load raises RecursionError, which is not a ValueError, on input
+    # nested past the interpreter's recursion limit.
     with open(path) as fh:
-        return function_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"malformed {what} JSON: {exc}") from exc
+
+
+def load_function(path) -> LatticeFunction:
+    return function_from_json(_load_json(path, "function"))
 
 
 def load_set(path) -> CubeSet:
-    with open(path) as fh:
-        return set_from_json(json.load(fh))
+    return set_from_json(_load_json(path, "set"))

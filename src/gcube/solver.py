@@ -16,39 +16,52 @@ that fails to carry the bound past its probe makes the next probe a
 bisection midpoint instead.
 
 The inner maximization is the soft spot because the objective is not
-concave.  It is one deterministic batched projected-gradient ascent with
-per-candidate backtracking.  The first probe of a solve starts it at once
-from a pool of 14 rows at every n: five structured profiles (uniform,
-binomial and powered Gaussians), 8 random points uniform on the simplex
-and the best seed's witness; every later probe starts from the batch the
-previous probe ended with, in the same shape and row order, so the
-previous witness is in it and a certifying probe starts next to the local
-maxima.  The vertices are not in the pool: each is a fixed point of the
-ascent (a dead coordinate gets no gradient) valued exactly 1, so a probe
-reports max(best, 1) and, when that is 1, counts the vertex (0, ..., 0, 1)
-among the rows tied at it.  A step is only taken when it raises the
-value, so the reported maximum is an exact evaluation and never below 1.
-Each point is evaluated once: the monomials that value an accepted step
-also give its next gradient.  All partial derivatives of the objective
-are nonnegative, which keeps the ascent on the current face: the simplex
-projection only ever removes mass.
+concave.  It is one deterministic batched EM (minorize-maximize) ascent,
+the Baum-Eagon or Blahut-Arimoto update.  Write F(g) = sum_i c_i E_i with
+the monomials E_i = prod_j g_j^(t Q_ij), and w = c * E / F, a distribution
+over the groups.  Every q row sums to 1, so for any simplex point h
+Jensen's inequality gives
+
+    F(h) / F(g) = sum_i w_i exp(t sum_j Q_ij log(h_j / g_j))
+               >= exp(t sum_j r_j log(h_j / g_j)),   r = Q^T w,
+
+and at h = r the right side is exp(t KL(r || g)) >= 1.  The step g <- r
+therefore raises F at every t, with no step size and no projection: r is
+on the simplex because Q^T w sums to sum_i w_i = 1.  Its fixed points are
+the points where the gradient of F is the same, t F, on the whole support.
+A zero coordinate stays exactly zero, since every group that puts mass on
+it has a zero monomial, so the ascent keeps to the face of its start.  A
+vertex is a fixed point valued exactly 1: only its own diagonal group
+has a nonzero monomial, and that group's q is the vertex.
+
+The first probe of a solve starts the ascent at once from a pool of 14
+rows at every n: five structured profiles (uniform, binomial and powered
+Gaussians), 8 random points uniform on the simplex and the best seed's
+witness; every later probe starts from the batch the previous probe ended
+with, in the same shape and row order, so the previous witness is in it
+and a certifying probe starts next to the local maxima.  The vertices are
+not in the pool, so a probe reports max(best, 1) and, when that is 1,
+counts the vertex (0, ..., 0, 1) among the rows tied at it.  A step is
+only taken when its evaluated value is higher, so rounding never lowers
+a row, the reported maximum is an exact evaluation and it is never below
+1.  Each point is evaluated once: the monomials that value an accepted
+step also give its next step.
 
 Each ascent works in one workspace: it allocates every array it touches
-once (the monomial logs, the masks, E * c and its product with Q, the
-values and the step factors), and every iteration writes into them
-through ufunc `out=` arguments; the `G > 0` mask of the log kernel is the
-one array an iteration still allocates.  The projection's sorted rows,
-ratios, mask and index constants are in the same workspace.  Every
-operation keeps its operands and their order, so the ascent gives the
-bits of the plain array expressions.
+once (the monomial logs, E * c, the candidates and their monomials, the
+values and the masks), and every iteration writes into them through
+ufunc `out=` arguments; the `G > 0` mask of the log kernel is the one
+array an iteration still allocates.  Every operation keeps its operands
+and their order, so the ascent gives the bits of the plain array
+expressions.
 
-The ascent stops when every step is below 1e-18, after 200 iterations,
-or once it has settled for 30 consecutive iterations.  A maximization
-whose best value stays at 1 certifies the upper end of the bracket; it
-has settled when no row's value rises by more than a relative 1e-15.
-Once the best value is above 1, M(t) > 1 is already certified and the
-outer loop reads only the argmax, for its witness root, so the ascent has
-settled when the best value rises by no more than that.
+The ascent stops after 200 iterations, or once it has settled for 30
+consecutive iterations.  A maximization whose best value stays at 1
+certifies the upper end of the bracket; it has settled when no row's
+value rises by more than a relative 1e-15.  Once the best value is above
+1, M(t) > 1 is already certified and the outer loop reads only the
+argmax, for its witness root, so the ascent has settled when the best
+value rises by no more than that.
 
 The random points are normalized exponentials -log(1 - U), with U drawn
 from `random.Random(seed).random()`: CPython keeps that sequence for a
@@ -68,7 +81,7 @@ from .terms import _merged_counts, check_simplex, term_matrix
 
 # Identifies the outer loop and the search stages; results cached under an
 # older version are not served for this one.
-SOLVER_VERSION = 10
+SOLVER_VERSION = 11
 
 # The fixed search: seeded random starts and ascent iterations.
 _MULTISTARTS = 8
@@ -147,77 +160,17 @@ class ExponentPair:
             raise ValueError("t exceeds the trivial upper bound k + 1")
 
 
-_COORD_FLOOR = 1e-15
-
-# The loop's constant operands as 0-d arrays: a ufunc converts a Python
-# float operand again on every call, and both give the same float64 result.
-_FLOOR = np.array(_COORD_FLOOR)
+# The settle tolerance as a 0-d array: a ufunc converts a Python float
+# operand again on every call, and both give the same float64 result.
 _RTOL = np.array(_SETTLE_RTOL)
-_ZERO = np.array(0.0)
-_ONE = np.array(1.0)
-# Every row's first step, and the step stop: the ascent ends once every
-# step is below it.
-_STEP_START = 0.1
-_STEP_STOP = 1e-18
-# Step factors of a rejected and an accepted candidate.  Halving is exact
-# and 1.3 only raises a step, so after i updates every step is at least
-# 0.1 / 2^i, and the step stop cannot fire before this many updates.
-_STEP_FACTORS = np.array([0.5, 1.3])
-_STEP_STOP_UPDATES = math.ceil(math.log2(_STEP_START / _STEP_STOP))
-
-
-def _projection_workspace(shape):
-    # The projection's buffers for batches of this shape: the sorted rows,
-    # their ratios, the comparison mask and its reversed view, the row
-    # thresholds and indices, and the constants, the divisors 1..n of every
-    # row and each row's flat offset of its last place.  Operands of the
-    # batch's own shape keep the ufunc loops contiguous.  The projection
-    # writes every buffer before it reads it, so no value carries from one
-    # call to the next.
-    rows, n = shape
-    mask, theta = np.empty(shape, dtype=bool), np.empty(rows)
-    return (np.empty(shape), np.empty(shape), mask, mask[:, ::-1], theta, theta[:, None],
-            np.empty(rows, dtype=np.intp), np.tile(np.arange(1.0, n + 1.0), (rows, 1)),
-            np.arange(n - 1, rows * n, n))
-
-
-def _project_rows(y, ws):
-    # Euclidean projection of each row onto the probability simplex, in
-    # place.  Coordinates below the floor, negative ones included, are
-    # snapped to exact zero (their gradient would overflow) and the row is
-    # renormalized.  The rows are sorted as -y, so w and the ratios of its
-    # cumulative sums are those of the descending sort, negated, which is
-    # exact.  ws is _projection_workspace(y.shape).
-    w, ratio, mask, reversed_mask, theta, theta_col, at, divisors, last = ws
-    np.negative(y, out=w)
-    w.sort(axis=1)
-    np.add.accumulate(w, axis=1, out=ratio)
-    np.add(ratio, _ONE, out=ratio)
-    np.divide(ratio, divisors, out=ratio)
-    # rho is the last place where the sorted row is above its ratio, and
-    # the ratio there is the threshold: the first place of the reversed
-    # mask, counted back from the row's last flat offset.
-    np.less(w, ratio, out=mask)
-    reversed_mask.argmax(axis=1, out=at)
-    np.subtract(last, at, out=at)
-    ratio.take(at, out=theta, mode="clip")
-    np.add(y, theta_col, out=y)
-    np.less(y, _FLOOR, out=mask)
-    np.copyto(y, _ZERO, where=mask)
-    np.add.reduce(y, axis=1, out=theta)
-    np.divide(y, theta_col, out=y)
-    return y
 
 
 def _ascend(G, t, tm, iters):
-    # Each candidate is evaluated once: the monomials E that value a row
-    # also give its next gradient, through E * c, which is all the loop
-    # keeps of them.  The batch keeps its shape throughout, since BLAS
-    # results per row can change in the last bit with it.  Every array the
-    # loop touches is allocated here, once per ascent, the projection's
-    # buffers included, and each iteration writes into them; the gradient
-    # is turned into the candidates in place, and an accepted row's E * c
-    # is written over its old one.
+    # The EM step r = (E * c) Q / F of every row (see the module
+    # docstring).  The monomials E that value a row also give its next
+    # step, through E * c, which is all the loop keeps of them; an accepted
+    # row's E * c is written over its old one.  The batch keeps its shape,
+    # since BLAS results per row can change in the last bit with it.
     G = G.copy()
     t = np.array(t)
     Q, c = tm.Q, tm.c
@@ -227,36 +180,27 @@ def _ascend(G, t, tm, iters):
     # c in every row, so that E * c is one contiguous loop.
     c_rows = np.tile(c, (len(G), 1))
     np.multiply(Ec, c_rows, out=Ec)
-    cand, S = np.empty_like(G), np.empty_like(G)
-    live = np.empty(G.shape, dtype=bool)
+    cand = np.empty_like(G)
     cE = np.empty_like(Ec)
     cvals, rise, rise_tol = np.empty_like(vals), np.empty_like(vals), np.empty_like(vals)
     better, rising_rows = np.empty(len(G), dtype=bool), np.empty(len(G), dtype=bool)
-    rows, accepted = better[:, None], better.view(np.uint8)
-    step, factor = np.full(len(G), _STEP_START), np.empty(len(G))
-    step_col = step[:, None]
-    projection = _projection_workspace(G.shape)
+    rows, vals_col = better[:, None], vals[:, None]
     best = np.maximum.reduce(vals)
     flat = 0
     # Bound once: at these sizes the attribute lookups are a measurable
     # share of an iteration.
-    add, copyto, divide, greater = np.add, np.copyto, np.divide, np.greater
+    copyto, divide, greater = np.copyto, np.divide, np.greater
     matmul, multiply, subtract = np.matmul, np.multiply, np.subtract
     max_of, any_of = np.maximum.reduce, np.logical_or.reduce
-    for i in range(iters):
-        # The gradient t (E * c) Q / G, zero at coordinates at or below the
-        # floor: they count as being on the face, and the fractional powers
-        # have unbounded slope there.
-        matmul(Ec, Q, out=S)
-        multiply(t, S, out=S)
-        cand.fill(0.0)
-        greater(G, _FLOOR, out=live)
-        divide(S, G, out=cand, where=live)
-        multiply(cand, step_col, out=cand)
-        add(cand, G, out=cand)
-        _project_rows(cand, projection)
+    for _ in range(iters):
+        # The row sums of (E * c) Q are those of E * c, F up to rounding,
+        # since every q row sums to 1: dividing by F puts the candidate on
+        # the simplex without a reduction.
+        matmul(Ec, Q, out=cand)
+        divide(cand, vals_col, out=cand)
         tm.monomials(cand, t, cE, logs)
         matmul(cE, c, out=cvals)
+        # A step can only fail to rise by rounding; such a row stays put.
         greater(cvals, vals, out=better)
         # Only an ascent whose best value is 1 reads whether a row rises.
         rising = False
@@ -268,12 +212,6 @@ def _ascend(G, t, tm, iters):
         copyto(G, cand, where=rows)
         multiply(cE, c_rows, out=Ec, where=rows)
         copyto(vals, cvals, where=better)
-        # A step grows by 1.3 where its candidate was accepted and halves
-        # elsewhere.
-        _STEP_FACTORS.take(accepted, out=factor, mode="clip")
-        multiply(step, factor, out=step)
-        if i + 1 >= _STEP_STOP_UPDATES and max_of(step) < _STEP_STOP:
-            break
         # Above 1 only the best value must settle; at 1 the ascent certifies
         # M(t) = 1, so every row must have stopped rising.
         prev, best = best, max_of(vals)
@@ -318,9 +256,10 @@ def _start_pool(n, k, cfg, start=None, seeds=None):
 
 def _probe(n, k, t, G):
     # One maximization at t from the rows of G: (value, argmax, final
-    # batch), the batch in G's shape and row order.  Every vertex values
-    # exactly 1, so the value is at least 1, and at 1 the smallest vertex
-    # (0, ..., 0, 1) is tied with the rows there.
+    # batch), the batch in G's shape and row order.  Every vertex is a
+    # fixed point of the ascent valued exactly 1, so the value is at least
+    # 1, and at 1 the smallest vertex (0, ..., 0, 1) is tied with the rows
+    # there.
     G, vals = _ascend(G, t, term_matrix(n, k), _ASCENT_ITERATIONS)
     best_val = max(float(vals.max()), 1.0)
     tied = [tuple(g.tolist()) for g in G[vals == best_val]]
@@ -332,16 +271,17 @@ def _probe(n, k, t, G):
 def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     """Best found value of the objective over the simplex at exponent t.
 
-    One projected ascent from the structured profiles, the seeded random
-    points and, when given, the simplex point `start` (the previous
-    witness).  Returns (value, argmax): the value is max(best, 1), since
-    every vertex values exactly 1, and the argmax the smallest point among
-    the ascended rows tied at it and, when it is 1, the vertex
-    (0, ..., 0, 1).  The value is a certified lower estimate of the true
-    supremum (every reported value is an exact evaluation).  The ascent ends
-    when it has settled for 30 iterations: while the value is 1, no row
+    One EM ascent from the structured profiles, the seeded random points
+    and, when given, the simplex point `start` (the previous witness).
+    Returns (value, argmax): the value is max(best, 1), since every vertex
+    values exactly 1, and the argmax the smallest point among the ascended
+    rows tied at it and, when it is 1, the vertex (0, ..., 0, 1).  The
+    value is a certified lower estimate of the true supremum (every
+    reported value is an exact evaluation).  The ascent ends after 200
+    steps, or once it has settled for 30: while the value is 1, no row
     rises by more than a relative 1e-15; once it is above 1, the value
-    does not, which moves the argmax by about 1e-8.
+    does not, which leaves the argmax within about 2e-8 of where the 200
+    steps end.
     Deterministic for a fixed config and start."""
     cfg = cfg or SolverConfig()
     if not t > 0:

@@ -304,6 +304,21 @@ def test_exponent_cache_skips_nonfinite_result(tmp_path, capsys, monkeypatch):
         _assert_skipped(tmp_path, capsys, monkeypatch, fresh, line)
 
 
+# A line that is not UTF-8, or that nests past the interpreter's recursion
+# limit, is skipped like any other bad line, and the entry after it is
+# still served.
+@pytest.mark.parametrize("bad", [b"\xff\xfe garbage", b"[" * 100_000],
+                         ids=["not-utf-8", "nested"])
+def test_exponent_cache_skips_undecodable_lines(tmp_path, capsys, monkeypatch, bad):
+    fresh, entry = _cache_entry(capsys)
+    cache = tmp_path / "cache.jsonl"
+    cache.write_bytes(bad + b"\n" + json.dumps(entry).encode() + b"\n")
+    monkeypatch.setattr(cli, "solve_exponent", None)
+    code, out, err = run(capsys, ["exponent", "--k", "2", "--n", "2", "--json",
+                                  "--cache", str(cache)])
+    assert (code, out, err) == (0, fresh, "")
+
+
 # A cache does not widen the inputs `exponent` accepts: with an entry on
 # file under the requested key, a tolerance below 2 * ulp(k + 1) and a k
 # whose 2^k overflows still exit 2 with the message of a run without it.
@@ -663,6 +678,19 @@ def test_malformed_input_json_exits_2(tmp_path, capsys, kind, blob):
     code, out, err = run(capsys, argv + ["--k", "2"])
     assert code == 2 and out == ""
     assert err.startswith("error: malformed ")
+
+
+# Input nested past the interpreter's recursion limit is malformed input,
+# not a failed verification.
+@pytest.mark.parametrize("kind,what", [("f", "function"), ("set", "set")])
+def test_deeply_nested_input_json_exits_2(tmp_path, capsys, kind, what):
+    path = tmp_path / "in.json"
+    path.write_text("[" * 100_000)
+    argv = (["norm", "--f", str(path)] if kind == "f"
+            else ["energy", "--set", str(path), "--kind", "P"])
+    code, out, err = run(capsys, argv + ["--k", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: malformed {what} JSON: ")
 
 
 def test_signed_first_value_negative(capsys):

@@ -19,7 +19,7 @@ from gcube.solver import (
     trivial_bounds,
     witness_lower_bound,
 )
-from gcube.terms import objective, term_matrix, ternary_objective_check
+from gcube.terms import _SIMPLEX_TOL, TermMatrix, objective, term_matrix, ternary_objective_check
 
 LOG2_6 = math.log2(6)
 LOG3_19 = math.log(19) / math.log(3)
@@ -341,22 +341,28 @@ def test_probes_carry_the_batch(monkeypatch, n, k):
         assert start.shape == end.shape == first.shape == (5 + solver_module._MULTISTARTS + 1, n)
 
 
-# Ascent iterations per solve at seed 0, capped just above today's counts
-# (52, 118 and 136).  At n = 2 a solve is one probe, which takes 89 when a
-# certifying ascent runs to the step stop; at n = 3 and 6, probes that start
-# from the cold pool again take 156 and 226.
-@pytest.mark.parametrize("n,k,cap", [(2, 2, 56), (3, 2, 125), (6, 2, 145)])
+# EM steps per solve at seed 0, capped just above today's counts (139, 199
+# and 296).  Every step values its candidate once through
+# TermMatrix.monomials, and every ascent values its start batch once more.
+# At n = 2 a solve is one certifying probe; at n = 3 and 6 it is three
+# probes, of 90, 69 and 40 and of 128, 103 and 65 steps.
+@pytest.mark.parametrize("n,k,cap", [(2, 2, 150), (3, 2, 210), (6, 2, 315)])
 def test_ascent_iterations_per_solve(monkeypatch, n, k, cap):
-    iterations = [0]
-    inner = solver_module._project_rows
+    calls = {"monomials": 0, "ascents": 0}
+    monomials, ascend = TermMatrix.monomials, solver_module._ascend
 
-    def counted(y, *args):
-        iterations[0] += 1
-        return inner(y, *args)
+    def counted_monomials(*args, **kwargs):
+        calls["monomials"] += 1
+        return monomials(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "_project_rows", counted)
+    def counted_ascend(*args):
+        calls["ascents"] += 1
+        return ascend(*args)
+
+    monkeypatch.setattr(TermMatrix, "monomials", counted_monomials)
+    monkeypatch.setattr(solver_module, "_ascend", counted_ascend)
     solve_exponent(n, k, SolverConfig(rng_seed=0))
-    assert 0 < iterations[0] <= cap
+    assert 0 < calls["monomials"] - calls["ascents"] <= cap
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (3, 16)])
@@ -464,95 +470,28 @@ def test_solve_goldens_beyond_bench(n, k, t):
     assert solve_cached(n, k).t == pytest.approx(t, abs=1e-9)
 
 
-# The ascent as it stood when it evaluated every candidate twice (once for
-# its value, once more for the gradient after acceptance), kept verbatim as
-# the reference for the one-evaluation loop.
-def _ref_grad_batch(G, t, tm):
+def _ref_em_step(G, t, tm, vals):
+    # One EM step of every row of G, whose values are vals.
     W = np.exp(t * tm.log_monomials(G)) * tm.c
-    S = W @ tm.Q
-    grad = np.zeros_like(G)
-    # Coordinates at or below the floor count as being on the face; the
-    # fractional powers have unbounded slope there.
-    np.divide(t * S, G, out=grad, where=G > solver_module._COORD_FLOOR)
-    return grad
+    return (W @ tm.Q) / vals[:, None]
 
 
-def _ref_project_rows(y):
-    # Euclidean projection of each row onto the probability simplex.
-    # Near-zero output coordinates are snapped to exact zero (their gradient
-    # would overflow) and the row is renormalized.
-    n = y.shape[1]
-    u = np.sort(y, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, n + 1)
-    cond = u - css / idx > 0
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(len(y)), rho] / (rho + 1)
-    out = np.maximum(y - theta[:, None], 0.0)
-    out[out < solver_module._COORD_FLOOR] = 0.0
-    return out / out.sum(axis=1, keepdims=True)
-
-
-# Coordinates the projection must treat exactly: exact zeros, values at,
-# below and just above the floor, negative ones, and simple fractions.
-_SPECIAL_COORDS = st.sampled_from(
-    [0.0, 1e-300, 1e-16, 1e-15, 2e-15, -1e-16, -0.3, 0.25, 0.5, 1.0, 3.0])
-
-
-@st.composite
-def _ascent_batches(draw):
-    # A batch of the solver's rows (five structured seeds, the random
-    # starts and possibly the previous witness) plus the n vertices, which
-    # a row can still reach.  The rows past the vertices are simplex points
-    # plus a nonnegative step, as in the ascent, so most sum above 1 and
-    # some are already on the simplex.
-    n = draw(st.integers(2, 16))
-    rows = n + 5 + solver_module._MULTISTARTS + draw(st.integers(0, 1))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    y = rng.dirichlet(np.ones(n), size=rows)
-    y[:n] = np.eye(n)
-    scale = draw(st.sampled_from([1e-12, 1e-4, 1e-2, 1.0, 10.0]))
-    moved = rng.random((rows, 1)) < 0.8
-    y += moved * (rng.random(y.shape) < 0.6) * rng.exponential(scale, size=y.shape)
-    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, n - 1))
-    for (i, j), value in draw(st.lists(st.tuples(cells, _SPECIAL_COORDS), max_size=30)):
-        y[i, j] = value
-    # Ties: one coordinate copied to another of the same row.
-    for i, j in draw(st.lists(cells, max_size=20)):
-        y[i, j] = y[i, (j + 1) % n]
-    return y
-
-
-@settings(max_examples=200, deadline=None)
-@given(_ascent_batches())
-def test_projection_matches_reference(y):
-    want = _ref_project_rows(y.copy())
-    got = y.copy()
-    assert solver_module._project_rows(got, solver_module._projection_workspace(got.shape)) is got
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-# With settle=False it is the loop as it stood before the settle rule,
-# which ran every maximization to the step stop.
+# The EM ascent in plain array expressions, evaluating every point twice
+# (once for its value, once more for the next step after acceptance): the
+# reference for the one-evaluation loop.  With settle=False it runs every
+# maximization to the iteration cap.
 def _ref_ascend(G, t, tm, iters, settle=True):
     G = G.copy()
     vals = tm.values(G, t)
-    step = np.full(len(G), 0.1)
     best = vals.max()
     flat = 0
     for _ in range(iters):
-        grad = _ref_grad_batch(G, t, tm)
-        cand = _ref_project_rows(G + step[:, None] * grad)
+        cand = _ref_em_step(G, t, tm, vals)
         cvals = tm.values(cand, t)
         better = cvals > vals
         rising = (cvals - vals > solver_module._SETTLE_RTOL * vals).any()
         G[better] = cand[better]
         vals[better] = cvals[better]
-        step[better] *= 1.3
-        step[~better] *= 0.5
-        if step.max() < 1e-18:
-            break
         if not settle:
             continue
         prev, best = best, vals.max()
@@ -564,6 +503,45 @@ def _ref_ascend(G, t, tm, iters, settle=True):
         if flat == solver_module._SETTLE_WINDOW:
             break
     return G, vals
+
+
+@st.composite
+def _em_cases(draw):
+    # (n, k, t, G): a batch of simplex rows, some coordinates exactly zero
+    # and some subnormal, and t in [1, k + 1].
+    n = draw(st.integers(2, 16))
+    k = draw(st.sampled_from([2, 3, 4, 8, 16]))
+    weights = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                       min_size=n, max_size=n).filter(any)
+    G = np.array(draw(st.lists(weights, min_size=1, max_size=14)))
+    G /= G.sum(axis=1, keepdims=True)
+    return n, k, draw(st.floats(1.0, k + 1.0)), G
+
+
+# Every q row sums to 1, so the step r = (E * c) Q / F lands on the simplex,
+# keeps every zero of g, and by Jensen's inequality raises F by at least
+# the factor exp(t KL(r || g)).  The ascent takes it exactly where F rises.
+@settings(max_examples=200, deadline=None)
+@given(_em_cases())
+def test_em_step_invariants(case):
+    n, k, t, G = case
+    tm = term_matrix(n, k)
+    F = tm.values(G, t)
+    R = _ref_em_step(G, t, tm, F)
+    assert R.min() >= 0.0
+    assert np.abs(R.sum(axis=1) - 1.0).max() <= _SIMPLEX_TOL
+    assert np.all(R[G == 0.0] == 0.0)
+    support = R > 0.0
+    log_r, log_g = np.zeros_like(R), np.zeros_like(G)
+    np.log(R, out=log_r, where=support)
+    np.log(G, out=log_g, where=support)
+    kl = (R * (log_r - log_g)).sum(axis=1)
+    FR = tm.values(R, t)
+    assert np.all(FR >= F * np.exp(t * kl) * (1.0 - 1e-13))
+    got_G, got_vals = solver_module._ascend(G, t, tm, 1)
+    rises = FR > F
+    assert np.array_equal(got_G, np.where(rises[:, None], R, G))
+    assert np.array_equal(got_vals, np.where(rises, FR, F))
 
 
 # Critical exponents to six digits, so the ascent runs where M(t) is
@@ -613,7 +591,7 @@ def _reported_at_one(G, vals):
 
 
 # Where no row rises above 1 the ascent certifies M(t) <= 1, and the probe
-# reports exactly 1.  The settle rule may end it before the step stop, but
+# reports exactly 1.  The settle rule may end it before the iteration cap, but
 # with the same verdict and argmax as the loop without the rule, and every
 # row's value close to where that loop leaves it.
 @pytest.mark.parametrize("n,k", sorted(_NEAR_CRITICAL))
