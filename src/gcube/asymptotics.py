@@ -1,6 +1,6 @@
 """Closed-form main terms, the sharp real-line constant, the leading
-coefficient table, and sweep reports comparing solver output against the
-large-k formula.
+coefficient table, and sweep reports comparing solver output over an
+(n, k) grid against the large-k formula and the trivial bounds.
 
 The o(1) corrections are reported as gaps and never asserted to vanish;
 only their monotone trend is checked at desk scale.
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .entropy import binomial_entropy
-from .solver import SolverConfig, check_problem, solve_exponent
+from .solver import SolverConfig, check_problem, solve_exponent, trivial_bounds
 
 
 def large_k_main_term(k: int, n: int) -> float:
@@ -56,33 +56,38 @@ class AsymptoticReport:
     k: int
     n: int
     t_solver: float
+    p: float
     t_formula: float
     gap: float
     large_n_lower: float
+    lower_trivial: float
     upper_trivial: float
 
 
-def asymptotic_sweep(n: int, k_list, cfg: SolverConfig | None = None) -> list:
-    """Solve each distinct k in k_list at side n, in ascending order, and
-    tabulate the formula gaps; the solves run one after another.  Every k
-    passes `check_problem` before the first solve."""
+def asymptotic_sweep(n_list, k_list, cfg: SolverConfig | None = None) -> list:
+    """Solve each distinct (n, k) of the grid n_list x k_list in ascending
+    (n, k) order, one after another, and tabulate the formula gaps and
+    trivial bounds.  Every point passes `check_problem` before any solve."""
     cfg = cfg or SolverConfig()
-    ks = sorted(set(k_list))
-    for k in ks:
+    grid = [(n, k) for n in sorted(set(n_list)) for k in sorted(set(k_list))]
+    for n, k in grid:
         check_problem(n, k, cfg)
-    return [report_for(solve_exponent(n, k, cfg)) for k in ks]
+    return [report_for(solve_exponent(n, k, cfg)) for n, k in grid]
 
 
 def report_for(pair) -> AsymptoticReport:
     formula = large_k_main_term(pair.k, pair.n)
+    lower, upper = trivial_bounds(pair.n, pair.k)
     return AsymptoticReport(
         k=pair.k,
         n=pair.n,
         t_solver=pair.t,
+        p=pair.p,
         t_formula=formula,
         gap=pair.t - formula,
         large_n_lower=large_n_lower_main_term(pair.k, pair.n),
-        upper_trivial=float(pair.k + 1),
+        lower_trivial=lower,
+        upper_trivial=upper,
     )
 
 

@@ -358,7 +358,8 @@ def _modules_after(argv):
 
 
 @pytest.mark.parametrize("argv", [["exponent", "--n", "3", "--k", "2"],
-                                  ["asym", "--n", "3", "--k", "2,4"]])
+                                  ["asym", "--n", "3", "--k", "2,4"],
+                                  ["asym", "--n", "2,3", "--k", "2"]])
 def test_solve_loads_no_generator_or_crypto(argv):
     assert _modules_after(argv) == []
 
@@ -464,7 +465,7 @@ def test_asym_csv(tmp_path, capsys):
     )
     assert code == 0
     lines = out_csv.read_text().strip().split("\n")
-    assert lines[0] == "k,n,t_solver,t_formula,gap,lower13,upper"
+    assert lines[0] == "k,n,t_solver,p,t_formula,gap,lower13,lower,upper"
     assert len(lines) == 3
     assert lines[1].startswith("2,2,") and lines[2].startswith("3,2,")
     code, out, _ = run(capsys, ["asym", "--n", "2", "--k", "2", "--format", "json"])
@@ -510,6 +511,35 @@ def test_asym_checks_every_k_before_solving(monkeypatch, capsys):
     assert code == 2 and not out and err.startswith("error:") and "1023" in err
 
 
+# A point that fails the solver's input checks stops the sweep before any
+# solve, even when it comes after points that would solve.
+def test_asym_checks_every_n_before_solving(monkeypatch, capsys):
+    monkeypatch.setattr(asymptotics, "solve_exponent", _refuse("solve_exponent"))
+    code, out, err = run(capsys, ["asym", "--n", "2,1", "--k", "2"])
+    assert code == 2 and out == "" and "n >= 2 and k >= 2 required" in err
+
+
+def test_asym_grid_rows_in_n_k_order(capsys):
+    code, out, _ = run(capsys, ["asym", "--n", "3,2", "--k", "2", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["n"], r["k"]) for r in rows] == [(2, 2), (3, 2)]
+    assert [r["t_solver"] for r in rows] == pytest.approx(
+        [2.5849625010, 2.7207109976], abs=1e-9)
+
+
+# `lower` is log_n P_k({0, ..., n-1}) from the term table, so it has no
+# k <= 256 limit of the box-count recursion: P_300({0, 1}) = 602.
+def test_asym_p_and_lower_past_k_256(capsys):
+    code, out, _ = run(capsys, ["asym", "--n", "2", "--k", "2,300", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["k"] for r in rows] == [2, 300]
+    for r in rows:
+        assert r["p"] * r["t_solver"] == pytest.approx(2.0 ** r["k"], rel=1e-9)
+    assert rows[1]["lower"] == pytest.approx(math.log2(602), rel=1e-12)
+
+
 def test_verify_pass_and_unknown(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "binary"])
     assert code == 0
@@ -534,8 +564,9 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_run_config_validation(capsys):
     code, _, err = run(capsys, ["asym", "--n", "2", "--k", "2", "--tol", "0.5"])
     assert code == 2 and "tolerance" in err
-    code, _, _ = run(capsys, ["asym", "--n", "2", "--k", "2", "--threads", "0"])
-    assert code == 2
+    for flag, value in (("--tol", "0"), ("--seed", "-1"), ("--n", "x")):
+        code, _, err = run(capsys, ["asym", "--n", "2", "--k", "2", flag, value])
+        assert code == 2 and "usage:" in err
 
 
 def test_tolerance_below_float_spacing_exits_2(monkeypatch, capsys):

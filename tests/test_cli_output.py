@@ -142,7 +142,8 @@ def test_asym_forms_show_one_record(tmp_path, capsys):
     code, csv_text, _ = run(capsys, argv + ["--format", "csv"])
     assert code == 0
     keys, rows = _csv_rows(csv_text)
-    assert keys == ["k", "n", "t_solver", "t_formula", "gap", "lower13", "upper"]
+    assert keys == ["k", "n", "t_solver", "p", "t_formula", "gap", "lower13", "lower",
+                    "upper"]
     assert rows == [{key: _cell(r[key]) for key in keys} for r in records]
     path = tmp_path / "sweep.csv"
     assert run(capsys, argv + ["--csv", str(path)]) == (0, f"wrote {path}\n", "")
@@ -153,8 +154,8 @@ def test_asym_forms_show_one_record(tmp_path, capsys):
         0, f"wrote {path}\n", "")
     assert path.read_text() == csv_text
     human = "".join(
-        f"k = {r['k']}: t = {r['t_solver']:.10g}, formula = {r['t_formula']:.10g}, "
-        f"gap = {r['gap']:.10g}\n" for r in records
+        f"n = {r['n']}, k = {r['k']}: t = {r['t_solver']:.10g}, p = {r['p']:.10g}, "
+        f"formula = {r['t_formula']:.10g}, gap = {r['gap']:.10g}\n" for r in records
     )
     assert run(capsys, argv) == (0, human, "")
 
