@@ -564,9 +564,6 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_run_config_validation(capsys):
     code, _, err = run(capsys, ["asym", "--n", "2", "--k", "2", "--tol", "0.5"])
     assert code == 2 and "tolerance" in err
-    for flag, value in (("--tol", "0"), ("--seed", "-1"), ("--n", "x")):
-        code, _, err = run(capsys, ["asym", "--n", "2", "--k", "2", flag, value])
-        assert code == 2 and "usage:" in err
 
 
 def test_tolerance_below_float_spacing_exits_2(monkeypatch, capsys):
