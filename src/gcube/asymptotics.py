@@ -53,15 +53,19 @@ def eisner_tao_constant(k: int) -> tuple:
 
 @dataclass(frozen=True)
 class AsymptoticReport:
+    """One `gcube asym` row, field for field: t from the solver, its dual p,
+    the large-k main term and t's gap to it, the large-n lower main term
+    and the trivial bounds."""
+
     k: int
     n: int
     t_solver: float
     p: float
     t_formula: float
     gap: float
-    large_n_lower: float
-    lower_trivial: float
-    upper_trivial: float
+    lower13: float
+    lower: float
+    upper: float
 
 
 def asymptotic_sweep(n_list, k_list, cfg: SolverConfig | None = None) -> list:
@@ -85,9 +89,9 @@ def report_for(pair) -> AsymptoticReport:
         p=pair.p,
         t_formula=formula,
         gap=pair.t - formula,
-        large_n_lower=large_n_lower_main_term(pair.k, pair.n),
-        lower_trivial=lower,
-        upper_trivial=upper,
+        lower13=large_n_lower_main_term(pair.k, pair.n),
+        lower=lower,
+        upper=upper,
     )
 
 

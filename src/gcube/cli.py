@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .asymptotics import asymptotic_sweep, leading_coefficient_rows
@@ -153,8 +154,9 @@ def build_parser():
                    help="alias of --format csv")
 
     s = sub.add_parser("entropy", parents=[records], help="entropy utilities")
-    s.add_argument("--binomial", type=int, default=None, metavar="M")
-    s.add_argument("--signed", default=None, metavar="H1,H2,...",
+    g = s.add_mutually_exclusive_group(required=True)
+    g.add_argument("--binomial", type=int, metavar="M")
+    g.add_argument("--signed", type=int_list, metavar="H1,H2,...",
                    help="coefficients h_i; write --signed=-1,2 when h_1 < 0")
 
     s = sub.add_parser("terms", parents=[records],
@@ -213,23 +215,12 @@ def _cache_key(scfg, k, n):
             "solver_version": SOLVER_VERSION}
 
 
-def _result_record(pair):
-    """The record cmd_exponent prints for a solved or cached pair."""
-    return {
-        "k": pair.k,
-        "n": pair.n,
-        "t": pair.t,
-        "p": pair.p,
-        "bracket": pair.bracket_width,
-        "argmax": list(pair.argmax),
-    }
-
-
 def _cache_lookup(path, key, tol):
     """The pair of the last entry whose fields equal `key`, in type too,
     solved at a tolerance in (0, tol], whose result is for the key's (k, n)
-    and rebuilds into an ExponentPair; None if there is none.  Every other
-    line is skipped, one that is not UTF-8 or nests too deep included."""
+    and holds exactly an ExponentPair's fields, which rebuild into a pair;
+    None if there is none.  Every other line is skipped, one that is not
+    UTF-8 or nests too deep included."""
     try:
         with open(path, "rb") as fh:
             lines = fh.readlines()
@@ -248,8 +239,9 @@ def _cache_lookup(path, key, tol):
             r = entry["result"]
             if (r["k"], r["n"]) != (key["k"], key["n"]):
                 continue
-            hit = ExponentPair(k=key["k"], n=key["n"], t=r["t"], p=r["p"],
-                               bracket_width=r["bracket"], argmax=tuple(r["argmax"]))
+            # k and n from the key, so that a JSON 2.0 never prints as k.
+            hit = ExponentPair(**{**r, "k": key["k"], "n": key["n"],
+                                  "argmax": tuple(r["argmax"])})
         except (ValueError, KeyError, TypeError, RecursionError):
             continue
     return hit
@@ -260,20 +252,16 @@ def cmd_exponent(args):
     check_problem(args.n, args.k, scfg)
     cache_key = _cache_key(scfg, args.k, args.n)
     pair = _cache_lookup(args.cache, cache_key, args.tol) if args.cache else None
-    if pair is None:
-        pair = solve_exponent(args.n, args.k, scfg)
-        if args.cache:
-            with open(args.cache, "a") as fh:
-                fh.write(dumps17({**cache_key, "tol": args.tol,
-                                  "result": _result_record(pair)}) + "\n")
-    return _emit(args, _result_record(pair),
+    record = asdict(pair or solve_exponent(args.n, args.k, scfg))
+    if args.cache and pair is None:
+        with open(args.cache, "a") as fh:
+            fh.write(dumps17({**cache_key, "tol": args.tol, "result": record}) + "\n")
+    return _emit(args, record,
                  lambda r: [f"{key} = {_f10(r[key])}" for key in ("t", "p", "bracket")],
                  columns=("k", "n", "t", "p", "bracket"))
 
 
 def cmd_entropy(args):
-    if (args.binomial is None) == (args.signed is None):
-        raise ValueError("exactly one of --binomial or --signed is required")
     if args.binomial is not None:
         m = args.binomial
         if m > BINOMIAL_M_MAX:
@@ -286,10 +274,7 @@ def cmd_entropy(args):
         return _emit(args, record, lambda r: (f"H_{r['m']} = {_f10(r['entropy'])}",
                                               f"lower = {_f10(r['lower'])}",
                                               f"upper = {_f10(r['upper'])}"))
-    try:
-        coeffs = tuple(int(v) for v in args.signed.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad coefficient list {args.signed!r}") from exc
+    coeffs = args.signed
     span = sum(abs(v) for v in coeffs)
     if span > SIGNED_SPAN_MAX:
         raise ValueError(
@@ -298,7 +283,7 @@ def cmd_entropy(args):
         )
     pmf = pmf_signed_sum(coeffs)
     record = {
-        "coefficients": list(coeffs),
+        "coefficients": coeffs,
         "offset": pmf.support_offset,
         "masses": [str(m) for m in pmf.masses],
         "rearrangement": [str(m) for m in decreasing_rearrangement(pmf)],
@@ -366,21 +351,7 @@ def cmd_table1(args):
 
 
 def cmd_asym(args):
-    reports = asymptotic_sweep(args.n, args.k, _solver_config(args))
-    rows = [
-        {
-            "k": r.k,
-            "n": r.n,
-            "t_solver": r.t_solver,
-            "p": r.p,
-            "t_formula": r.t_formula,
-            "gap": r.gap,
-            "lower13": r.large_n_lower,
-            "lower": r.lower_trivial,
-            "upper": r.upper_trivial,
-        }
-        for r in reports
-    ]
+    rows = [asdict(r) for r in asymptotic_sweep(args.n, args.k, _solver_config(args))]
     return _emit(args, rows, lambda rs: [
         f"n = {r['n']}, k = {r['k']}: t = {_f10(r['t_solver'])}, p = {_f10(r['p'])}, "
         f"formula = {_f10(r['t_formula'])}, gap = {_f10(r['gap'])}"

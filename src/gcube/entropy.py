@@ -231,17 +231,14 @@ class KaramataResult:
 
 
 def karamata_compare(x, y, psi) -> KaramataResult:
-    """Sum-of-psi comparison for x majorizing y.
+    """Sum-of-psi comparison for x majorizing y, psi a PSI_REGISTRY name.
 
     Returns the signed difference sum psi(x) - sum psi(y), whether its sign
     matches the convexity of psi, and whether the padded tuples coincide."""
-    if isinstance(psi, str):
-        try:
-            fn, convexity = PSI_REGISTRY[psi]
-        except KeyError:
-            raise ValueError(f"unknown psi {psi!r}") from None
-    else:
-        fn, convexity = psi
+    try:
+        fn, convexity = PSI_REGISTRY[psi]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown psi {psi!r}") from None
     if not majorizes(x, y):
         raise ValueError("x does not majorize y")
     x = list(x)

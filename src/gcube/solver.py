@@ -130,21 +130,24 @@ class SolverConfig:
 class ExponentPair:
     """Critical exponent t = t(k, n) with its dual p = 2^k / t.
 
-    t is the midpoint of the final bracket, bracket_width its width and
-    argmax the witness (a maximizer or a structured seed) that set the
-    lower end.  The checks below are the whole rule for a valid result:
-    the CLI serves a cached result only when it rebuilds into a pair."""
+    t is the midpoint of the final bracket, bracket its width and argmax
+    the witness (a maximizer or a structured seed) that set the lower end.
+    The fields are the record `gcube exponent` prints and caches, name for
+    name, and the checks below are the whole rule for a valid result: the
+    CLI serves a cached result only when it rebuilds into a pair.  So
+    every field is deterministic; anything that is not, such as timings,
+    belongs beside the pair, not in it."""
 
     k: int
     n: int
     t: float
     p: float
-    bracket_width: float
+    bracket: float
     argmax: tuple
 
     def __post_init__(self):
         # A bool is an int, and JSON reads NaN and Infinity as floats.
-        for x in (self.t, self.p, self.bracket_width, *self.argmax):
+        for x in (self.t, self.p, self.bracket, *self.argmax):
             if (isinstance(x, bool) or not isinstance(x, (int, float))
                     or not math.isfinite(x)):
                 raise ValueError(f"expected a finite number, not {x!r}")
@@ -154,8 +157,8 @@ class ExponentPair:
         # Written so that NaN fails too.
         if not abs(self.p * self.t - 2.0 ** self.k) <= 1e-12 * 2.0 ** self.k:
             raise ValueError("p * t must equal 2^k")
-        if not 0 <= self.bracket_width < math.inf:
-            raise ValueError("bracket_width must be nonnegative and finite")
+        if not 0 <= self.bracket < math.inf:
+            raise ValueError("bracket must be nonnegative and finite")
         if self.t > self.k + 1 + 1e-9:
             raise ValueError("t exceeds the trivial upper bound k + 1")
 
@@ -344,7 +347,7 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
         n=n,
         t=t,
         p=2.0 ** k / t,
-        bracket_width=hi - lo,
+        bracket=hi - lo,
         argmax=tuple(witness),
     )
 

@@ -79,7 +79,7 @@ def test_report_and_csv():
     pair = solve_cached(2, 2)
     rep = report_for(pair)
     assert rep.gap == pytest.approx(pair.t - math.log2(4), abs=1e-12)
-    assert rep.upper_trivial == 3.0
+    assert rep.upper == 3.0
 
 
 def test_binary_gap_identity():

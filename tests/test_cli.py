@@ -289,6 +289,7 @@ def test_exponent_cache_skips_nonpositive_t(tmp_path, capsys, monkeypatch):
     {"k": 3},
     {"argmax": [0.5]},
     {"argmax": [-3.0, 7.0, 1e300]},
+    {"extra": 0},
 ])
 def test_exponent_cache_skips_results_that_do_not_rebuild(
         tmp_path, capsys, monkeypatch, changes):
@@ -416,12 +417,12 @@ def test_entropy_signed(capsys):
 
 
 def test_entropy_flag_validation(capsys):
-    code, _, _ = run(capsys, ["entropy"])
-    assert code == 2
-    code, _, _ = run(capsys, ["entropy", "--binomial", "2", "--signed", "1"])
-    assert code == 2
-    code, _, _ = run(capsys, ["entropy", "--signed", "1,zap"])
-    assert code == 2
+    code, _, err = run(capsys, ["entropy"])
+    assert code == 2 and "usage:" in err
+    code, _, err = run(capsys, ["entropy", "--binomial", "2", "--signed", "1"])
+    assert code == 2 and "usage:" in err
+    code, _, err = run(capsys, ["entropy", "--signed", "1,zap"])
+    assert code == 2 and "usage:" in err
 
 
 def test_terms_json(capsys):

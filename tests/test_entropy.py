@@ -123,6 +123,8 @@ def test_karamata_examples():
         "neg_x_log2",
     )
     assert res.difference == pytest.approx(1.5 - 2.0)
+    with pytest.raises(ValueError):
+        karamata_compare([1.0, 0.0], [0.5, 0.5], (lambda v: v * v, "convex"))
     assert res.consistent
     with pytest.raises(ValueError):
         karamata_compare([0.4, 0.3, 0.3], [0.5, 0.3, 0.2], "square")

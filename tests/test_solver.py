@@ -73,7 +73,7 @@ def test_solve_ternary_golden_values():
 def test_exponent_pair_invariants():
     pair = solve_cached(3, 2)
     assert pair.p * pair.t == pytest.approx(4.0, rel=1e-12)
-    assert pair.bracket_width <= 1e-9 + 1e-15
+    assert pair.bracket <= 1e-9 + 1e-15
     assert pair.t <= pair.k + 1
 
 
@@ -250,13 +250,13 @@ def test_solver_config_rejects_non_numeric_tolerance(tol):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("p", math.nan), ("bracket_width", -1e-10), ("bracket_width", math.nan),
-    ("bracket_width", math.inf), ("t", True), ("p", "1.5"), ("argmax", (1.0,)),
+    ("p", math.nan), ("bracket", -1e-10), ("bracket", math.nan),
+    ("bracket", math.inf), ("t", True), ("p", "1.5"), ("argmax", (1.0,)),
     ("argmax", (0.5, math.nan)), ("argmax", (True, False)),
 ])
 def test_exponent_pair_rejects(field, value):
     t = math.log2(6)
-    fields = dict(k=2, n=2, t=t, p=4.0 / t, bracket_width=1e-10, argmax=(0.5, 0.5))
+    fields = dict(k=2, n=2, t=t, p=4.0 / t, bracket=1e-10, argmax=(0.5, 0.5))
     ExponentPair(**fields)
     with pytest.raises(ValueError):
         ExponentPair(**{**fields, field: value})
@@ -405,7 +405,7 @@ def test_lower_end_from_best_seed(monkeypatch, n, k):
     root, seed = _best_seed(n, k)
     pair = solve_exponent(n, k)
     assert calls == [root + 0.5 * tol]
-    assert pair.t - 0.5 * pair.bracket_width == pytest.approx(root, abs=1e-15)
+    assert pair.t - 0.5 * pair.bracket == pytest.approx(root, abs=1e-15)
     assert pair.argmax == seed
 
 
@@ -445,7 +445,7 @@ def test_stalled_witness_falls_back_to_bisection(monkeypatch):
     monkeypatch.setattr(solver_module, "witness_lower_bound", lambda n, k, g, start=None: 1.0)
     tol = SolverConfig().t_tolerance
     pair = solve_exponent(3, 2)
-    assert pair.bracket_width <= tol
+    assert pair.bracket <= tol
     assert abs(pair.t - edge) <= tol
     assert len(calls) <= 2 * math.ceil(math.log2(2 / tol)) + 3
 
