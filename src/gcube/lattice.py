@@ -190,8 +190,9 @@ def _json_int(value):
 
 
 def _json_number(value):
-    # float() would read "2" as 2.0 and true as 1.0.
-    if type(value) not in (int, float):
+    # float() would read "2" as 2.0 and true as 1.0; json.load reads NaN and
+    # Infinity as floats.
+    if type(value) not in (int, float) or not math.isfinite(value):
         raise ValueError(f"{value!r} is not a number")
     return value
 

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .terms import _merged_counts, check_simplex, term_matrix
+from .terms import check_simplex, term_groups, term_matrix
 
 # Identifies the outer loop and the search stages; results cached under an
 # older version are not served for this one.
@@ -285,10 +285,13 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     rises by more than a relative 1e-15; once it is above 1, the value
     does not, which leaves the argmax within about 2e-8 of where the 200
     steps end.
-    Deterministic for a fixed config and start."""
+    Deterministic for a fixed config and start; ValueError unless `start`,
+    when given, is a point of the n-simplex."""
     cfg = cfg or SolverConfig()
     if not t > 0:
         raise ValueError("t must be positive")
+    if start is not None:
+        start = check_simplex(start, n)
     return _probe(n, k, t, _start_pool(n, k, cfg, start))[:2]
 
 
@@ -397,7 +400,7 @@ def trivial_bounds(n: int, k: int) -> tuple:
     """(log_n of the full-interval box count, k + 1); these always sandwich
     the critical exponent.  The box count P_k({0, ..., n-1}) is the
     coefficient sum of the term table, which has no recursion limit in k."""
-    pk = sum(_merged_counts(n, k)[1])
+    pk = sum(term_groups(n, k)[1])
     return (math.log(pk) / math.log(n), float(k + 1))
 
 

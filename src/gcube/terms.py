@@ -16,10 +16,11 @@ q depends only on the multiset m of the |h_i| and the lowest box point b in
 for 2^l l!/prod(mult!) ordered signed tuples; the empty m is the diagonal.
 
 Terms with identical q are merged, with summed coefficients, on their
-integer counts over 2^(n-1) (entropy.signed_sum_counts); the merged table
-returns each q as exact Fractions.  Every evaluation goes through the
-table's float form, TermMatrix, which divides those counts by 2^(n-1) at
-once and values a whole batch of simplex points with one matrix product.
+integer counts over 2^(n-1) (entropy.signed_sum_counts); the merged table,
+term_groups, keeps those counts, so each q is exactly a count over
+2^(n-1).  Every evaluation goes through the table's float form,
+TermMatrix, which divides the counts by 2^(n-1) at once and values a whole
+batch of simplex points with one matrix product.
 """
 
 from __future__ import annotations
@@ -51,14 +52,6 @@ class TupleClass:
     @property
     def size(self):
         return len(self.tuples)
-
-
-@dataclass(frozen=True)
-class TermGroup:
-    """Monomial group: summed integer coefficient and a shared q vector."""
-
-    coefficient: int
-    q: tuple  # of Fractions, length n, summing to 1 exactly
 
 
 def enumerate_tuple_classes(n: int) -> list:
@@ -102,9 +95,14 @@ def _magnitude_multisets(budget, parts, top):
 
 
 @lru_cache(maxsize=128)
-def _merged_counts(n: int, k: int) -> tuple:
-    """(keys, coefficients) of the merged table: each key is one q vector
-    times 2^(n-1), as integers, and the keys descend."""
+def term_groups(n: int, k: int) -> tuple:
+    """Merged term table (counts, coefficients) for side n and box order k.
+
+    counts[i] is group i's q vector times 2^(n-1), as ints, so q is exactly
+    counts[i] / 2^(n-1); coefficients[i] is its integer coefficient.
+    Contains the n diagonal point masses with coefficient 1 plus every
+    admissible tuple weighted C(k, l); tuples with identical q are merged.
+    Deterministically ordered by descending lexicographic q."""
     if n < 2 or k < 1:
         raise ValueError("n >= 2 and k >= 1 required")
     # Counts over 2^(n-1) are those over 2^l, shifted; their descending
@@ -119,22 +117,6 @@ def _merged_counts(n: int, k: int) -> tuple:
             merged[(0,) * b + counts + (0,) * (n - b - len(counts))] += count
     keys = tuple(sorted(merged, reverse=True))
     return keys, tuple(merged[key] for key in keys)
-
-
-@lru_cache(maxsize=128)
-def term_groups(n: int, k: int) -> tuple:
-    """Merged TermGroup table for side n and box order k.
-
-    Contains the n diagonal point masses with coefficient 1 plus every
-    admissible tuple weighted C(k, l); tuples with identical q are merged.
-    Deterministically ordered by descending lexicographic q."""
-    keys, coefficients = _merged_counts(n, k)
-    # Each distinct count becomes a Fraction once.
-    frac = {x: Fraction(x, 2 ** (n - 1)) for x in set().union(*keys)}
-    return tuple(
-        TermGroup(coefficient=c, q=tuple(map(frac.__getitem__, key)))
-        for key, c in zip(keys, coefficients)
-    )
 
 
 @dataclass(frozen=True)
@@ -174,8 +156,9 @@ class TermMatrix:
 
 @lru_cache(maxsize=128)
 def term_matrix(n: int, k: int) -> TermMatrix:
-    keys, coefficients = _merged_counts(n, k)
-    # Dividing by a power of two is exact, so Q is the Fractions' floats.
+    keys, coefficients = term_groups(n, k)
+    # Dividing by a power of two is exact, so each Q entry is exactly its
+    # count over 2^(n-1).
     Q = np.array(keys, dtype=float) / 2.0 ** (n - 1)
     QT = np.ascontiguousarray(Q.T)
     c = np.array(coefficients, dtype=float)
@@ -190,9 +173,10 @@ def check_simplex(g, n):
     g = tuple(float(x) for x in g)
     if len(g) != n:
         raise ValueError(f"expected a vector of length {n}")
-    if any(x < 0 for x in g):
+    # Written so that NaN fails too.
+    if not all(x >= 0 for x in g):
         raise ValueError("simplex vector has a negative entry")
-    if abs(sum(g) - 1.0) > _SIMPLEX_TOL:
+    if not abs(sum(g) - 1.0) <= _SIMPLEX_TOL:
         raise ValueError("simplex vector does not sum to 1")
     return g
 

@@ -698,6 +698,9 @@ def test_repeated_main_calls_share_the_parser(tmp_path, capsys):
     ("set", {"d": 1, "n": 2, "members": [[0], [1], [0]]}),
     ("f", {"d": 1, "entries": [{"p": [0], "re": "2", "im": True}]}),
     ("f", {"d": 1, "entries": [{"p": [0], "re": 2.0, "im": "0"}]}),
+    ("f", {"d": 1, "entries": [{"p": [0], "re": float("nan")}]}),
+    ("f", {"d": 1, "entries": [{"p": [0], "re": float("inf")}]}),
+    ("f", {"d": 1, "entries": [{"p": [0], "re": 1.0, "im": float("-inf")}]}),
 ])
 def test_malformed_input_json_exits_2(tmp_path, capsys, kind, blob):
     path = tmp_path / "in.json"

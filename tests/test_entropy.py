@@ -173,12 +173,12 @@ def test_entropy_translation_and_negation_invariance():
 def test_weighted_am_gm_against_entropy():
     # prod g(j)^(q_j) <= 2^(-H(q)) for any simplex g and any group q
     rng = random.Random(37)
-    groups = term_groups(4, 3)
+    groups = [tuple(Fraction(x, 8) for x in key) for key in term_groups(4, 3)[0]]
     for _ in range(60):
         raw = [rng.random() + 1e-12 for _ in range(4)]
         s = sum(raw)
         g = [v / s for v in raw]
-        q = rng.choice(groups).q
+        q = rng.choice(groups)
         prod = 1.0
         for gj, qj in zip(g, q):
             if qj:

@@ -146,6 +146,17 @@ def test_witness_rejects_point_mass():
         witness_lower_bound(3, 2, (0.0, 1.0, 0.0))
 
 
+def test_nan_and_non_simplex_points_rejected():
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        objective(2, 2, 2.0, (nan, 1.0))
+    with pytest.raises(ValueError):
+        witness_lower_bound(3, 2, (nan, 0.5, 0.5))
+    for start in ((2.0, 0.0, 0.0), (nan, 0.5, 0.5), (0.5, 0.5)):
+        with pytest.raises(ValueError):
+            max_objective(3, 2, 2.9, start=start)
+
+
 def test_witness_below_solver_value():
     for n, k in ((2, 2), (2, 3), (3, 2), (3, 3)):
         t = solve_cached(n, k).t

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import numpy as np
 
+import gcube.terms as terms_module
 from gcube.gowers import energy_P
 from gcube.lattice import interval_set
 from gcube.terms import (
@@ -96,34 +97,52 @@ def test_term_groups_match_definition():
                 merged[q] += math.comb(k, l)
             expected = tuple((merged[q], q) for q in sorted(merged, reverse=True)
                              if merged[q])
-            got = tuple((g.coefficient, g.q) for g in term_groups(n, k))
+            got = tuple((c, tuple(Fraction(x, 2 ** (n - 1)) for x in key))
+                        for key, c in zip(*term_groups(n, k)))
             assert got == expected, (n, k)
 
 
 def test_coefficient_audit_ternary():
     for k in (2, 3, 5):
-        multiset = sorted(g.coefficient for g in term_groups(3, k))
+        multiset = sorted(term_groups(3, k)[1])
         assert multiset == sorted([1, 1, 1, 2 * k, 2 * k, 2 * k, 2 * k * (k - 1)])
 
 
 def test_total_coefficient_matches_box_count():
     for n in range(2, 6):
         for k in range(2, 5):
-            total = sum(g.coefficient for g in term_groups(n, k))
+            total = sum(term_groups(n, k)[1])
             assert total == energy_P(interval_set(n), k)
 
 
 # term_matrix divides the integer counts by 2^(n-1) at once; that division
-# is exact, so Q and c are the floats of the Fraction table entry by entry.
+# is exact, so Q and c are the floats of the exact q vectors entry by entry.
 def test_term_matrix_matches_fraction_table():
     for n in range(2, 17):
         for k in (2, 5):
-            groups = term_groups(n, k)
+            keys, coefficients = term_groups(n, k)
             tm = term_matrix(n, k)
-            Q = np.array([[float(q) for q in g.q] for g in groups])
-            c = np.array([float(g.coefficient) for g in groups])
+            Q = np.array([[float(Fraction(x, 2 ** (n - 1))) for x in key]
+                          for key in keys])
+            c = np.array([float(x) for x in coefficients])
             assert np.array_equal(tm.Q, Q), (n, k)
             assert np.array_equal(tm.c, c), (n, k)
+
+
+# bench/tracer.py times term_groups by its module global; term_matrix must
+# look it up there rather than through another name.
+def test_term_matrix_reads_term_groups(monkeypatch):
+    calls = []
+    inner = terms_module.term_groups
+
+    def counting(n, k):
+        calls.append((n, k))
+        return inner(n, k)
+
+    monkeypatch.setattr(terms_module, "term_groups", counting)
+    term_matrix.cache_clear()
+    term_matrix(5, 3)
+    assert calls == [(5, 3)]
 
 
 def test_values_are_monomials_times_coefficients():
