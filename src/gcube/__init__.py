@@ -23,7 +23,6 @@ from .gowers import (
     gowers_norm_recursive,
 )
 from .terms import (
-    TupleClass,
     enumerate_tuple_classes,
     objective,
     pmf_of_tuple,

@@ -308,34 +308,33 @@ def cmd_terms(args):
     if args.n > TERMS_N_MAX:
         raise ValueError(f"terms supports --n <= {TERMS_N_MAX}, got {args.n}")
     classes = enumerate_tuple_classes(args.n)
-    # The masses depend only on the multiset of the |h_i|, so each multiset
-    # is counted once.  A negative h_i is |h_i| (1 - eps_i) - |h_i|: the
-    # masses start at a plus the sum of the negative h_i.
+    # Many tuples share their counts, so each count tuple is formatted once;
+    # its sum is 2^l.
     masses = {}
 
     def q_strings(a, h):
-        m = tuple(sorted(abs(v) for v in h))
-        if m not in masses:
-            masses[m] = [str(Fraction(c, 2 ** len(m))) for c in signed_sum_counts(m)[1]]
-        lo = a + sum(v for v in h if v < 0)
-        return ["0"] * lo + masses[m] + ["0"] * (args.n - lo - len(masses[m]))
+        offset, counts = signed_sum_counts(h)
+        if counts not in masses:
+            masses[counts] = [str(Fraction(c, 2 ** len(h))) for c in counts]
+        lo = a + offset
+        return ["0"] * lo + masses[counts] + ["0"] * (args.n - lo - len(counts))
 
     payload = {
         "n": args.n,
         "classes": [
             {
-                "l": c.l,
-                "size": c.size,
+                "l": l,
+                "size": len(tuples),
                 "tuples": [
                     {
                         "a": a,
                         "h": list(h),
                         "q": q_strings(a, h),
                     }
-                    for a, h in c.tuples
+                    for a, h in tuples
                 ],
             }
-            for c in classes
+            for l, tuples in enumerate(classes, 1)
         ],
     }
     return _emit(args, payload, _terms_lines)

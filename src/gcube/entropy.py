@@ -7,7 +7,9 @@ reaching each sum, as the coefficients of the product of (1 + x^|h_i|)
 packed into one Python integer (one byte slot of m // 8 + 1 bytes per
 sum).  Exact work is done on those integer counts (denominator 2^m);
 Fractions exist only in returned values such as pmf_signed_sum, and
-entropies are evaluated in floating point at the very end.
+entropies are evaluated in floating point at the very end.  binomial_entropy
+rounds each mass c / 2^m once, by a float divisor up to m = 1020 and by int
+true division above, where 2^m is past the float range.
 
 The verifiers check the total of the counts exactly and share the cores of
 majorizes and entropy_bits with the public functions.  A report formats
@@ -108,29 +110,22 @@ def binomial_entropy(m: int) -> float:
     """Entropy H_m of the symmetric binomial distribution B(m, 1/2)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    # Terms j < m / 2 count twice by symmetry; the middle term of an even m,
-    # the last one summed, counts once.
+    # Each mass c / 2^m is rounded once: by a float divisor while 2^m is a
+    # float, by int true division above.  A mass that underflows to 0 adds
+    # nothing.  Terms j < m / 2 count twice by symmetry; the middle term of
+    # an even m, the last one summed, counts once.
     log2 = math.log2
+    denom = float(2 ** m) if m <= 1020 else 1 << m
     c = 1
     h = 0.0
-    if m <= 1020:
-        denom = float(2 ** m)
-        for j in range((m + 1) // 2):
-            p = c / denom
-            h += 2.0 * (-p * log2(p))
-            c = c * (m - j) // (j + 1)
-        if m % 2 == 0:
-            p = c / denom
-            h += -p * log2(p)
-        return h
-    # Large m: avoid float overflow of 2^m by working with log2 of counts.
     for j in range((m + 1) // 2):
-        lg = log2(c) - m
-        h += 2.0 * (-(2.0 ** lg) * lg)
+        p = c / denom
+        if p:
+            h += 2.0 * (-p * log2(p))
         c = c * (m - j) // (j + 1)
     if m % 2 == 0:
-        lg = log2(c) - m
-        h += -(2.0 ** lg) * lg
+        p = c / denom
+        h += -p * log2(p)
     return h
 
 

@@ -43,14 +43,6 @@ class LatticeFunction:
                 clean[p] = v
         object.__setattr__(self, "entries", clean)
 
-    @property
-    def support(self):
-        """Support points in sorted (lexicographic) order."""
-        return sorted(self.entries)
-
-    def __call__(self, p):
-        return self.entries.get(tuple(p), 0j)
-
     def __add__(self, other):
         if not isinstance(other, LatticeFunction):
             return NotImplemented
@@ -60,12 +52,6 @@ class LatticeFunction:
         for p, v in other.entries.items():
             out[p] = out.get(p, 0j) + v
         return LatticeFunction(self.dim, out)
-
-    def __rmul__(self, scalar):
-        s = complex(scalar)
-        return LatticeFunction(self.dim, {p: s * v for p, v in self.entries.items()})
-
-    __mul__ = __rmul__
 
 
 def indicator(points, dim=None):

@@ -421,11 +421,12 @@ def profile_to_simplex(profile, power: float) -> tuple:
     before powering, so a large power does not underflow the whole
     profile to zero."""
     p = np.asarray(profile, dtype=float)
-    w = (p / p.max()) ** power
-    s = w.sum()
-    if not s > 0:
+    if not np.isfinite(p).all() or (p < 0).any():
+        raise ValueError("profile entries must be finite and nonnegative")
+    if not (p > 0).any():
         raise ValueError("profile has no mass")
-    return tuple((w / s).tolist())
+    w = (p / p.max()) ** power
+    return tuple((w / w.sum()).tolist())
 
 
 def gaussian_witness_bound(n: int, M: float, k: int) -> float:

@@ -6,8 +6,10 @@ length n when every epsilon-combination a + eps . h stays in
 {0, ..., n-1}; that forces |h_1| + ... + |h_l| <= n - 1, which keeps the
 classes finite.  Each tuple carries a dyadic probability vector
 q_j = 2^{-l} |{eps : a + eps . h = j}|, the PMF of the signed Bernoulli
-sum a + h . eps (entropy.pmf_signed_sum), and the objective is the sum of
-g(j)^t over the diagonal plus C(k, l)-weighted monomials
+sum a + h . eps: the counts of entropy.signed_sum_counts(h) over 2^l,
+placed at a plus their offset (pmf_of_tuple).  enumerate_tuple_classes
+lists the admissible tuples of each l as one sorted tuple.  The objective
+is the sum of g(j)^t over the diagonal plus C(k, l)-weighted monomials
 prod_j g(j)^{q_j t} over all admissible tuples.
 
 Sign flips of the h_i only translate q and permutations leave it alone, so
@@ -33,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import PMFVector, iter_signed_vectors, pmf_signed_sum, signed_sum_counts
+from .entropy import iter_signed_vectors, signed_sum_counts
 
 _SIMPLEX_TOL = 1e-12
 # Stands in for log(0): times q > 0 it sends the monomial to 0 (0^s = 0),
@@ -41,21 +43,10 @@ _SIMPLEX_TOL = 1e-12
 _LOG_ZERO = -1e300
 
 
-@dataclass(frozen=True)
-class TupleClass:
-    """All admissible (a, h) tuples with exactly l nonzero steps."""
-
-    n: int
-    l: int
-    tuples: tuple  # of (a, (h_1, ..., h_l))
-
-    @property
-    def size(self):
-        return len(self.tuples)
-
-
 def enumerate_tuple_classes(n: int) -> list:
-    """TupleClass tables for l = 1, ..., n-1; exhaustive and duplicate-free."""
+    """Entry l-1 is the sorted tuple of admissible (a, (h_1, ..., h_l)) with
+    exactly l nonzero steps, for l = 1, ..., n-1; exhaustive and
+    duplicate-free."""
     if n < 2:
         raise ValueError("n must be >= 2")
     classes = []
@@ -66,8 +57,7 @@ def enumerate_tuple_classes(n: int) -> list:
             neg = sum(v for v in h if v < 0)
             for a in range(-neg, n - pos):
                 tuples.append((a, h))
-        tuples.sort()
-        classes.append(TupleClass(n, l, tuple(tuples)))
+        classes.append(tuple(sorted(tuples)))
     return classes
 
 
@@ -77,12 +67,15 @@ def pmf_of_tuple(n: int, a: int, h) -> tuple:
     q_j = 2^{-l} |{eps : a + eps . h = j}| as Fractions that sum to 1; the
     empty h gives the point mass at a."""
     h = tuple(h)
-    p = pmf_signed_sum(h) if h else PMFVector(0, (Fraction(1),))
-    lo = p.support_offset + a
-    end = lo + len(p.masses)
+    if 0 in h:
+        raise ValueError("coefficients must be nonzero")
+    offset, counts = signed_sum_counts(h)
+    lo = a + offset
+    end = lo + len(counts)
     if lo < 0 or end > n:
         raise ValueError(f"tuple (a={a}, h={h}) leaves the interval [0, {n - 1}]")
-    return (Fraction(0),) * lo + p.masses + (Fraction(0),) * (n - end)
+    q = tuple(Fraction(c, 2 ** len(h)) for c in counts)
+    return (Fraction(0),) * lo + q + (Fraction(0),) * (n - end)
 
 
 def _magnitude_multisets(budget, parts, top):

@@ -86,7 +86,7 @@ def terms_suite():
             "k={}: coefficient multiset {} != {}", k, multiset, expected,
         )
     for n in range(2, 8):
-        size = enumerate_tuple_classes(n)[-1].size
+        size = len(enumerate_tuple_classes(n)[-1])
         rep.record(size == 2 ** (n - 1), "n={}: largest class has {} tuples", n, size)
     for n in range(2, 6):
         for k in range(2, 5):

@@ -102,7 +102,7 @@ def test_criterion_5_term_group_audit():
         multiset = sorted(term_groups(3, k)[1])
         assert multiset == sorted([1, 1, 1, 2 * k, 2 * k, 2 * k, 2 * k * (k - 1)])
     for n in range(2, 8):
-        assert enumerate_tuple_classes(n)[-1].size == 2 ** (n - 1)
+        assert len(enumerate_tuple_classes(n)[-1]) == 2 ** (n - 1)
     for n in range(2, 6):
         for k in range(2, 5):
             pk = energy_P(interval_set(n), k)

@@ -87,3 +87,15 @@ def test_binary_gap_identity():
         pair = solve_cached(2, k)
         gap = pair.t - large_k_main_term(k, 2)
         assert gap == pytest.approx(math.log2(1 + 1 / k), abs=1e-9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: leading_coefficient(1),
+    lambda: large_n_lower_main_term(2, 1),
+    lambda: eisner_tao_constant(1),
+    lambda: leading_coefficient_rows(1),
+], ids=["leading_coefficient", "large_n_lower_main_term", "eisner_tao_constant",
+        "leading_coefficient_rows"])
+def test_input_checks(call):
+    with pytest.raises(ValueError):
+        call()

@@ -437,8 +437,8 @@ def test_terms_json(capsys):
 
 
 def test_terms_q_matches_pmf_of_tuple(capsys):
-    # The listing shifts one count per |h| multiset; pmf_of_tuple counts
-    # every tuple on its own.
+    # The listing formats each count tuple once and places it at a + offset;
+    # pmf_of_tuple builds the Fractions of every tuple on its own.
     n = 6
     _, out, _ = run(capsys, ["terms", "--n", str(n), "--json"])
     for c in json.loads(out)["classes"]:

@@ -266,15 +266,26 @@ BINOMIAL_ENTROPY_HEX = {
     999: "0x1.81df7e1318a61p+2",
     1000: "0x1.81eb5123e3086p+2",
     1020: "0x1.82d55b03b5a03p+2",
-    1021: "0x1.82e0efc9e347bp+2",
-    5000: "0x1.cc388dc5f88e1p+2",
+    1021: "0x1.82e0efc9e345ap+2",
+    5000: "0x1.cc388dc5f88f8p+2",
 }
 
 
 def test_binomial_entropy_bits_pinned():
-    # Both branches, either side of the float-overflow switch at m = 1020.
+    # Both divisors, either side of the float-overflow switch at m = 1020.
     got = {m: binomial_entropy(m).hex() for m in BINOMIAL_ENTROPY_HEX}
     assert got == BINOMIAL_ENTROPY_HEX
+
+
+@pytest.mark.parametrize("m", [1021, 1500, 5000])
+def test_binomial_entropy_matches_mpmath_above_float_range(m):
+    # With 2^m past the float range each mass is still rounded once.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        denom = mpmath.mpf(2) ** m
+        ref = -mpmath.fsum(p * mpmath.log(p, 2)
+                           for p in (math.comb(m, j) / denom for j in range(m + 1)))
+        assert abs((binomial_entropy(m) - ref) / ref) <= 5e-16
 
 
 def _walk_vectors():
@@ -302,3 +313,16 @@ def test_counts_entropy_checks_total_exactly():
         _counts_entropy((1, 2, 1), 8)
     with pytest.raises(ValueError, match="masses must sum to 1"):
         _counts_entropy((2 ** 60, 1), 2 ** 60)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PMFVector(0, (0.5, -0.5, 1.0)),
+    lambda: binomial_entropy_bounds(0),
+    lambda: verify_majorization_lemma(6, 4),
+    lambda: verify_entropy_corollary(9),
+    lambda: verify_entropy_corollary(1),
+], ids=["negative-mass", "bounds-m0", "majorization-m6", "corollary-n9",
+        "corollary-n1"])
+def test_input_checks(call):
+    with pytest.raises(ValueError):
+        call()

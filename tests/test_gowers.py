@@ -11,6 +11,7 @@ from gcube.gowers import (
     K_RECURSION_MAX,
     GowersSystem,
     _coder,
+    _discard_imag,
     energy_E,
     energy_E_tilde,
     energy_P,
@@ -683,3 +684,7 @@ def _brute_force_E(A, k):
 def test_energy_E_equals_brute_force(A, k):
     assert energy_E(A, k) == _brute_force_E(A, k)
 
+
+def test_discard_imag_rejects_imaginary_residue():
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        _discard_imag(1 + 1j)

@@ -208,3 +208,17 @@ def test_function_json_rejects_non_integers_and_repeats(blob):
 def test_set_json_rejects_non_integers_and_repeats(blob):
     with pytest.raises(ValueError, match="malformed set JSON"):
         set_from_json(blob)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: LatticeFunction(2, {(0,): 1.0}), ValueError),
+    (lambda: LatticeFunction(-1, {}), ValueError),
+    (lambda: CubeSet(-1, 2, frozenset()), ValueError),
+    (lambda: delta(1) + 1, TypeError),
+    (lambda: delta(1) + delta(2), ValueError),
+    (lambda: indicator([]), ValueError),
+], ids=["point-dim", "function-negative-dim", "set-negative-dim", "add-scalar",
+        "add-dims", "indicator-empty"])
+def test_input_checks(call, error):
+    with pytest.raises(error):
+        call()

@@ -214,6 +214,18 @@ def test_profile_to_simplex():
     assert all(v > 0 for v in g)
 
 
+@pytest.mark.parametrize("profile, message", [
+    ([-1.0, 2.0], "finite and nonnegative"),
+    ([1.0, math.nan], "finite and nonnegative"),
+    ([1.0, math.inf], "finite and nonnegative"),
+    ([0.0, 0.0], "no mass"),
+], ids=["negative", "nan", "inf", "no-positive"])
+def test_profile_to_simplex_rejects_bad_profiles(profile, message):
+    # Checked before any arithmetic, so no numpy warning comes first.
+    with pytest.raises(ValueError, match=message):
+        profile_to_simplex(profile, 1.0)
+
+
 def test_gaussian_witness_bound_below_solver():
     t10 = solve_cached(10, 2).t
     bound = gaussian_witness_bound(10, 3.0, 2)

@@ -25,23 +25,23 @@ from gcube.terms import (
 def test_binary_class_contents():
     classes = enumerate_tuple_classes(2)
     assert len(classes) == 1
-    assert set(classes[0].tuples) == {(0, (1,)), (1, (-1,))}
+    assert set(classes[0]) == {(0, (1,)), (1, (-1,))}
 
 
 def test_class_sizes():
     classes = enumerate_tuple_classes(3)
-    assert classes[0].size == 6
-    assert classes[1].size == 4
-    assert enumerate_tuple_classes(4)[-1].size == 8
+    assert len(classes[0]) == 6
+    assert len(classes[1]) == 4
+    assert len(enumerate_tuple_classes(4)[-1]) == 8
     for n in range(2, 8):
-        assert enumerate_tuple_classes(n)[-1].size == 2 ** (n - 1)
+        assert len(enumerate_tuple_classes(n)[-1]) == 2 ** (n - 1)
 
 
 def test_enumerated_tuples_satisfy_constraints():
     for n in range(2, 7):
         seen = set()
         for cls in enumerate_tuple_classes(n):
-            for a, h in cls.tuples:
+            for a, h in cls:
                 assert (a, h) not in seen
                 seen.add((a, h))
                 assert all(v != 0 for v in h)
@@ -79,7 +79,7 @@ def pmf_by_eps(n, a, h):
 def test_pmf_sums_exactly_one():
     for n in range(2, 6):
         for cls in enumerate_tuple_classes(n):
-            for a, h in cls.tuples:
+            for a, h in cls:
                 q = pmf_of_tuple(n, a, h)
                 assert sum(q) == 1
                 assert q == pmf_by_eps(n, a, h)
@@ -89,8 +89,8 @@ def test_pmf_sums_exactly_one():
 def test_term_groups_match_definition():
     for n in range(2, 8):
         diagonal = [(0, pmf_by_eps(n, a, ())) for a in range(n)]
-        tuples = [(cls.l, pmf_by_eps(n, a, h))
-                  for cls in enumerate_tuple_classes(n) for a, h in cls.tuples]
+        classes = enumerate(enumerate_tuple_classes(n), 1)
+        tuples = [(l, pmf_by_eps(n, a, h)) for l, cls in classes for a, h in cls]
         for k in (2, 3, 4, 6, 8):
             merged = Counter()
             for l, q in diagonal + tuples:
@@ -271,3 +271,13 @@ def test_objective_reflection_symmetric(n, k, raw, t):
     v1 = objective(n, k, t, g)
     v2 = objective(n, k, t, g[::-1])
     assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_tuple_classes(1),
+    lambda: term_groups(1, 2),
+    lambda: term_groups(2, 0),
+], ids=["classes-n1", "groups-n1", "groups-k0"])
+def test_input_checks(call):
+    with pytest.raises(ValueError):
+        call()
