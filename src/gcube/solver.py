@@ -23,16 +23,35 @@ over the groups.  Every q row sums to 1, so for any simplex point h
 Jensen's inequality gives
 
     F(h) / F(g) = sum_i w_i exp(t sum_j Q_ij log(h_j / g_j))
-               >= exp(t sum_j r_j log(h_j / g_j)),   r = Q^T w,
+               >= exp(t sum_j R_j log(h_j / g_j)),   R = Q^T w,
 
-and at h = r the right side is exp(t KL(r || g)) >= 1.  The step g <- r
-therefore raises F at every t, with no step size and no projection: r is
-on the simplex because Q^T w sums to sum_i w_i = 1.  Its fixed points are
-the points where the gradient of F is the same, t F, on the whole support.
-A zero coordinate stays exactly zero, since every group that puts mass on
-it has a zero monomial, so the ascent keeps to the face of its start.  A
-vertex is a fixed point valued exactly 1: only its own diagonal group
-has a nonzero monomial, and that group's q is the vertex.
+and at h = R the right side is exp(t KL(R || g)) >= 1.  The EM step
+g <- R(g) therefore raises F at every t, with no step size and no
+projection: R is on the simplex because Q^T w sums to sum_i w_i = 1.  Its
+fixed points are the points where the gradient of F is the same, t F, on
+the whole support.  A zero coordinate stays exactly zero, since every
+group that puts mass on it has a zero monomial, so the ascent keeps to the
+face of its start.  A vertex is a fixed point valued exactly 1: only its
+own diagonal group has a nonzero monomial, and that group's q is the
+vertex.
+
+The ascent speeds R up by SQUAREM (Varadhan and Roland, Scand. J.
+Statist. 35, 2008).  A cycle takes the two EM steps R(g) and R(R(g)), then
+one jump
+
+    g - 2 a r + a^2 v,   r = R(g) - g,   v = R(R(g)) - 2 R(g) + g,
+
+with the per-row steplength a = -|r| / |v| capped at -1, and a = -1
+where |v| <= 1e-100 |r| (v = 0 included), so that a^2 v stays finite; at
+a = -1 the jump is R(R(g)).  There is no backtracking: a jump with a
+negative or non-finite coordinate is replaced by R(R(g)), and a kept jump
+is divided by its sum.  r and v vanish on the zero coordinates of g, so
+the jump keeps to g's face as R does.  A row moves to the best of its
+three points only if that value is strictly higher than its own, so an
+overshooting jump or rounding never lowers a row, the reported maximum is
+an exact evaluation and it is never below 1.  Each point is evaluated
+once: the monomials that value R(g) also give R(R(g)), and those that
+value the point a row moves to give its next cycle.
 
 The first probe of a solve starts the ascent at once from a pool of 14
 rows at every n: five structured profiles (uniform, binomial and powered
@@ -41,27 +60,24 @@ witness; every later probe starts from the batch the previous probe ended
 with, in the same shape and row order, so the previous witness is in it
 and a certifying probe starts next to the local maxima.  The vertices are
 not in the pool, so a probe reports max(best, 1) and, when that is 1,
-counts the vertex (0, ..., 0, 1) among the rows tied at it.  A step is
-only taken when its evaluated value is higher, so rounding never lowers
-a row, the reported maximum is an exact evaluation and it is never below
-1.  Each point is evaluated once: the monomials that value an accepted
-step also give its next step.
+counts the vertex (0, ..., 0, 1) among the rows tied at it.
 
 Each ascent works in one workspace: it allocates every array it touches
-once (the monomial logs, E * c, the candidates and their monomials, the
-values and the masks), and every iteration writes into them through
-ufunc `out=` arguments; the `G > 0` mask of the log kernel is the one
-array an iteration still allocates.  Every operation keeps its operands
-and their order, so the ascent gives the bits of the plain array
-expressions.
+once (the monomial logs, E * c of the rows and of the three candidates,
+the candidates, the jump's terms, the values and the masks), and every
+cycle writes into them through ufunc `out=` arguments; the `G > 0` mask
+of the log kernel is the one array an evaluation still allocates.  Every
+operation keeps its operands and their order, so the ascent gives the
+bits of the plain array expressions.
 
-The ascent stops after 200 iterations, or once it has settled for 30
-consecutive iterations.  A maximization whose best value stays at 1
-certifies the upper end of the bracket; it has settled when no row's
-value rises by more than a relative 1e-15.  Once the best value is above
-1, M(t) > 1 is already certified and the outer loop reads only the
-argmax, for its witness root, so the ascent has settled when the best
-value rises by no more than that.
+The ascent stops after 67 cycles (three evaluations each, about the 200
+steps of a plain EM ascent), or once it has settled for 5 consecutive
+cycles; the rule is read once per cycle.  A maximization whose best value
+stays at 1 certifies the upper end of the bracket; it has settled when no
+row's value rises by more than a relative 1e-15 in a cycle.  Once the
+best value is above 1, M(t) > 1 is already certified and the outer loop
+reads only the argmax, for its witness root, so the ascent has settled
+when the best value rises by no more than that.
 
 The random points are normalized exponentials -log(1 - U), with U drawn
 from `random.Random(seed).random()`: CPython keeps that sequence for a
@@ -81,16 +97,19 @@ from .terms import check_simplex, term_groups, term_matrix
 
 # Identifies the outer loop and the search stages; results cached under an
 # older version are not served for this one.
-SOLVER_VERSION = 11
+SOLVER_VERSION = 12
 
-# The fixed search: seeded random starts and ascent iterations.
+# The fixed search: seeded random starts and SQUAREM cycles of the ascent.
 _MULTISTARTS = 8
-_ASCENT_ITERATIONS = 200
-# Settle rule: the ascent stops after this many consecutive iterations in
+_ASCENT_CYCLES = 67
+# Settle rule: the ascent stops after this many consecutive cycles in
 # which the best value, or while it is 1 every row's value, rose by no
 # more than this relative amount.
-_SETTLE_WINDOW = 30
+_SETTLE_WINDOW = 5
 _SETTLE_RTOL = 1e-15
+# The jump takes a = -1 where |v|^2 <= |r|^2 / this, so a^2 stays below
+# it and the jump's coordinates far inside the float range.
+_JUMP_MAX2 = 1e200
 
 # Largest box order whose 2^k is a finite float.
 _K_MAX = 1023
@@ -168,13 +187,21 @@ class ExponentPair:
 _RTOL = np.array(_SETTLE_RTOL)
 
 
-def _ascend(G, t, tm, iters):
-    # The EM step r = (E * c) Q / F of every row (see the module
-    # docstring).  The monomials E that value a row also give its next
-    # step, through E * c, which is all the loop keeps of them; an accepted
-    # row's E * c is written over its old one.  The batch keeps its shape,
+def _ascend(G, t, tm, cycles):
+    # SQUAREM cycles of the EM step R(g) = (E * c) Q / F of every row (see
+    # the module docstring).  The monomials E that value a point also give
+    # its EM step, through E * c, which is all the loop keeps of them; a
+    # row that moves takes its point's E * c.  The batch keeps its shape,
     # since BLAS results per row can change in the last bit with it.
-    G = G.copy()
+    # The rows g, their steps R(g) and R(R(g)) and the jump share one
+    # array, and r and v another, so that r and v are one subtraction and
+    # their norms one reduction.
+    X = np.empty((4, *G.shape))
+    X[0] = G
+    G, R1, R2, J = X
+    RV = np.empty((2, *G.shape))
+    r, v = RV
+    sq = np.empty_like(RV)
     t = np.array(t)
     Q, c = tm.Q, tm.c
     logs = np.empty_like(G)
@@ -183,42 +210,91 @@ def _ascend(G, t, tm, iters):
     # c in every row, so that E * c is one contiguous loop.
     c_rows = np.tile(c, (len(G), 1))
     np.multiply(Ec, c_rows, out=Ec)
-    cand = np.empty_like(G)
-    cE = np.empty_like(Ec)
-    cvals, rise, rise_tol = np.empty_like(vals), np.empty_like(vals), np.empty_like(vals)
-    better, rising_rows = np.empty(len(G), dtype=bool), np.empty(len(G), dtype=bool)
-    rows, vals_col = better[:, None], vals[:, None]
+    E1, E2, EJ = np.empty((3, *Ec.shape))
+    per_row = np.empty((13, len(G)))
+    v1, v2, vJ, nr2, nv2, floor, s2, s, low, jsum, prev_vals, rise, rise_tol = per_row
+    norms2 = per_row[3:5]
+    candidates = ((R1, E1, v1), (R2, E2, v2), (J, EJ, vJ))
+    better, has_v, keep, drop, rising_rows = np.empty((5, len(G)), dtype=bool)
+    better_rows, keep_rows, drop_rows = better[:, None], keep[:, None], drop[:, None]
+    vals_col, v1_col, jsum_col = vals[:, None], v1[:, None], jsum[:, None]
+    s_col, s2_col = s[:, None], s2[:, None]
     best = np.maximum.reduce(vals)
     flat = 0
     # Bound once: at these sizes the attribute lookups are a measurable
-    # share of an iteration.
-    copyto, divide, greater = np.copyto, np.divide, np.greater
-    matmul, multiply, subtract = np.matmul, np.multiply, np.subtract
-    max_of, any_of = np.maximum.reduce, np.logical_or.reduce
-    for _ in range(iters):
+    # share of a cycle.
+    copyto, divide, greater, greater_equal = np.copyto, np.divide, np.greater, np.greater_equal
+    add, matmul, multiply, subtract = np.add, np.matmul, np.multiply, np.subtract
+    maximum, sqrt, logical_not = np.maximum, np.sqrt, np.logical_not
+    max_of, min_of, sum_of, any_of = (np.maximum.reduce, np.minimum.reduce,
+                                      np.add.reduce, np.logical_or.reduce)
+    monomials = tm.monomials
+
+    def evaluate(P, EP, vP):
+        # The values of the rows of P, and their E * c into EP.
+        monomials(P, t, EP, logs)
+        matmul(EP, c, out=vP)
+        multiply(EP, c_rows, out=EP)
+
+    for _ in range(cycles):
         # The row sums of (E * c) Q are those of E * c, F up to rounding,
-        # since every q row sums to 1: dividing by F puts the candidate on
+        # since every q row sums to 1: dividing by F puts the EM step on
         # the simplex without a reduction.
-        matmul(Ec, Q, out=cand)
-        divide(cand, vals_col, out=cand)
-        tm.monomials(cand, t, cE, logs)
-        matmul(cE, c, out=cvals)
-        # A step can only fail to rise by rounding; such a row stays put.
-        greater(cvals, vals, out=better)
+        matmul(Ec, Q, out=R1)
+        divide(R1, vals_col, out=R1)
+        evaluate(R1, E1, v1)
+        matmul(E1, Q, out=R2)
+        divide(R2, v1_col, out=R2)
+        evaluate(R2, E2, v2)
+        # r = R(g) - g and v = (R(R(g)) - R(g)) - r, and their squared
+        # norms.
+        subtract(X[1:3], X[:2], out=RV)
+        subtract(v, r, out=v)
+        multiply(RV, RV, out=sq)
+        sum_of(sq, axis=2, out=norms2)
+        # The jump g + 2 s r + s^2 v, with s = -a = |r| / |v| at least 1,
+        # and 1 where |v| <= 1e-100 |r|, v = 0 included.
+        divide(nr2, _JUMP_MAX2, out=floor)
+        greater(nv2, floor, out=has_v)
+        s2.fill(1.0)
+        divide(nr2, nv2, out=s2, where=has_v)
+        maximum(s2, 1.0, out=s2)
+        sqrt(s2, out=s)
+        add(s, s, out=s)
+        multiply(r, s_col, out=J)
+        add(G, J, out=J)
+        multiply(v, s2_col, out=v)
+        add(J, v, out=J)
+        # A jump with a negative or non-finite coordinate falls back to
+        # R(R(g)); a kept one goes back onto the simplex.
+        min_of(J, axis=1, out=low)
+        greater_equal(low, 0.0, out=keep)
+        sum_of(J, axis=1, out=jsum)
+        divide(J, jsum_col, out=J, where=keep_rows)
+        logical_not(keep, out=drop)
+        copyto(J, R2, where=drop_rows)
+        evaluate(J, EJ, vJ)
         # Only an ascent whose best value is 1 reads whether a row rises.
-        rising = False
         if not best > 1.0:
-            subtract(cvals, vals, out=rise)
-            multiply(_RTOL, vals, out=rise_tol)
-            greater(rise, rise_tol, out=rising_rows)
-            rising = any_of(rising_rows)
-        copyto(G, cand, where=rows)
-        multiply(cE, c_rows, out=Ec, where=rows)
-        copyto(vals, cvals, where=better)
+            copyto(prev_vals, vals)
+        # A row takes the first of its best points, and only where that is
+        # higher than its own value: a point can only fail to rise by
+        # rounding or by an overshooting jump.
+        for P, EP, vP in candidates:
+            greater(vP, vals, out=better)
+            copyto(G, P, where=better_rows)
+            copyto(Ec, EP, where=better_rows)
+            copyto(vals, vP, where=better)
         # Above 1 only the best value must settle; at 1 the ascent certifies
         # M(t) = 1, so every row must have stopped rising.
         prev, best = best, max_of(vals)
-        settled = best - prev <= _SETTLE_RTOL * prev if best > 1.0 else not rising
+        if best > 1.0:
+            settled = best - prev <= _SETTLE_RTOL * prev
+        else:
+            subtract(vals, prev_vals, out=rise)
+            multiply(_RTOL, prev_vals, out=rise_tol)
+            greater(rise, rise_tol, out=rising_rows)
+            settled = not any_of(rising_rows)
         flat = flat + 1 if settled else 0
         if flat == _SETTLE_WINDOW:
             break
@@ -263,7 +339,7 @@ def _probe(n, k, t, G):
     # fixed point of the ascent valued exactly 1, so the value is at least
     # 1, and at 1 the smallest vertex (0, ..., 0, 1) is tied with the rows
     # there.
-    G, vals = _ascend(G, t, term_matrix(n, k), _ASCENT_ITERATIONS)
+    G, vals = _ascend(G, t, term_matrix(n, k), _ASCENT_CYCLES)
     best_val = max(float(vals.max()), 1.0)
     tied = [tuple(g.tolist()) for g in G[vals == best_val]]
     if best_val == 1.0:
@@ -274,17 +350,19 @@ def _probe(n, k, t, G):
 def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     """Best found value of the objective over the simplex at exponent t.
 
-    One EM ascent from the structured profiles, the seeded random points
-    and, when given, the simplex point `start` (the previous witness).
+    One SQUAREM-accelerated EM ascent from the structured profiles, the
+    seeded random points and, when given, the simplex point `start` (the
+    previous witness).
     Returns (value, argmax): the value is max(best, 1), since every vertex
     values exactly 1, and the argmax the smallest point among the ascended
     rows tied at it and, when it is 1, the vertex (0, ..., 0, 1).  The
     value is a certified lower estimate of the true supremum (every
-    reported value is an exact evaluation).  The ascent ends after 200
-    steps, or once it has settled for 30: while the value is 1, no row
-    rises by more than a relative 1e-15; once it is above 1, the value
-    does not, which leaves the argmax within about 2e-8 of where the 200
-    steps end.
+    reported value is an exact evaluation).  The ascent ends after 67
+    cycles of three evaluations, or once it has settled for 5: while the
+    value is 1, no row rises by more than a relative 1e-15; once it is
+    above 1, the value does not, which leaves the argmax within about
+    1.3e-8 of where the 67 cycles end (largest coordinate gap at the tests'
+    twelve near-critical points).
     Deterministic for a fixed config and start; ValueError unless `start`,
     when given, is a point of the n-simplex."""
     cfg = cfg or SolverConfig()

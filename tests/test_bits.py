@@ -183,14 +183,14 @@ _EXPONENT_JSON = {
     (3, 4, 1): (
         '{"k":4,"n":3,"t":3.6913211405134034,"p":4.334491470924867,'
         '"bracket":5.000000413701855e-10,'
-        '"argmax":[0.24106843275663162,0.51786311764866566,0.24106844959470294]}\n'
+        '"argmax":[0.24106844006538872,0.51786311986922251,0.24106844006538891]}\n'
     ),
     (6, 2, 7): (
-        '{"k":2,"n":6,"t":2.8286209328183229,"p":1.4141166649765837,'
+        '{"k":2,"n":6,"t":2.8286209328183634,"p":1.4141166649765635,'
         '"bracket":5.000000413701855e-10,'
-        '"argmax":[0.055271016656361395,0.16432269266043958,'
-        '0.280406290683199,0.28040629068319906,0.16432269266043958,'
-        '0.05527101665636143]}\n'
+        '"argmax":[0.055271008730211617,0.16432268998886304,'
+        '0.280406303161022,0.2804063021565899,0.16432268822302212,'
+        '0.055271007740291436]}\n'
     ),
     (2, 16, 0): (
         '{"k":16,"n":2,"t":5.08746284150034,"p":12881.863129377241,'
