@@ -19,7 +19,7 @@ The inner maximization is the soft spot because the objective is not
 concave.  It is one deterministic batched EM (minorize-maximize) ascent,
 the Baum-Eagon or Blahut-Arimoto update.  Write F(g) = sum_i c_i E_i with
 the monomials E_i = prod_j g_j^(t Q_ij), and w = c * E / F, a distribution
-over the groups.  Every q row sums to 1, so for any simplex point h
+over the table's rows.  Every q row sums to 1, so for any simplex point h
 Jensen's inequality gives
 
     F(h) / F(g) = sum_i w_i exp(t sum_j Q_ij log(h_j / g_j))
@@ -30,9 +30,9 @@ g <- R(g) therefore raises F at every t, with no step size and no
 projection: R is on the simplex because Q^T w sums to sum_i w_i = 1.  Its
 fixed points are the points where the gradient of F is the same, t F, on
 the whole support.  A zero coordinate stays exactly zero, since every
-group that puts mass on it has a zero monomial, so the ascent keeps to the
+row that puts mass on it has a zero monomial, so the ascent keeps to the
 face of its start.  A vertex is a fixed point valued exactly 1: only its
-own diagonal group has a nonzero monomial, and that group's q is the
+own diagonal row has a nonzero monomial, and that row's q is the
 vertex.
 
 The ascent speeds R up by SQUAREM (Varadhan and Roland, Scand. J.
@@ -89,6 +89,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,12 @@ _JUMP_MAX2 = 1e200
 
 # Largest box order whose 2^k is a finite float.
 _K_MAX = 1023
+
+# check_problem refuses an (n, k) whose term table takes more than this many
+# bytes in Q and QT, 16 per row per column.  Memory sets it: a solve at the
+# largest admitted n took 4.6-7.8 s and 214-300 MB peak RSS at k = 2, 3, 4,
+# 8, 16 and 1023 (n = 99, 63, 49, 36, 33, 33) on a 2-core VM.
+TERM_TABLE_BYTES_MAX = 1 << 27
 
 # Cold start of the witness root's Newton iteration, and its step cap.
 _ROOT_START = 1e-9
@@ -165,10 +172,12 @@ class ExponentPair:
     argmax: tuple
 
     def __post_init__(self):
-        # A bool is an int, and JSON reads NaN and Infinity as floats.
+        # A bool is an int, and JSON reads NaN and Infinity as floats; the
+        # comparison also refuses an int past the float range, on which
+        # math.isfinite raises OverflowError.
         for x in (self.t, self.p, self.bracket, *self.argmax):
             if (isinstance(x, bool) or not isinstance(x, (int, float))
-                    or not math.isfinite(x)):
+                    or not abs(x) <= sys.float_info.max):
                 raise ValueError(f"expected a finite number, not {x!r}")
         check_simplex(self.argmax, self.n)
         if not self.t > 0:
@@ -373,16 +382,42 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     return _probe(n, k, t, _start_pool(n, k, cfg, start))[:2]
 
 
+def _term_rows(n: int, k: int) -> int:
+    """len(term_groups(n, k)[0]) without the walk: the sum over l <= min(k,
+    n - 1) and s <= n - 1 of p_l(s) (n - s), where p_l(s) counts the
+    partitions of s into exactly l parts.  A partition has a part 1 or
+    loses 1 from each part, so p_l(s) = p_(l-1)(s - 1) + p_l(s - l)."""
+    p = [1] + [0] * (n - 1)
+    rows = n
+    for l in range(1, min(k, n - 1) + 1):
+        p_l = [0] * n
+        for s in range(l, n):
+            p_l[s] = p[s - 1] + p_l[s - l]
+        p = p_l
+        rows += sum(x * (n - s) for s, x in enumerate(p))
+    return rows
+
+
 def check_problem(n: int, k: int, cfg: SolverConfig) -> None:
     """Raise ValueError for an (n, k, cfg) that solve_exponent refuses: n or
-    k below 2, k above 1023, where 2^k overflows a float, and a tolerance
-    below 2 * ulp(k + 1), where lo + tol/2 can round to lo and the bracket
-    stop narrowing.  A sweep calls it for every point before its first
-    solve, and `gcube exponent` before it reads its cache."""
+    k below 2, k above 1023, where 2^k overflows a float, a term table
+    above TERM_TABLE_BYTES_MAX, and a tolerance below 2 * ulp(k + 1), where
+    lo + tol/2 can round to lo and the bracket stop narrowing.  A sweep
+    calls it for every point before its first solve, and `gcube exponent`
+    before it reads its cache."""
     if n < 2 or k < 2:
         raise ValueError("n >= 2 and k >= 2 required")
     if k > _K_MAX:
         raise ValueError(f"k <= {_K_MAX} required: 2^k overflows a float at k = {k}")
+    # The diagonal and the l = 1 rows alone are n (n + 1) / 2, which refuses
+    # a huge n before the exact count runs.
+    rows = n * (n + 1) // 2
+    if 16 * rows * n <= TERM_TABLE_BYTES_MAX:
+        rows = _term_rows(n, k)
+    if 16 * rows * n > TERM_TABLE_BYTES_MAX:
+        raise ValueError(f"the term table at n = {n}, k = {k} takes at least "
+                         f"{16 * rows * n} bytes in Q and QT, above the "
+                         f"{TERM_TABLE_BYTES_MAX}-byte bound")
     if cfg.t_tolerance < 2 * math.ulp(k + 1):
         raise ValueError(f"tolerance {cfg.t_tolerance!r} is below 2 * ulp({k + 1}) = "
                          f"{2 * math.ulp(k + 1)!r}, twice the float spacing of t")

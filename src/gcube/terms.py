@@ -14,21 +14,16 @@ prod_j g(j)^{q_j t} over all admissible tuples.
 
 Sign flips of the h_i only translate q and permutations leave it alone, so
 q depends only on the multiset m of the |h_i| and the lowest box point b in
-[0, n - 1 - sum(m)].  The table is built from the pairs (m, b), each standing
-for 2^l l!/prod(mult!) ordered signed tuples; the empty m is the diagonal.
-
-Terms with identical q are merged, with summed coefficients, on their
-integer counts over 2^(n-1) (entropy.signed_sum_counts); the merged table,
-term_groups, keeps those counts, so each q is exactly a count over
-2^(n-1).  Every evaluation goes through the table's float form,
-TermMatrix, which divides the counts by 2^(n-1) at once and values a whole
-batch of simplex points with one matrix product.
+[0, n - 1 - sum(m)].  The term table, term_groups, walks the pairs (m, b),
+each standing for 2^l l!/prod(mult!) ordered signed tuples (the empty m is
+the diagonal); no two pairs share q.  Every evaluation goes through the
+table's float form, TermMatrix, which values a whole batch of simplex
+points with one matrix product.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -89,43 +84,43 @@ def _magnitude_multisets(budget, parts, top):
 
 @lru_cache(maxsize=128)
 def term_groups(n: int, k: int) -> tuple:
-    """Merged term table (counts, coefficients) for side n and box order k.
+    """Term table (rows, coefficients) for side n and box order k.
 
-    counts[i] is group i's q vector times 2^(n-1), as ints, so q is exactly
-    counts[i] / 2^(n-1); coefficients[i] is its integer coefficient.
-    Contains the n diagonal point masses with coefficient 1 plus every
-    admissible tuple weighted C(k, l); tuples with identical q are merged.
-    Deterministically ordered by descending lexicographic q."""
+    Row (b, counts) is the q vector counts / 2^l placed from b, where
+    counts = signed_sum_counts(m)[1] is shared by every row of a multiset m
+    of l step sizes; its coefficient is C(k, l) times the 2^l l!/prod(mult!)
+    ordered signed tuples of m (1 on the diagonal, m empty).  No two rows
+    share q: with every m_i > 0 only eps = 0 reaches the lowest sum, so q
+    starts with 2^-l at b, giving l and b, and 2^l q lists the coefficients
+    of prod_i (1 + x^m_i), from which dividing out 1 + x^min(m) again and
+    again reads off m.  Rows run b-major, by l ascending, then by counts
+    descending: descending lexicographic q order."""
     if n < 2 or k < 1:
         raise ValueError("n >= 2 and k >= 1 required")
-    # Counts over 2^(n-1) are those over 2^l, shifted; their descending
-    # order is that of the q vectors.
-    merged = Counter()
+    walk = []
     for m in _magnitude_multisets(n - 1, min(k, n - 1), n - 1):
-        l = len(m)
-        count = math.comb(k, l) * 2 ** l * math.factorial(l)
-        count //= math.prod(map(math.factorial, Counter(m).values()))
-        counts = tuple(c << (n - 1 - l) for c in signed_sum_counts(m)[1])
-        for b in range(n - sum(m)):
-            merged[(0,) * b + counts + (0,) * (n - b - len(counts))] += count
-    keys = tuple(sorted(merged, reverse=True))
-    return keys, tuple(merged[key] for key in keys)
+        coefficient = math.perm(k, len(m)) * 2 ** len(m)
+        coefficient //= math.prod(math.factorial(m.count(v)) for v in set(m))
+        walk.append((len(m), signed_sum_counts(m)[1], n - sum(m), coefficient))
+    walk.sort(key=lambda w: (-w[0], w[1]), reverse=True)
+    rows = [(b, w) for b in range(n) for w in walk if b < w[2]]
+    return tuple((b, w[1]) for b, w in rows), tuple(w[3] for _, w in rows)
 
 
 @dataclass(frozen=True)
 class TermMatrix:
-    """term_groups(n, k) in float form: row i of Q is the q vector of group
-    i and c[i] its coefficient.  QT is Q transposed and stored C-contiguous,
+    """term_groups(n, k) in float form: row i of Q is the q vector of row i
+    and c[i] its coefficient.  QT is Q transposed and stored C-contiguous,
     because BLAS multiplies by a transposed view through a slower path."""
 
-    Q: np.ndarray  # (groups, n)
-    QT: np.ndarray  # (n, groups)
-    c: np.ndarray  # (groups,)
+    Q: np.ndarray  # (rows, n)
+    QT: np.ndarray  # (n, rows)
+    c: np.ndarray  # (rows,)
 
     def log_monomials(self, G, out=None, logs=None):
         """log of every monomial prod_j g(j)^q_j at t = 1, one row per
         simplex point in G; the monomials at t are exp(t * this).  Written
-        into `out`, a (rows, groups) float array, when one is given; the
+        into `out`, a (len(G), rows) float array, when one is given; the
         logs of G go to `logs`, a float array of G's shape, when one is
         given, so a loop can keep both buffers."""
         if logs is None:
@@ -149,10 +144,12 @@ class TermMatrix:
 
 @lru_cache(maxsize=128)
 def term_matrix(n: int, k: int) -> TermMatrix:
-    keys, coefficients = term_groups(n, k)
-    # Dividing by a power of two is exact, so each Q entry is exactly its
-    # count over 2^(n-1).
-    Q = np.array(keys, dtype=float) / 2.0 ** (n - 1)
+    rows, coefficients = term_groups(n, k)
+    Q = np.zeros((len(rows), n))
+    for i, (b, counts) in enumerate(rows):
+        Q[i, b:b + len(counts)] = counts
+    # A row's counts sum to 2^l, so each Q entry is exactly its q.
+    Q /= Q.sum(axis=1, keepdims=True)
     QT = np.ascontiguousarray(Q.T)
     c = np.array(coefficients, dtype=float)
     for a in (Q, QT, c):
@@ -163,7 +160,10 @@ def term_matrix(n: int, k: int) -> TermMatrix:
 def check_simplex(g, n):
     """g as a tuple of floats; ValueError unless it is a point of the
     n-simplex."""
-    g = tuple(float(x) for x in g)
+    try:
+        g = tuple(float(x) for x in g)
+    except OverflowError:
+        raise ValueError("simplex vector has an entry past the float range") from None
     if len(g) != n:
         raise ValueError(f"expected a vector of length {n}")
     # Written so that NaN fails too.
@@ -177,7 +177,7 @@ def check_simplex(g, n):
 def objective(n: int, k: int, t: float, g) -> float:
     """Value of the normalized objective at exponent t and simplex point g.
 
-    Each group contributes coefficient * prod_j g(j)^(q_j t) with the
+    Each row contributes coefficient * prod_j g(j)^(q_j t) with the
     conventions 0^0 = 1 and 0^s = 0 for s > 0."""
     if not t > 0:
         raise ValueError("t must be positive")

@@ -178,7 +178,9 @@ def test_random_block_bits_pinned():
     assert tuple(tuple(float(x).hex() for x in row) for row in block) == _PINNED_RANDOM_BLOCK
 
 
-# `gcube exponent --format json` at three points of the bench workloads.
+# `gcube exponent --format json` at three points of the bench workloads,
+# and at (16, 2), where the table's row order sets the BLAS bits of a
+# larger product.
 _EXPONENT_JSON = {
     (3, 4, 1): (
         '{"k":4,"n":3,"t":3.6913211405134034,"p":4.334491470924867,'
@@ -195,6 +197,16 @@ _EXPONENT_JSON = {
     (2, 16, 0): (
         '{"k":16,"n":2,"t":5.08746284150034,"p":12881.863129377241,'
         '"bracket":5.000000413701855e-10,"argmax":[0.5,0.5]}\n'
+    ),
+    (16, 2, 0): (
+        '{"k":2,"n":16,"t":2.8926487556348626,"p":1.3828156606321538,'
+        '"bracket":5.000000413701855e-10,'
+        '"argmax":[0.0089013221656329879,0.017317960154481064,'
+        '0.030433640846757429,0.048466910691468933,0.070126337622468504,'
+        '0.092364609634866798,0.11089896376183976,0.12149025512248147,'
+        '0.12149025512248189,0.11089896376184122,0.092364609634866937,'
+        '0.070126337622470253,0.048466910691471805,0.030433640846756305,'
+        '0.01731796015448182,0.0089013221656332481]}\n'
     ),
 }
 

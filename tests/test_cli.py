@@ -13,6 +13,7 @@ import pytest
 import gcube.asymptotics as asymptotics
 import gcube.cli as cli
 import gcube.solver as solver_module
+import gcube.terms as terms_module
 from gcube.entropy import VerificationReport
 from gcube.lattice import (
     CubeSet,
@@ -290,6 +291,10 @@ def test_exponent_cache_skips_nonpositive_t(tmp_path, capsys, monkeypatch):
     {"argmax": [0.5]},
     {"argmax": [-3.0, 7.0, 1e300]},
     {"extra": 0},
+    # 401-digit JSON integers, past the float range.
+    {"t": 10**400},
+    {"bracket": 10**400},
+    {"argmax": [10**400, 0.5]},
 ])
 def test_exponent_cache_skips_results_that_do_not_rebuild(
         tmp_path, capsys, monkeypatch, changes):
@@ -611,6 +616,22 @@ def _refuse(name):
     def worker(*args):
         raise AssertionError(f"{name} ran above its limit")
     return worker
+
+
+# A term table above solver.TERM_TABLE_BYTES_MAX exits 2 before any table is
+# built: at a huge n by the closed-form lower bound, else by the exact count.
+@pytest.mark.parametrize("argv", [
+    ["exponent", "--k", "2", "--n", "160"],
+    ["exponent", "--k", "2", "--n", "100000"],
+    ["exponent", "--k", "1023", "--n", "1100"],
+    ["asym", "--n", "4,160", "--k", "2"],
+])
+def test_term_table_above_limit_exits_2(monkeypatch, capsys, argv):
+    for module in (terms_module, solver_module):
+        monkeypatch.setattr(module, "term_groups", _refuse("term_groups"))
+    code, out, err = run(capsys, argv)
+    assert code == 2 and not out and err.startswith("error: the term table")
+    assert f"above the {solver_module.TERM_TABLE_BYTES_MAX}-byte bound" in err
 
 
 def test_limits_lie_above_the_verify_suites():

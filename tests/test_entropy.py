@@ -173,7 +173,10 @@ def test_entropy_translation_and_negation_invariance():
 def test_weighted_am_gm_against_entropy():
     # prod g(j)^(q_j) <= 2^(-H(q)) for any simplex g and any group q
     rng = random.Random(37)
-    groups = [tuple(Fraction(x, 8) for x in key) for key in term_groups(4, 3)[0]]
+    groups = []
+    for b, counts in term_groups(4, 3)[0]:
+        dense = (0,) * b + counts + (0,) * (4 - b - len(counts))
+        groups.append(tuple(Fraction(x, sum(counts)) for x in dense))
     for _ in range(60):
         raw = [rng.random() + 1e-12 for _ in range(4)]
         s = sum(raw)

@@ -11,6 +11,7 @@ from conftest import solve_cached
 from gcube.solver import (
     ExponentPair,
     SolverConfig,
+    check_problem,
     gaussian_witness,
     gaussian_witness_bound,
     max_objective,
@@ -152,7 +153,7 @@ def test_nan_and_non_simplex_points_rejected():
         objective(2, 2, 2.0, (nan, 1.0))
     with pytest.raises(ValueError):
         witness_lower_bound(3, 2, (nan, 0.5, 0.5))
-    for start in ((2.0, 0.0, 0.0), (nan, 0.5, 0.5), (0.5, 0.5)):
+    for start in ((2.0, 0.0, 0.0), (nan, 0.5, 0.5), (0.5, 0.5), (10**400, 0, 0)):
         with pytest.raises(ValueError):
             max_objective(3, 2, 2.9, start=start)
 
@@ -276,6 +277,9 @@ def test_solver_config_rejects_non_numeric_tolerance(tol):
     ("p", math.nan), ("bracket", -1e-10), ("bracket", math.nan),
     ("bracket", math.inf), ("t", True), ("p", "1.5"), ("argmax", (1.0,)),
     ("argmax", (0.5, math.nan)), ("argmax", (True, False)),
+    pytest.param("t", 10**400, id="t-int-past-float"),
+    pytest.param("bracket", 10**400, id="bracket-int-past-float"),
+    pytest.param("argmax", (10**400, 0.5), id="argmax-int-past-float"),
 ])
 def test_exponent_pair_rejects(field, value):
     t = math.log2(6)
@@ -283,6 +287,19 @@ def test_exponent_pair_rejects(field, value):
     ExponentPair(**fields)
     with pytest.raises(ValueError):
         ExponentPair(**{**fields, field: value})
+
+
+def test_check_problem_bounds_the_term_table(monkeypatch):
+    cfg = SolverConfig()
+    # The largest admitted n at k = 2, 3 and 1023, and the next n.
+    for n, k in ((99, 2), (63, 3), (33, 1023)):
+        check_problem(n, k, cfg)
+        with pytest.raises(ValueError, match="term table"):
+            check_problem(n + 1, k, cfg)
+    # At a huge n the closed-form lower bound refuses before the count runs.
+    monkeypatch.setattr(solver_module, "_term_rows", None)
+    with pytest.raises(ValueError, match="term table"):
+        check_problem(100_000, 2, cfg)
 
 
 def test_concurrent_solves_match_serial():

@@ -12,6 +12,7 @@ import numpy as np
 import gcube.terms as terms_module
 from gcube.gowers import energy_P
 from gcube.lattice import interval_set
+from gcube.solver import _term_rows
 from gcube.terms import (
     enumerate_tuple_classes,
     objective,
@@ -86,6 +87,13 @@ def test_pmf_sums_exactly_one():
     assert pmf_of_tuple(4, 2, ()) == (0, 0, 1, 0) == pmf_by_eps(4, 2, ())
 
 
+def _q(n, b, counts):
+    # The exact q vector of table row (b, counts): counts over their sum 2^l,
+    # placed from b.
+    return tuple(Fraction(x, sum(counts))
+                 for x in (0,) * b + counts + (0,) * (n - b - len(counts)))
+
+
 def test_term_groups_match_definition():
     for n in range(2, 8):
         diagonal = [(0, pmf_by_eps(n, a, ())) for a in range(n)]
@@ -97,9 +105,31 @@ def test_term_groups_match_definition():
                 merged[q] += math.comb(k, l)
             expected = tuple((merged[q], q) for q in sorted(merged, reverse=True)
                              if merged[q])
-            got = tuple((c, tuple(Fraction(x, 2 ** (n - 1)) for x in key))
-                        for key, c in zip(*term_groups(n, k)))
+            got = tuple((c, _q(n, b, counts))
+                        for (b, counts), c in zip(*term_groups(n, k)))
             assert got == expected, (n, k)
+
+
+# The walk's invariants past the definition test's n <= 7, at sizes that
+# build in well under a second: no two rows share q and the rows are in
+# descending lexicographic q order, each multiset m gives n - sum(m) rows,
+# which the partition count of check_problem gives without the walk, and
+# the rows depend on k only through min(k, n - 1).
+@pytest.mark.parametrize("k", [2, 3, 4, 8, 64, 1023])
+def test_walk_invariants(k):
+    for n in range(2, 33 if k <= 4 else 25):
+        rows = term_groups(n, k)[0]
+        assert len(rows) == _term_rows(n, k), (n, k)
+        dense = np.zeros((len(rows), n), dtype=np.int64)
+        for i, (b, counts) in enumerate(rows):
+            dense[i, b:b + len(counts)] = np.array(counts) * (2 ** (n - 1) // sum(counts))
+        step = dense[:-1] - dense[1:]
+        first = (step != 0).argmax(axis=1)
+        assert (step[np.arange(len(step)), first] > 0).all(), (n, k)
+        multisets = terms_module._magnitude_multisets(n - 1, min(k, n - 1), n - 1)
+        assert len(rows) == sum(n - sum(m) for m in multisets), (n, k)
+        if k >= n - 1:
+            assert rows == term_groups(n, n - 1)[0], (n, k)
 
 
 def test_coefficient_audit_ternary():
@@ -115,15 +145,15 @@ def test_total_coefficient_matches_box_count():
             assert total == energy_P(interval_set(n), k)
 
 
-# term_matrix divides the integer counts by 2^(n-1) at once; that division
-# is exact, so Q and c are the floats of the exact q vectors entry by entry.
+# term_matrix divides each row's integer counts by their sum 2^l; that
+# division is exact, so Q and c are the floats of the exact q vectors entry
+# by entry.
 def test_term_matrix_matches_fraction_table():
     for n in range(2, 17):
         for k in (2, 5):
-            keys, coefficients = term_groups(n, k)
+            rows, coefficients = term_groups(n, k)
             tm = term_matrix(n, k)
-            Q = np.array([[float(Fraction(x, 2 ** (n - 1))) for x in key]
-                          for key in keys])
+            Q = np.array([[float(x) for x in _q(n, b, counts)] for b, counts in rows])
             c = np.array([float(x) for x in coefficients])
             assert np.array_equal(tm.Q, Q), (n, k)
             assert np.array_equal(tm.c, c), (n, k)
