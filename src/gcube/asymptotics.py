@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .entropy import binomial_entropy
 from .solver import SolverConfig, check_problem, solve_exponent, trivial_bounds
+from .terms import term_groups, term_matrix
 
 
 def large_k_main_term(k: int, n: int) -> float:
@@ -71,12 +72,18 @@ class AsymptoticReport:
 def asymptotic_sweep(n_list, k_list, cfg: SolverConfig | None = None) -> list:
     """Solve each distinct (n, k) of the grid n_list x k_list in ascending
     (n, k) order, one after another, and tabulate the formula gaps and
-    trivial bounds.  Every point passes `check_problem` before any solve."""
+    trivial bounds.  Every point passes `check_problem` before any solve,
+    and each point's term table leaves the caches after its report."""
     cfg = cfg or SolverConfig()
     grid = [(n, k) for n in sorted(set(n_list)) for k in sorted(set(k_list))]
     for n, k in grid:
         check_problem(n, k, cfg)
-    return [report_for(solve_exponent(n, k, cfg)) for n, k in grid]
+    reports = []
+    for n, k in grid:
+        reports.append(report_for(solve_exponent(n, k, cfg)))
+        term_matrix.cache_clear()
+        term_groups.cache_clear()
+    return reports
 
 
 def report_for(pair) -> AsymptoticReport:

@@ -11,9 +11,7 @@ maximizer g found with M > 1 is a witness, and the root in t of
 objective(g) = 1 is a certified lower bound for the critical exponent.  The
 first bracket takes no maximization, and the loop jumps to the latest root
 (found by Newton's method from the probe) and probes just above it: the
-probe either finds the next witness or certifies the bracket.  A witness
-that fails to carry the bound past its probe makes the next probe a
-bisection midpoint instead.
+probe either finds the next witness or certifies the bracket.
 
 The inner maximization is the soft spot because the objective is not
 concave.  It is one deterministic batched EM (minorize-maximize) ascent,
@@ -53,14 +51,14 @@ an exact evaluation and it is never below 1.  Each point is evaluated
 once: the monomials that value R(g) also give R(R(g)), and those that
 value the point a row moves to give its next cycle.
 
-The first probe of a solve starts the ascent at once from a pool of 14
+The first probe of a solve starts the ascent at once from a pool of 13
 rows at every n: five structured profiles (uniform, binomial and powered
-Gaussians), 8 random points uniform on the simplex and the best seed's
-witness; every later probe starts from the batch the previous probe ended
-with, in the same shape and row order, so the previous witness is in it
-and a certifying probe starts next to the local maxima.  The vertices are
-not in the pool, so a probe reports max(best, 1) and, when that is 1,
-counts the vertex (0, ..., 0, 1) among the rows tied at it.
+Gaussians) and 8 random points uniform on the simplex; every later probe
+starts from the batch the previous probe ended with, in the same shape and
+row order, so the previous witness is in it and a certifying probe starts
+next to the local maxima.  The vertices are not in the pool, so a probe
+reports max(best, 1) and, when that is 1, counts the vertex (0, ..., 0, 1)
+among the rows tied at it.
 
 Each ascent works in one workspace: it allocates every array it touches
 once (the monomial logs, E * c of the rows and of the three candidates,
@@ -94,11 +92,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .terms import check_simplex, term_groups, term_matrix
+from .terms import check_simplex, check_term_table, term_groups, term_matrix
 
 # Identifies the outer loop and the search stages; results cached under an
 # older version are not served for this one.
-SOLVER_VERSION = 12
+SOLVER_VERSION = 13
 
 # The fixed search: seeded random starts and SQUAREM cycles of the ascent.
 _MULTISTARTS = 8
@@ -114,12 +112,6 @@ _JUMP_MAX2 = 1e200
 
 # Largest box order whose 2^k is a finite float.
 _K_MAX = 1023
-
-# check_problem refuses an (n, k) whose term table takes more than this many
-# bytes in Q and QT, 16 per row per column.  Memory sets it: a solve at the
-# largest admitted n took 4.6-7.8 s and 214-300 MB peak RSS at k = 2, 3, 4,
-# 8, 16 and 1023 (n = 99, 63, 49, 36, 33, 33) on a 2-core VM.
-TERM_TABLE_BYTES_MAX = 1 << 27
 
 # Cold start of the witness root's Newton iteration, and its step cap.
 _ROOT_START = 1e-9
@@ -310,13 +302,6 @@ def _ascend(G, t, tm, cycles):
     return G, vals
 
 
-def _structured_seeds(n, k):
-    binom = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
-    gaussians = [profile_to_simplex(gaussian_witness(n, M), 2.0 ** k / (k + 1.0))
-                 for M in (1.5, 2.0, 3.0)]
-    return np.array([np.full(n, 1.0 / n), binom / binom.sum(), *gaussians])
-
-
 def _random_starts(n, seed):
     # _MULTISTARTS points uniform on the simplex, drawn row by row: n
     # standard exponentials -log(1 - U), normalized.  Only random() is
@@ -330,13 +315,14 @@ def _random_starts(n, seed):
     return np.array(rows)
 
 
-def _start_pool(n, k, cfg, start=None, seeds=None):
-    # The cold pool: structured profiles (`seeds`, built here when not
-    # given), seeded random points and, when given, the simplex point
-    # `start`.  No vertex: _probe accounts for them.
-    if seeds is None:
-        seeds = _structured_seeds(n, k)
-    blocks = [seeds, _random_starts(n, cfg.rng_seed)]
+def _start_pool(n, k, cfg, start=None):
+    # The cold pool: five structured profiles, the seeded random points and,
+    # when given, the simplex point `start`.  _probe accounts for vertices.
+    binom = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
+    gaussians = [profile_to_simplex(gaussian_witness(n, M), 2.0 ** k / (k + 1.0))
+                 for M in (1.5, 2.0, 3.0)]
+    blocks = [[np.full(n, 1.0 / n), binom / binom.sum(), *gaussians],
+              _random_starts(n, cfg.rng_seed)]
     if start is not None:
         blocks.append(np.array([start], dtype=float))
     return np.vstack(blocks)
@@ -360,8 +346,7 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     """Best found value of the objective over the simplex at exponent t.
 
     One SQUAREM-accelerated EM ascent from the structured profiles, the
-    seeded random points and, when given, the simplex point `start` (the
-    previous witness).
+    seeded random points and, when given, the simplex point `start`.
     Returns (value, argmax): the value is max(best, 1), since every vertex
     values exactly 1, and the argmax the smallest point among the ascended
     rows tied at it and, when it is 1, the vertex (0, ..., 0, 1).  The
@@ -382,42 +367,18 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
     return _probe(n, k, t, _start_pool(n, k, cfg, start))[:2]
 
 
-def _term_rows(n: int, k: int) -> int:
-    """len(term_groups(n, k)[0]) without the walk: the sum over l <= min(k,
-    n - 1) and s <= n - 1 of p_l(s) (n - s), where p_l(s) counts the
-    partitions of s into exactly l parts.  A partition has a part 1 or
-    loses 1 from each part, so p_l(s) = p_(l-1)(s - 1) + p_l(s - l)."""
-    p = [1] + [0] * (n - 1)
-    rows = n
-    for l in range(1, min(k, n - 1) + 1):
-        p_l = [0] * n
-        for s in range(l, n):
-            p_l[s] = p[s - 1] + p_l[s - l]
-        p = p_l
-        rows += sum(x * (n - s) for s, x in enumerate(p))
-    return rows
-
-
 def check_problem(n: int, k: int, cfg: SolverConfig) -> None:
     """Raise ValueError for an (n, k, cfg) that solve_exponent refuses: n or
-    k below 2, k above 1023, where 2^k overflows a float, a term table
-    above TERM_TABLE_BYTES_MAX, and a tolerance below 2 * ulp(k + 1), where
-    lo + tol/2 can round to lo and the bracket stop narrowing.  A sweep
-    calls it for every point before its first solve, and `gcube exponent`
-    before it reads its cache."""
+    k below 2, k above 1023, where 2^k overflows a float, a term table that
+    terms.check_term_table refuses, and a tolerance below 2 * ulp(k + 1),
+    where lo + tol/2 can round to lo and the bracket stop narrowing.  A
+    sweep calls it for every point before its first solve, and `gcube
+    exponent` before it reads its cache."""
     if n < 2 or k < 2:
         raise ValueError("n >= 2 and k >= 2 required")
     if k > _K_MAX:
         raise ValueError(f"k <= {_K_MAX} required: 2^k overflows a float at k = {k}")
-    # The diagonal and the l = 1 rows alone are n (n + 1) / 2, which refuses
-    # a huge n before the exact count runs.
-    rows = n * (n + 1) // 2
-    if 16 * rows * n <= TERM_TABLE_BYTES_MAX:
-        rows = _term_rows(n, k)
-    if 16 * rows * n > TERM_TABLE_BYTES_MAX:
-        raise ValueError(f"the term table at n = {n}, k = {k} takes at least "
-                         f"{16 * rows * n} bytes in Q and QT, above the "
-                         f"{TERM_TABLE_BYTES_MAX}-byte bound")
+    check_term_table(n, k)
     if cfg.t_tolerance < 2 * math.ulp(k + 1):
         raise ValueError(f"tolerance {cfg.t_tolerance!r} is below 2 * ulp({k + 1}) = "
                          f"{2 * math.ulp(k + 1)!r}, twice the float spacing of t")
@@ -430,33 +391,28 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
     is fixed by a and the k points a + h_i, so M(k + 1) = 1.  The lower end
     starts at the largest witness root among the structured seeds that are
     not point masses (at n = 2 the uniform seed, whose root is
-    log2(2k + 2)).  Every maximization is a probe: one with M > 1 moves the
-    lower end to its maximizer's root and the next probe to half a
-    tolerance above it, one with M <= 1 becomes the upper end, and a
-    witness that does not carry the lower end past its probe makes the
-    next probe a bisection midpoint, so a stalling maximizer costs at most
-    about twice the calls of plain bisection.  The start pool is built
-    once: each probe ascends from the batch the previous one ended with.
+    log2(2k + 2)).  Every maximization is a probe, half a tolerance above
+    the lower end: one with M > 1 moves the lower end to its maximizer's
+    root, or to the probe when rounding puts the root at or below it, and
+    one with M <= 1 becomes the upper end.  The start pool is built once:
+    each probe ascends from the batch the previous one ended with.
     `argmax` is the witness that set the final lower end, a maximizer or a
     structured seed, never a vertex.
     `check_problem` runs before any maximization."""
     cfg = cfg or SolverConfig()
     check_problem(n, k, cfg)
-    structured = _structured_seeds(n, k)
-    seeds = [tuple(g.tolist()) for g in structured if g.max() <= _POINT_MASS]
+    batch = _start_pool(n, k, cfg)
+    seeds = [tuple(g.tolist()) for g in batch[:-_MULTISTARTS] if g.max() <= _POINT_MASS]
     lo, witness = max((witness_lower_bound(n, k, g), g) for g in seeds)
-    hi, bisect = float(k + 1), False
-    batch = _start_pool(n, k, cfg, witness, structured)
+    hi = float(k + 1)
     while hi - lo > cfg.t_tolerance:
-        probe = 0.5 * (lo + hi) if bisect else lo + 0.5 * cfg.t_tolerance
+        probe = lo + 0.5 * cfg.t_tolerance
         v, g, batch = _probe(n, k, probe, batch)
         if v > 1.0:
             witness = g
-            root = witness_lower_bound(n, k, g, probe)
-            bisect = not root > probe
-            lo = min(max(root, probe), hi)
+            lo = min(max(witness_lower_bound(n, k, g, probe), probe), hi)
         else:
-            hi, bisect = probe, False
+            hi = probe
     t = 0.5 * (lo + hi)
     return ExponentPair(
         k=k,

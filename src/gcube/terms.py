@@ -37,6 +37,12 @@ _SIMPLEX_TOL = 1e-12
 # times q = 0 it leaves it at 1 (0^0 = 1).
 _LOG_ZERO = -1e300
 
+# check_term_table refuses an (n, k) whose term table takes more than this
+# many bytes in Q and QT, 16 per row per column.  Memory sets it: a solve at
+# the largest admitted n took 4.6-7.8 s and 214-300 MB peak RSS at k = 2, 3,
+# 4, 8, 16 and 1023 (n = 99, 63, 49, 36, 33, 33) on a 2-core VM.
+TERM_TABLE_BYTES_MAX = 1 << 27
+
 
 def enumerate_tuple_classes(n: int) -> list:
     """Entry l-1 is the sorted tuple of admissible (a, (h_1, ..., h_l)) with
@@ -82,6 +88,35 @@ def _magnitude_multisets(budget, parts, top):
                 yield (v,) + rest
 
 
+def _term_rows(n: int, k: int) -> int:
+    """len(term_groups(n, k)[0]) without the walk: the sum over l <= min(k,
+    n - 1) and s <= n - 1 of p_l(s) (n - s), where p_l(s) counts the
+    partitions of s into exactly l parts.  A partition has a part 1 or
+    loses 1 from each part, so p_l(s) = p_(l-1)(s - 1) + p_l(s - l)."""
+    p = [1] + [0] * (n - 1)
+    rows = n
+    for l in range(1, min(k, n - 1) + 1):
+        p_l = [0] * n
+        for s in range(l, n):
+            p_l[s] = p[s - 1] + p_l[s - l]
+        p = p_l
+        rows += sum(x * (n - s) for s, x in enumerate(p))
+    return rows
+
+
+def check_term_table(n: int, k: int) -> None:
+    """Raise ValueError for a term table above TERM_TABLE_BYTES_MAX bytes."""
+    # The diagonal and the l = 1 rows alone are n (n + 1) / 2, which refuses
+    # a huge n before the exact count runs.
+    rows = n * (n + 1) // 2
+    if 16 * rows * n <= TERM_TABLE_BYTES_MAX:
+        rows = _term_rows(n, k)
+    if 16 * rows * n > TERM_TABLE_BYTES_MAX:
+        raise ValueError(f"the term table at n = {n}, k = {k} takes at least "
+                         f"{16 * rows * n} bytes in Q and QT, above the "
+                         f"{TERM_TABLE_BYTES_MAX}-byte bound")
+
+
 @lru_cache(maxsize=128)
 def term_groups(n: int, k: int) -> tuple:
     """Term table (rows, coefficients) for side n and box order k.
@@ -94,9 +129,11 @@ def term_groups(n: int, k: int) -> tuple:
     starts with 2^-l at b, giving l and b, and 2^l q lists the coefficients
     of prod_i (1 + x^m_i), from which dividing out 1 + x^min(m) again and
     again reads off m.  Rows run b-major, by l ascending, then by counts
-    descending: descending lexicographic q order."""
+    descending: descending lexicographic q order.  ValueError, before the
+    walk, for a table that check_term_table refuses."""
     if n < 2 or k < 1:
         raise ValueError("n >= 2 and k >= 1 required")
+    check_term_table(n, k)
     walk = []
     for m in _magnitude_multisets(n - 1, min(k, n - 1), n - 1):
         coefficient = math.perm(k, len(m)) * 2 ** len(m)

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import solve_cached
 from gcube.asymptotics import (
+    asymptotic_sweep,
     eisner_tao_constant,
     large_k_main_term,
     large_n_lower_main_term,
@@ -12,6 +13,7 @@ from gcube.asymptotics import (
     report_for,
 )
 from gcube.entropy import binomial_entropy, binomial_entropy_bounds
+from gcube.terms import term_groups, term_matrix
 
 TABLE = {
     2: 1.0,
@@ -80,6 +82,15 @@ def test_report_and_csv():
     rep = report_for(pair)
     assert rep.gap == pytest.approx(pair.t - math.log2(4), abs=1e-12)
     assert rep.upper == 3.0
+
+
+# A sweep empties the term table caches after each point, so it ends
+# holding no table.
+def test_sweep_holds_no_table():
+    reports = asymptotic_sweep([2, 3], [2])
+    assert [(r.n, r.k) for r in reports] == [(2, 2), (3, 2)]
+    assert term_groups.cache_info().currsize == 0
+    assert term_matrix.cache_info().currsize == 0
 
 
 def test_binary_gap_identity():

@@ -201,12 +201,12 @@ _EXPONENT_JSON = {
     (16, 2, 0): (
         '{"k":2,"n":16,"t":2.8926487556348626,"p":1.3828156606321538,'
         '"bracket":5.000000413701855e-10,'
-        '"argmax":[0.0089013221656329879,0.017317960154481064,'
-        '0.030433640846757429,0.048466910691468933,0.070126337622468504,'
-        '0.092364609634866798,0.11089896376183976,0.12149025512248147,'
-        '0.12149025512248189,0.11089896376184122,0.092364609634866937,'
-        '0.070126337622470253,0.048466910691471805,0.030433640846756305,'
-        '0.01731796015448182,0.0089013221656332481]}\n'
+        '"argmax":[0.0089013224247764273,0.017317960965894899,'
+        '0.030433642276495768,0.048466912443690828,0.07012633907666227,'
+        '0.092364610099080938,0.11089896288049635,0.12149025315006706,'
+        '0.12149025283227999,0.11089896201024749,0.092364608891047334,'
+        '0.07012633779252965,0.048466911302506736,0.030433641400626932,'
+        '0.017317960376759808,0.0089013220768377112]}\n'
     ),
 }
 

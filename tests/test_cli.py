@@ -618,7 +618,7 @@ def _refuse(name):
     return worker
 
 
-# A term table above solver.TERM_TABLE_BYTES_MAX exits 2 before any table is
+# A term table above terms.TERM_TABLE_BYTES_MAX exits 2 before any table is
 # built: at a huge n by the closed-form lower bound, else by the exact count.
 @pytest.mark.parametrize("argv", [
     ["exponent", "--k", "2", "--n", "160"],
@@ -631,7 +631,7 @@ def test_term_table_above_limit_exits_2(monkeypatch, capsys, argv):
         monkeypatch.setattr(module, "term_groups", _refuse("term_groups"))
     code, out, err = run(capsys, argv)
     assert code == 2 and not out and err.startswith("error: the term table")
-    assert f"above the {solver_module.TERM_TABLE_BYTES_MAX}-byte bound" in err
+    assert f"above the {terms_module.TERM_TABLE_BYTES_MAX}-byte bound" in err
 
 
 def test_limits_lie_above_the_verify_suites():

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import numpy as np
 
 import gcube.solver as solver_module
+import gcube.terms as terms_module
 from conftest import solve_cached
 from gcube.solver import (
     ExponentPair,
@@ -297,9 +298,29 @@ def test_check_problem_bounds_the_term_table(monkeypatch):
         with pytest.raises(ValueError, match="term table"):
             check_problem(n + 1, k, cfg)
     # At a huge n the closed-form lower bound refuses before the count runs.
-    monkeypatch.setattr(solver_module, "_term_rows", None)
+    monkeypatch.setattr(terms_module, "_term_rows", None)
     with pytest.raises(ValueError, match="term table"):
         check_problem(100_000, 2, cfg)
+
+
+# Every library path to a term table passes through term_groups, which
+# refuses a table above the bound before its walk starts.
+@pytest.mark.parametrize("call", [
+    lambda n: objective(n, 2, 2.0, [1 / n] * n),
+    lambda n: term_matrix(n, 2),
+    lambda n: max_objective(n, 2, 2.0),
+    lambda n: witness_lower_bound(n, 2, [1 / n] * n),
+    lambda n: trivial_bounds(n, 2),
+], ids=["objective", "term_matrix", "max_objective", "witness_lower_bound",
+        "trivial_bounds"])
+def test_entry_points_refuse_a_table_above_the_bound(monkeypatch, call):
+    def no_walk(*args):
+        raise AssertionError("the walk ran above the bound")
+
+    monkeypatch.setattr(terms_module, "_magnitude_multisets", no_walk)
+    bound = f"above the {terms_module.TERM_TABLE_BYTES_MAX}-byte bound"
+    with pytest.raises(ValueError, match=bound):
+        call(160)
 
 
 def test_concurrent_solves_match_serial():
@@ -356,8 +377,9 @@ def test_witness_loop_call_count(monkeypatch, n):
 
 
 # Each probe starts from the batch the previous one ended with, so the
-# rows keep their places across the solve, and every batch has the same 14
-# rows at every n: the structured seeds, the random starts and the witness.
+# rows keep their places across the solve, and every batch has the same 13
+# rows at every n: the structured seeds and the random starts, the cold
+# pool with no row appended.
 @pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (3, 16)])
 def test_probes_carry_the_batch(monkeypatch, n, k):
     batches = []
@@ -373,12 +395,11 @@ def test_probes_carry_the_batch(monkeypatch, n, k):
     solve_exponent(n, k, cfg)
     assert len(batches) >= 2
     first = batches[0][0]
-    _, seed = _best_seed(n, k)
-    assert np.array_equal(first, solver_module._start_pool(n, k, cfg, seed))
+    assert np.array_equal(first, solver_module._start_pool(n, k, cfg))
     for (_, end), (start, _) in zip(batches, batches[1:]):
         assert np.array_equal(start, end)
     for start, end in batches:
-        assert start.shape == end.shape == first.shape == (5 + solver_module._MULTISTARTS + 1, n)
+        assert start.shape == end.shape == (5 + solver_module._MULTISTARTS, n) == (13, n)
 
 
 # Evaluations per solve at seed 0, capped just above today's counts (39, 63
@@ -426,8 +447,8 @@ def test_binary_solve_is_one_probe(monkeypatch, k):
 
 def _best_seed(n, k):
     # The structured seed with the largest witness root, point masses skipped.
-    seeds = [tuple(g) for g in np.vstack(solver_module._structured_seeds(n, k))
-             if max(g) < 1.0 - 1e-12]
+    pool = solver_module._start_pool(n, k, SolverConfig())
+    seeds = [tuple(g) for g in pool[:5] if max(g) < 1.0 - 1e-12]
     return max((witness_lower_bound(n, k, g), g) for g in seeds)
 
 
@@ -467,27 +488,30 @@ def test_k_above_float_range_rejected(monkeypatch):
         solve_exponent(2, 1024)
 
 
-def test_stalled_witness_falls_back_to_bisection(monkeypatch):
-    # A maximizer whose witnesses never certify past their probe: the loop
-    # must bisect its way to the plateau edge at 2.5.
-    edge = 2.5
-    calls = []
+# A witness valued above 1 at a probe has its root above the probe, so a
+# root at or below it can only come from two roundings of the objective
+# disagreeing.  The loop then moves the lower end to the probe: the solve
+# still brackets the true t, at the cost of at most one more probe.
+@pytest.mark.parametrize("n,k", [(4, 2), (6, 2), (3, 16)])
+def test_witness_root_tied_with_its_probe(monkeypatch, n, k):
+    calls = _record_probes(monkeypatch)
+    want = solve_exponent(n, k)
+    unpatched = len(calls)
+    calls.clear()
+    inner, tied = solver_module.witness_lower_bound, []
 
-    def stub_max(n, k, t, G):
-        calls.append(t)
-        if len(calls) > 200:
-            raise AssertionError("outer loop does not converge")
-        if t < edge:
-            return 1.5, (0.2, 0.6, 0.2), G
-        return 1.0, (0.0, 0.0, 1.0), G
+    def tie_first(n, k, g, start=solver_module._ROOT_START):
+        if start != solver_module._ROOT_START and not tied:
+            tied.append(start)
+            return start
+        return inner(n, k, g, start)
 
-    monkeypatch.setattr(solver_module, "_probe", stub_max)
-    monkeypatch.setattr(solver_module, "witness_lower_bound", lambda n, k, g, start=None: 1.0)
-    tol = SolverConfig().t_tolerance
-    pair = solve_exponent(3, 2)
-    assert pair.bracket <= tol
-    assert abs(pair.t - edge) <= tol
-    assert len(calls) <= 2 * math.ceil(math.log2(2 / tol)) + 3
+    monkeypatch.setattr(solver_module, "witness_lower_bound", tie_first)
+    pair = solve_exponent(n, k)
+    assert tied
+    assert pair.bracket <= SolverConfig().t_tolerance
+    assert abs(pair.t - want.t) <= 0.5 * pair.bracket
+    assert len(calls) <= unpatched + 1
 
 
 def test_side_six_value():

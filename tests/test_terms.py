@@ -12,8 +12,8 @@ import numpy as np
 import gcube.terms as terms_module
 from gcube.gowers import energy_P
 from gcube.lattice import interval_set
-from gcube.solver import _term_rows
 from gcube.terms import (
+    _term_rows,
     enumerate_tuple_classes,
     objective,
     pmf_of_tuple,
