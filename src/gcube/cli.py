@@ -95,11 +95,10 @@ def _emit(args, record, human, columns=()):
 
     JSON is the record through dumps17.  CSV is a header of `columns` and a
     row per record (a list of records is a table), each cell through
-    dumps17; `asym --csv PATH` writes it to PATH.  Human output is the lines
-    of `human(record)`.  Only the requested form is built.
+    dumps17.  Human output is the lines of `human(record)`.  Only the
+    requested form is built, and it goes to stdout.
     """
-    path = getattr(args, "csv_path", None)
-    if path or args.format == "csv":
+    if args.format == "csv":
         rows = record if isinstance(record, list) else [record]
         lines = [",".join(columns)]
         lines += [",".join(dumps17(row[c]) for c in columns) for row in rows]
@@ -107,10 +106,6 @@ def _emit(args, record, human, columns=()):
         lines = [dumps17(record)]
     else:
         lines = human(record)
-    if path:
-        with open(path, "w") as fh:
-            fh.writelines(line + "\n" for line in lines)
-        lines = [f"wrote {path}"]
     for line in lines:
         print(line)
     return EXIT_OK
@@ -148,10 +143,6 @@ def build_parser():
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--cache", default=None, help="append-only JSONL result cache")
-    s.add_argument("--json", action="store_const", const="json", dest="format",
-                   help="alias of --format json")
-    s.add_argument("--csv", action="store_const", const="csv", dest="format",
-                   help="alias of --format csv")
 
     s = sub.add_parser("entropy", parents=[records], help="entropy utilities")
     g = s.add_mutually_exclusive_group(required=True)
@@ -162,8 +153,6 @@ def build_parser():
     s = sub.add_parser("terms", parents=[records],
                        help="tuple classes with q vectors")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--json", action="store_const", const="json", dest="format",
-                   help="alias of --format json")
 
     s = sub.add_parser("table1", parents=[tables], help="leading coefficient table")
     s.add_argument("--n-max", type=int, default=6, dest="n_max")
@@ -171,7 +160,6 @@ def build_parser():
     s = sub.add_parser("asym", parents=[tables, solver], help="(n, k) grid sweep")
     s.add_argument("--n", type=int_list, required=True, metavar="N1,N2,...")
     s.add_argument("--k", type=int_list, required=True, metavar="K1,K2,...")
-    s.add_argument("--csv", default=None, dest="csv_path", metavar="PATH")
 
     s = sub.add_parser("verify", help="run a verification suite")
     s.add_argument("--suite", required=True)

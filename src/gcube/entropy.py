@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as _product
 from itertools import zip_longest
 
@@ -105,7 +104,6 @@ def entropy(p: PMFVector) -> float:
     return entropy_bits(p.masses)
 
 
-@lru_cache(maxsize=4096)
 def binomial_entropy(m: int) -> float:
     """Entropy H_m of the symmetric binomial distribution B(m, 1/2)."""
     if m < 1:

@@ -315,17 +315,14 @@ def _random_starts(n, seed):
     return np.array(rows)
 
 
-def _start_pool(n, k, cfg, start=None):
-    # The cold pool: five structured profiles, the seeded random points and,
-    # when given, the simplex point `start`.  _probe accounts for vertices.
+def _start_pool(n, k, cfg):
+    # The cold pool: five structured profiles and the seeded random points.
+    # _probe accounts for vertices.
     binom = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
     gaussians = [profile_to_simplex(gaussian_witness(n, M), 2.0 ** k / (k + 1.0))
                  for M in (1.5, 2.0, 3.0)]
-    blocks = [[np.full(n, 1.0 / n), binom / binom.sum(), *gaussians],
-              _random_starts(n, cfg.rng_seed)]
-    if start is not None:
-        blocks.append(np.array([start], dtype=float))
-    return np.vstack(blocks)
+    return np.vstack([[np.full(n, 1.0 / n), binom / binom.sum(), *gaussians],
+                      _random_starts(n, cfg.rng_seed)])
 
 
 def _probe(n, k, t, G):
@@ -342,29 +339,27 @@ def _probe(n, k, t, G):
     return best_val, min(tied), G
 
 
-def max_objective(n, k, t, cfg: SolverConfig | None = None, start=None):
+def max_objective(n, k, t, cfg: SolverConfig | None = None):
     """Best found value of the objective over the simplex at exponent t.
 
-    One SQUAREM-accelerated EM ascent from the structured profiles, the
-    seeded random points and, when given, the simplex point `start`.
-    Returns (value, argmax): the value is max(best, 1), since every vertex
-    values exactly 1, and the argmax the smallest point among the ascended
-    rows tied at it and, when it is 1, the vertex (0, ..., 0, 1).  The
-    value is a certified lower estimate of the true supremum (every
-    reported value is an exact evaluation).  The ascent ends after 67
+    One SQUAREM-accelerated EM ascent from the pool a solve starts with:
+    the structured profiles and the seeded random points.  Returns (value,
+    argmax): the value is max(best, 1), since every vertex values exactly
+    1, and the argmax the smallest point among the ascended rows tied at
+    it and, when it is 1, the vertex (0, ..., 0, 1).  The value is a
+    certified lower estimate of the true supremum (every reported value
+    is an exact evaluation).  The ascent ends after 67
     cycles of three evaluations, or once it has settled for 5: while the
     value is 1, no row rises by more than a relative 1e-15; once it is
     above 1, the value does not, which leaves the argmax within about
     1.3e-8 of where the 67 cycles end (largest coordinate gap at the tests'
     twelve near-critical points).
-    Deterministic for a fixed config and start; ValueError unless `start`,
-    when given, is a point of the n-simplex."""
+    Deterministic for a fixed config; ValueError unless 0 < t < inf."""
     cfg = cfg or SolverConfig()
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if start is not None:
-        start = check_simplex(start, n)
-    return _probe(n, k, t, _start_pool(n, k, cfg, start))[:2]
+    # Written so that NaN fails too.
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
+    return _probe(n, k, t, _start_pool(n, k, cfg))[:2]
 
 
 def check_problem(n: int, k: int, cfg: SolverConfig) -> None:
@@ -476,8 +471,9 @@ def trivial_bounds(n: int, k: int) -> tuple:
 def gaussian_witness(n: int, M: float) -> tuple:
     """Truncated discrete Gaussian profile exp(-4 M^2 (m/n - 1/2)^2) on
     {0, ..., n-1}."""
-    if not M > 1:
-        raise ValueError("M must be > 1")
+    # Written so that NaN fails too; at M = inf no entry is positive.
+    if not 1 < M < math.inf:
+        raise ValueError("M must be > 1 and finite")
     if n < 2:
         raise ValueError("n must be >= 2")
     return tuple(
@@ -489,6 +485,9 @@ def profile_to_simplex(profile, power: float) -> tuple:
     """Normalize profile**power onto the simplex.  The peak is scaled to 1
     before powering, so a large power does not underflow the whole
     profile to zero."""
+    # Written so that NaN fails too.
+    if not 0 < power < math.inf:
+        raise ValueError("power must be positive and finite")
     p = np.asarray(profile, dtype=float)
     if not np.isfinite(p).all() or (p < 0).any():
         raise ValueError("profile entries must be finite and nonnegative")

@@ -216,8 +216,9 @@ def objective(n: int, k: int, t: float, g) -> float:
 
     Each row contributes coefficient * prod_j g(j)^(q_j t) with the
     conventions 0^0 = 1 and 0^s = 0 for s > 0."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+    # Written so that NaN fails too.
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     g = check_simplex(g, n)
     return float(term_matrix(n, k).values(np.array([g]), t)[0])
 

@@ -137,7 +137,7 @@ def test_energy_E_above_power_size_bound_exits_2(tmp_path, capsys):
 
 
 def test_exponent_json_fields(capsys):
-    code, out, _ = run(capsys, ["exponent", "--k", "2", "--n", "2", "--json"])
+    code, out, _ = run(capsys, ["exponent", "--k", "2", "--n", "2", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
     assert set(payload) == {"k", "n", "t", "p", "bracket", "argmax"}
@@ -146,7 +146,7 @@ def test_exponent_json_fields(capsys):
 
 
 def test_exponent_byte_identical(capsys):
-    argv = ["exponent", "--k", "2", "--n", "2", "--json", "--seed", "1"]
+    argv = ["exponent", "--k", "2", "--n", "2", "--format", "json", "--seed", "1"]
     code1, out1, _ = run(capsys, argv)
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == 0
@@ -155,7 +155,7 @@ def test_exponent_byte_identical(capsys):
 
 def test_exponent_cache(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
-    argv = ["exponent", "--k", "2", "--n", "2", "--json", "--cache", str(cache)]
+    argv = ["exponent", "--k", "2", "--n", "2", "--format", "json", "--cache", str(cache)]
     code1, out1, _ = run(capsys, argv)
     assert code1 == 0
     lines = cache.read_text().strip().split("\n")
@@ -172,7 +172,7 @@ def test_exponent_cache(tmp_path, capsys):
 # Well-formed JSON of the wrong shape is skipped like an undecodable line:
 # the solve runs and its entry is appended.
 def test_exponent_cache_skips_wrong_shapes(tmp_path, capsys, monkeypatch):
-    argv = ["exponent", "--k", "2", "--n", "2", "--json"]
+    argv = ["exponent", "--k", "2", "--n", "2", "--format", "json"]
     _, fresh, _ = run(capsys, argv)
     solves = []
     inner = cli.solve_exponent
@@ -211,7 +211,7 @@ def test_exponent_cache_skips_wrong_shapes(tmp_path, capsys, monkeypatch):
 
 
 def _cache_case(tmp_path, capsys, monkeypatch, line):
-    # Runs `exponent --n 2 --k 2 --json` on a cache holding `line` alone;
+    # Runs `exponent --n 2 --k 2 --format json` on a cache holding `line` alone;
     # returns (stdout, solves run, cache lines after the run).
     solves = []
     inner = cli.solve_exponent
@@ -223,7 +223,7 @@ def _cache_case(tmp_path, capsys, monkeypatch, line):
     monkeypatch.setattr(cli, "solve_exponent", counted)
     cache = tmp_path / "cache.jsonl"
     cache.write_text(line + "\n")
-    code, out, err = run(capsys, ["exponent", "--k", "2", "--n", "2", "--json",
+    code, out, err = run(capsys, ["exponent", "--k", "2", "--n", "2", "--format", "json",
                                   "--cache", str(cache)])
     assert (code, err) == (0, "")
     monkeypatch.setattr(cli, "solve_exponent", inner)
@@ -233,7 +233,7 @@ def _cache_case(tmp_path, capsys, monkeypatch, line):
 def _cache_entry(capsys, **changes):
     # A well-formed entry for (n, k) = (2, 2) at the default config, with
     # the result of a real solve; `changes` replace entry or result keys.
-    _, fresh, _ = run(capsys, ["exponent", "--k", "2", "--n", "2", "--json"])
+    _, fresh, _ = run(capsys, ["exponent", "--k", "2", "--n", "2", "--format", "json"])
     result = json.loads(fresh)
     entry = {**cli._cache_key(SolverConfig(), 2, 2), "tol": 1e-9, "result": result}
     for key, value in changes.items():
@@ -320,7 +320,7 @@ def test_exponent_cache_skips_undecodable_lines(tmp_path, capsys, monkeypatch, b
     cache = tmp_path / "cache.jsonl"
     cache.write_bytes(bad + b"\n" + json.dumps(entry).encode() + b"\n")
     monkeypatch.setattr(cli, "solve_exponent", None)
-    code, out, err = run(capsys, ["exponent", "--k", "2", "--n", "2", "--json",
+    code, out, err = run(capsys, ["exponent", "--k", "2", "--n", "2", "--format", "json",
                                   "--cache", str(cache)])
     assert (code, out, err) == (0, fresh, "")
 
@@ -330,12 +330,12 @@ def test_exponent_cache_skips_undecodable_lines(tmp_path, capsys, monkeypatch, b
 # whose 2^k overflows still exit 2 with the message of a run without it.
 @pytest.mark.parametrize("k,tol", [(2, "1e-17"), (2000, "1e-9")])
 def test_exponent_cache_keeps_input_checks(tmp_path, capsys, k, tol):
-    _, fresh, _ = run(capsys, ["exponent", "--k", "2", "--n", "3", "--json"])
+    _, fresh, _ = run(capsys, ["exponent", "--k", "2", "--n", "3", "--format", "json"])
     entry = {**cli._cache_key(SolverConfig(), k, 3), "tol": 1e-18,
              "result": {**json.loads(fresh), "k": k}}
     cache = tmp_path / "cache.jsonl"
     cache.write_text(cli.dumps17(entry) + "\n")
-    argv = ["exponent", "--k", str(k), "--n", "3", "--tol", tol, "--json"]
+    argv = ["exponent", "--k", str(k), "--n", "3", "--tol", tol, "--format", "json"]
     plain = run(capsys, argv)
     assert plain[0] == 2 and plain[2].startswith("error: ")
     assert run(capsys, argv + ["--cache", str(cache)]) == plain
@@ -431,7 +431,7 @@ def test_entropy_flag_validation(capsys):
 
 
 def test_terms_json(capsys):
-    code, out, _ = run(capsys, ["terms", "--n", "4", "--json"])
+    code, out, _ = run(capsys, ["terms", "--n", "4", "--format", "json"])
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 4
@@ -445,7 +445,7 @@ def test_terms_q_matches_pmf_of_tuple(capsys):
     # The listing formats each count tuple once and places it at a + offset;
     # pmf_of_tuple builds the Fractions of every tuple on its own.
     n = 6
-    _, out, _ = run(capsys, ["terms", "--n", str(n), "--json"])
+    _, out, _ = run(capsys, ["terms", "--n", str(n), "--format", "json"])
     for c in json.loads(out)["classes"]:
         for t in c["tuples"]:
             want = [str(q) for q in pmf_of_tuple(n, t["a"], t["h"])]
@@ -464,13 +464,10 @@ def test_table1(capsys):
     assert [row["n"] for row in payload] == [2, 3, 4]
 
 
-def test_asym_csv(tmp_path, capsys):
-    out_csv = tmp_path / "out.csv"
-    code, out, _ = run(
-        capsys, ["asym", "--n", "2", "--k", "3,2", "--csv", str(out_csv)]
-    )
+def test_asym_csv(capsys):
+    code, out, _ = run(capsys, ["asym", "--n", "2", "--k", "3,2", "--format", "csv"])
     assert code == 0
-    lines = out_csv.read_text().strip().split("\n")
+    lines = out.strip().split("\n")
     assert lines[0] == "k,n,t_solver,p,t_formula,gap,lower13,lower,upper"
     assert len(lines) == 3
     assert lines[1].startswith("2,2,") and lines[2].startswith("3,2,")
@@ -492,18 +489,6 @@ def test_asym_solves_each_k_once(monkeypatch, capsys):
     assert solved == [2, 3]
     rows = out.strip().split("\n")[1:]
     assert [row.split(",")[0] for row in rows] == ["2", "3"]
-
-
-@pytest.mark.parametrize("argv,alias,fmt", [
-    (["exponent", "--k", "2", "--n", "2"], "--json", "json"),
-    (["exponent", "--k", "2", "--n", "2"], "--csv", "csv"),
-    (["terms", "--n", "3"], "--json", "json"),
-])
-def test_format_flag_aliases(capsys, argv, alias, fmt):
-    code1, out1, _ = run(capsys, argv + [alias])
-    code2, out2, _ = run(capsys, argv + ["--format", fmt])
-    assert code1 == code2 == 0
-    assert out1 == out2
 
 
 def test_asym_bad_k_list(capsys):
@@ -596,10 +581,14 @@ def test_unread_flags_rejected(tmp_path, capsys):
         ["verify", "--suite", "binary", "--seed", "1"],
         ["table1", "--tol", "1e-9"],
         ["norm", "--f", path, "--k", "2", "--format", "csv"],
+        ["exponent", "--k", "2", "--n", "2", "--json"],
+        ["exponent", "--k", "2", "--n", "2", "--csv"],
+        ["terms", "--n", "3", "--json"],
+        ["asym", "--n", "2", "--k", "2", "--csv", "out.csv"],
     ):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
-        assert not out and "error" in err
+        assert not out and "usage:" in err and "error" in err
 
 
 def test_terms_n_above_limit_exits_2(monkeypatch, capsys):
@@ -671,7 +660,7 @@ def test_table1_n_max_above_limit_exits_2(monkeypatch, capsys):
 
 
 def test_terms_human_renders_json_payload(capsys):
-    _, out, _ = run(capsys, ["terms", "--n", "5", "--json"])
+    _, out, _ = run(capsys, ["terms", "--n", "5", "--format", "json"])
     lines = []
     for c in json.loads(out)["classes"]:
         lines.append(f"l={c['l']} size={c['size']}")
@@ -684,21 +673,19 @@ def test_terms_human_renders_json_payload(capsys):
 
 # main parses with one parser per process.  A sequence of calls through it
 # prints what each call prints with a parser of its own.
-def test_repeated_main_calls_share_the_parser(tmp_path, capsys):
-    path = str(tmp_path / "sweep.csv")
+def test_repeated_main_calls_share_the_parser(capsys):
     sequence = [
         ["exponent", "--k", "2"],
         ["exponent", "--k", "2", "--n", "2"],
-        ["exponent", "--k", "2", "--n", "2", "--json"],
+        ["exponent", "--k", "2", "--n", "2", "--format", "json"],
         ["exponent", "--k", "2", "--n", "2"],
-        ["exponent", "--k", "2", "--n", "2", "--csv"],
-        ["asym", "--n", "2", "--k", "2,3", "--csv", path],
+        ["exponent", "--k", "2", "--n", "2", "--format", "csv"],
+        ["asym", "--n", "2", "--k", "2,3", "--format", "csv"],
         ["verify", "--suite", "?"],
         ["verify", "--suite", "binary"],
     ]
     cli._parser.cache_clear()
     shared = [run(capsys, argv) for argv in sequence]
-    sweep = (tmp_path / "sweep.csv").read_text()
     assert cli._parser.cache_info().misses == 1
     assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 2, 0]
     assert shared[3][1] == shared[1][1] and shared[3][1].startswith("t = ")
@@ -707,7 +694,6 @@ def test_repeated_main_calls_share_the_parser(tmp_path, capsys):
         cli._parser.cache_clear()
         alone.append(run(capsys, argv))
     assert shared == alone
-    assert (tmp_path / "sweep.csv").read_text() == sweep
 
 
 @pytest.mark.parametrize("kind,blob", [

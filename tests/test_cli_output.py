@@ -75,7 +75,6 @@ GOLDEN = [
      '"rearrangement":["1/4","1/4","1/4","1/4"],"entropy":2}\n'),
     (["terms", "--n", "3"], TERMS_3_HUMAN),
     (["terms", "--n", "3", "--format", "json"], TERMS_3_JSON),
-    (["terms", "--n", "3", "--json"], TERMS_3_JSON),
     (["table1", "--n-max", "4"],
      "n = 2: 1\nn = 3: 1.333333333\nn = 4: 1.656288982\n"),
     (["table1", "--n-max", "4", "--format", "json"],
@@ -121,10 +120,8 @@ def test_exponent_forms_show_one_record(capsys):
     code, out, err = run(capsys, argv + ["--format", "json"])
     assert (code, err) == (0, "")
     record = json.loads(out)
-    assert run(capsys, argv + ["--json"]) == (0, out, "")
     code, csv_text, _ = run(capsys, argv + ["--format", "csv"])
     assert code == 0
-    assert run(capsys, argv + ["--csv"]) == (0, csv_text, "")
     keys, rows = _csv_rows(csv_text)
     assert keys == ["k", "n", "t", "p", "bracket"]
     assert rows == [{key: _cell(record[key]) for key in keys}]
@@ -133,7 +130,7 @@ def test_exponent_forms_show_one_record(capsys):
     assert run(capsys, argv + ["--format", "human"]) == (0, human, "")
 
 
-def test_asym_forms_show_one_record(tmp_path, capsys):
+def test_asym_forms_show_one_record(capsys):
     argv = ["asym", "--n", "2", "--k", "3,2"]
     code, out, err = run(capsys, argv + ["--format", "json"])
     assert (code, err) == (0, "")
@@ -145,14 +142,6 @@ def test_asym_forms_show_one_record(tmp_path, capsys):
     assert keys == ["k", "n", "t_solver", "p", "t_formula", "gap", "lower13", "lower",
                     "upper"]
     assert rows == [{key: _cell(r[key]) for key in keys} for r in records]
-    path = tmp_path / "sweep.csv"
-    assert run(capsys, argv + ["--csv", str(path)]) == (0, f"wrote {path}\n", "")
-    assert path.read_text() == csv_text
-    # --csv PATH writes the file whatever --format asks for.
-    path.unlink()
-    assert run(capsys, argv + ["--format", "json", "--csv", str(path)]) == (
-        0, f"wrote {path}\n", "")
-    assert path.read_text() == csv_text
     human = "".join(
         f"n = {r['n']}, k = {r['k']}: t = {r['t_solver']:.10g}, p = {r['p']:.10g}, "
         f"formula = {r['t_formula']:.10g}, gap = {r['gap']:.10g}\n" for r in records

@@ -154,9 +154,6 @@ def test_nan_and_non_simplex_points_rejected():
         objective(2, 2, 2.0, (nan, 1.0))
     with pytest.raises(ValueError):
         witness_lower_bound(3, 2, (nan, 0.5, 0.5))
-    for start in ((2.0, 0.0, 0.0), (nan, 0.5, 0.5), (0.5, 0.5), (10**400, 0, 0)):
-        with pytest.raises(ValueError):
-            max_objective(3, 2, 2.9, start=start)
 
 
 def test_witness_below_solver_value():
@@ -208,6 +205,9 @@ def test_gaussian_profile_values():
         gaussian_witness(3, 1.0)
     with pytest.raises(ValueError):
         gaussian_witness(1, 2.0)
+    # At M = inf no entry is positive.
+    with pytest.raises(ValueError):
+        gaussian_witness(3, math.inf)
 
 
 def test_profile_to_simplex():
@@ -216,16 +216,21 @@ def test_profile_to_simplex():
     assert all(v > 0 for v in g)
 
 
-@pytest.mark.parametrize("profile, message", [
-    ([-1.0, 2.0], "finite and nonnegative"),
-    ([1.0, math.nan], "finite and nonnegative"),
-    ([1.0, math.inf], "finite and nonnegative"),
-    ([0.0, 0.0], "no mass"),
-], ids=["negative", "nan", "inf", "no-positive"])
-def test_profile_to_simplex_rejects_bad_profiles(profile, message):
+@pytest.mark.parametrize("profile, power, message", [
+    ([-1.0, 2.0], 1.0, "finite and nonnegative"),
+    ([1.0, math.nan], 1.0, "finite and nonnegative"),
+    ([1.0, math.inf], 1.0, "finite and nonnegative"),
+    ([0.0, 0.0], 1.0, "no mass"),
+    ([1.0, 0.5], math.nan, "power"),
+    ([1.0, 0.0], -1.0, "power"),
+    ([1.0, 0.0], 0.0, "power"),
+    ([1.0, 0.5], math.inf, "power"),
+], ids=["negative", "nan", "inf", "no-positive", "power-nan", "power-negative",
+        "power-zero", "power-inf"])
+def test_profile_to_simplex_rejects_bad_profiles(profile, power, message):
     # Checked before any arithmetic, so no numpy warning comes first.
     with pytest.raises(ValueError, match=message):
-        profile_to_simplex(profile, 1.0)
+        profile_to_simplex(profile, power)
 
 
 def test_gaussian_witness_bound_below_solver():
@@ -241,13 +246,6 @@ def test_gaussian_witness_bound_large_power():
     bound = gaussian_witness_bound(3, 3.0, 16)
     assert math.isfinite(bound)
     assert bound <= solve_cached(3, 16).t + 1e-6
-
-
-def test_max_objective_start_not_below_its_value():
-    g = (0.1, 0.7, 0.2)
-    for n, k, t in ((3, 2, 2.5), (3, 4, 3.2)):
-        value, _ = max_objective(n, k, t, start=g)
-        assert value >= objective(n, k, t, g)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
@@ -342,6 +340,8 @@ def test_solver_config_validation():
         solve_exponent(2, 1)
     with pytest.raises(ValueError):
         max_objective(2, 2, 0.0)
+    with pytest.raises(ValueError):
+        max_objective(3, 2, math.inf)
 
 
 @pytest.mark.parametrize("n,k", [(3, 4), (4, 2)])
@@ -694,11 +694,11 @@ _NEAR_CRITICAL = {
 
 
 def _pools(n, k):
-    # The default pool of max_objective, without and with a start point.
-    cfg = SolverConfig()
+    # The default pool of max_objective, and a 14-row batch: the pool and
+    # one more simplex point, so that an ascent of another shape runs too.
+    pool = solver_module._start_pool(n, k, SolverConfig())
     start = np.arange(1.0, n + 1.0) / (n * (n + 1) / 2)
-    return (solver_module._start_pool(n, k, cfg),
-            solver_module._start_pool(n, k, cfg, start))
+    return pool, np.vstack([pool, start])
 
 
 @pytest.mark.parametrize("n,k", sorted(_NEAR_CRITICAL))

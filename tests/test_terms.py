@@ -307,7 +307,9 @@ def test_objective_reflection_symmetric(n, k, raw, t):
     lambda: enumerate_tuple_classes(1),
     lambda: term_groups(1, 2),
     lambda: term_groups(2, 0),
-], ids=["classes-n1", "groups-n1", "groups-k0"])
+    # Refused before any arithmetic: at t = inf a vertex would value NaN.
+    lambda: objective(3, 2, math.inf, (0.0, 0.0, 1.0)),
+], ids=["classes-n1", "groups-n1", "groups-k0", "objective-t-inf"])
 def test_input_checks(call):
     with pytest.raises(ValueError):
         call()
