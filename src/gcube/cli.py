@@ -13,7 +13,6 @@ import functools
 import json
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 from .asymptotics import asymptotic_sweep, leading_coefficient_rows
 from .entropy import (
@@ -22,7 +21,6 @@ from .entropy import (
     decreasing_rearrangement,
     entropy,
     pmf_signed_sum,
-    signed_sum_counts,
 )
 from .gowers import energy_E, energy_E_tilde, energy_P, gowers_norm_recursive
 from .lattice import load_function, load_set
@@ -33,19 +31,21 @@ from .solver import (
     check_problem,
     solve_exponent,
 )
-from .terms import enumerate_tuple_classes
+from .terms import term_walk
 from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-# `terms` lists every tuple: n = 12 took 14.2 s and 321 MB on a 2-core VM.
-TERMS_N_MAX = 12
 # The bounds below refuse, before any work, inputs whose time grows past
 # about a second on a 2-core VM; each lies above what the verify suites use
-# (m <= 1000, n <= 8).  `entropy --binomial M` sums M / 2 terms of M-bit
-# binomials: 1.16 s at M = 100,000, about M^2.
+# (m <= 1000, n <= 8).  `terms` prints one line per row of the term table
+# at k = n - 1, and its JSON formats every count through dumps17: 0.81 s
+# and 0.96 MB at n = 21, 1.1-1.6 s and 1.3 MB at n = 22.
+TERMS_N_MAX = 21
+# `entropy --binomial M` sums M / 2 terms of M-bit binomials: 1.16 s at
+# M = 100,000, about M^2.
 BINOMIAL_M_MAX = 100_000
 # `entropy --signed` bounded by the span |h_1| + ... + |h_m| of the sum; its
 # worst case is all |h_i| = 1 (m = span, 2^m denominators): 0.82 s at 2,000
@@ -151,7 +151,7 @@ def build_parser():
                    help="coefficients h_i; write --signed=-1,2 when h_1 < 0")
 
     s = sub.add_parser("terms", parents=[records],
-                       help="tuple classes with q vectors")
+                       help="the term table's (m, b) rows with q vectors")
     s.add_argument("--n", type=int, required=True)
 
     s = sub.add_parser("table1", parents=[tables], help="leading coefficient table")
@@ -285,47 +285,16 @@ def cmd_entropy(args):
     ))
 
 
-def _terms_lines(payload):
-    for c in payload["classes"]:
-        yield f"l={c['l']} size={c['size']}"
-        for t in c["tuples"]:
-            yield f"  a={t['a']} h={t['h']} q=({', '.join(t['q'])})"
-
-
 def cmd_terms(args):
-    if args.n > TERMS_N_MAX:
-        raise ValueError(f"terms supports --n <= {TERMS_N_MAX}, got {args.n}")
-    classes = enumerate_tuple_classes(args.n)
-    # Many tuples share their counts, so each count tuple is formatted once;
-    # its sum is 2^l.
-    masses = {}
-
-    def q_strings(a, h):
-        offset, counts = signed_sum_counts(h)
-        if counts not in masses:
-            masses[counts] = [str(Fraction(c, 2 ** len(h))) for c in counts]
-        lo = a + offset
-        return ["0"] * lo + masses[counts] + ["0"] * (args.n - lo - len(counts))
-
-    payload = {
-        "n": args.n,
-        "classes": [
-            {
-                "l": l,
-                "size": len(tuples),
-                "tuples": [
-                    {
-                        "a": a,
-                        "h": list(h),
-                        "q": q_strings(a, h),
-                    }
-                    for a, h in tuples
-                ],
-            }
-            for l, tuples in enumerate(classes, 1)
-        ],
-    }
-    return _emit(args, payload, _terms_lines)
+    if not 2 <= args.n <= TERMS_N_MAX:
+        raise ValueError(f"terms supports 2 <= --n <= {TERMS_N_MAX}, got {args.n}")
+    rows = [{"l": len(m), "m": list(m), "b": b, "tuples": tuples, "q": list(counts)}
+            for b, m, counts, tuples in term_walk(args.n, args.n - 1)]
+    return _emit(args, {"n": args.n, "rows": rows}, lambda r: [
+        f"l={row['l']} m={row['m']} b={row['b']} tuples={row['tuples']} "
+        f"q=({', '.join(map(str, row['q']))})/{2 ** row['l']}"
+        for row in r["rows"]
+    ])
 
 
 def cmd_table1(args):

@@ -8,10 +8,11 @@ identically 1 with the strict predicate "best found maximum > 1".
 
 The outer loop is Dinkelbach's iteration for fractional programs: every
 maximizer g found with M > 1 is a witness, and the root in t of
-objective(g) = 1 is a certified lower bound for the critical exponent.  The
-first bracket takes no maximization, and the loop jumps to the latest root
-(found by Newton's method from the probe) and probes just above it: the
-probe either finds the next witness or certifies the bracket.
+objective(g) = 1 is a lower bound for the critical exponent up to float
+rounding, about 1e-15 (ROADMAP, "A lower end that is certified in fact").
+The first bracket takes no maximization, and the loop jumps to the latest
+root (found by Newton's method from the probe) and probes just above it:
+the probe either finds the next witness or certifies the bracket.
 
 The inner maximization is the soft spot because the objective is not
 concave.  It is one deterministic batched EM (minorize-maximize) ascent,
@@ -208,6 +209,14 @@ def _ascend(G, t, tm, cycles):
     logs = np.empty_like(G)
     Ec = tm.monomials(G, t, logs=logs)
     vals = Ec @ c
+    # A row valued 0 (every monomial underflows) has no EM step.  Its steps
+    # R(g) and R(R(g)) start at g and are written only where the value is
+    # positive, so it stays where it is, below a vertex's 1; a positive row
+    # stays positive, since rows only move up and the EM step raises the
+    # value.  The mask is True, which costs a divide nothing, when every
+    # row is positive.
+    X[1:3] = G
+    live_rows = True if vals.all() else (vals > 0)[:, None]
     # c in every row, so that E * c is one contiguous loop.
     c_rows = np.tile(c, (len(G), 1))
     np.multiply(Ec, c_rows, out=Ec)
@@ -240,12 +249,13 @@ def _ascend(G, t, tm, cycles):
     for _ in range(cycles):
         # The row sums of (E * c) Q are those of E * c, F up to rounding,
         # since every q row sums to 1: dividing by F puts the EM step on
-        # the simplex without a reduction.
-        matmul(Ec, Q, out=R1)
-        divide(R1, vals_col, out=R1)
+        # the simplex without a reduction.  (E * c) Q goes to the jump's
+        # buffer, which is free until the jump.
+        matmul(Ec, Q, out=J)
+        divide(J, vals_col, out=R1, where=live_rows)
         evaluate(R1, E1, v1)
-        matmul(E1, Q, out=R2)
-        divide(R2, v1_col, out=R2)
+        matmul(E1, Q, out=J)
+        divide(J, v1_col, out=R2, where=live_rows)
         evaluate(R2, E2, v2)
         # r = R(g) - g and v = (R(R(g)) - R(g)) - r, and their squared
         # norms.
@@ -346,12 +356,12 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None):
     the structured profiles and the seeded random points.  Returns (value,
     argmax): the value is max(best, 1), since every vertex values exactly
     1, and the argmax the smallest point among the ascended rows tied at
-    it and, when it is 1, the vertex (0, ..., 0, 1).  The value is a
-    certified lower estimate of the true supremum (every reported value
-    is an exact evaluation).  The ascent ends after 67
-    cycles of three evaluations, or once it has settled for 5: while the
-    value is 1, no row rises by more than a relative 1e-15; once it is
-    above 1, the value does not, which leaves the argmax within about
+    it and, when it is 1, the vertex (0, ..., 0, 1).  The value is a lower
+    bound on the true supremum up to float rounding, about 1e-15: every
+    reported value is a float evaluation at its argmax.  The ascent ends
+    after 67 cycles of three evaluations, or once it has settled for 5:
+    while the value is 1, no row rises by more than a relative 1e-15; once
+    it is above 1, the value does not, which leaves the argmax within about
     1.3e-8 of where the 67 cycles end (largest coordinate gap at the tests'
     twelve near-critical points).
     Deterministic for a fixed config; ValueError unless 0 < t < inf."""

@@ -14,11 +14,10 @@ prod_j g(j)^{q_j t} over all admissible tuples.
 
 Sign flips of the h_i only translate q and permutations leave it alone, so
 q depends only on the multiset m of the |h_i| and the lowest box point b in
-[0, n - 1 - sum(m)].  The term table, term_groups, walks the pairs (m, b),
-each standing for 2^l l!/prod(mult!) ordered signed tuples (the empty m is
-the diagonal); no two pairs share q.  Every evaluation goes through the
-table's float form, TermMatrix, which values a whole batch of simplex
-points with one matrix product.
+[0, n - 1 - sum(m)].  The term table is one walk over the pairs (m, b),
+term_walk, which term_groups weights by C(k, l) and `gcube terms` prints.
+Every evaluation goes through the table's float form, TermMatrix, which
+values a whole batch of simplex points with one matrix product.
 """
 
 from __future__ import annotations
@@ -117,31 +116,44 @@ def check_term_table(n: int, k: int) -> None:
                          f"{TERM_TABLE_BYTES_MAX}-byte bound")
 
 
+def term_walk(n: int, l_max: int) -> list:
+    """The term table's rows, free of k: (b, m, counts, tuples) for every
+    multiset m of at most l_max step sizes with sum(m) <= n - 1 and every
+    lowest box point b in [0, n - 1 - sum(m)].
+
+    The row is the q vector counts / 2^l placed from b, where counts =
+    signed_sum_counts(m)[1], and it stands for the tuples =
+    2^l l!/prod(mult!) ordered signed tuples of m (1 on the diagonal, m
+    empty).  No two rows share q: with every m_i > 0 only eps = 0 reaches
+    the lowest sum, so q starts with 2^-l at b, giving l and b, and 2^l q
+    lists the coefficients of prod_i (1 + x^m_i), from which dividing out
+    1 + x^min(m) again and again reads off m.  Rows run b-major, by l
+    ascending, then by counts descending: descending lexicographic q
+    order."""
+    if n < 2 or l_max < 0:
+        raise ValueError("n >= 2 and l_max >= 0 required")
+    walk = []
+    for m in _magnitude_multisets(n - 1, l_max, n - 1):
+        tuples = 2 ** len(m) * math.factorial(len(m))
+        tuples //= math.prod(math.factorial(m.count(v)) for v in set(m))
+        walk.append((len(m), signed_sum_counts(m)[1], n - sum(m), m, tuples))
+    walk.sort(key=lambda w: (-w[0], w[1]), reverse=True)
+    return [(b, m, counts, tuples)
+            for b in range(n) for _, counts, width, m, tuples in walk if b < width]
+
+
 @lru_cache(maxsize=128)
 def term_groups(n: int, k: int) -> tuple:
-    """Term table (rows, coefficients) for side n and box order k.
-
-    Row (b, counts) is the q vector counts / 2^l placed from b, where
-    counts = signed_sum_counts(m)[1] is shared by every row of a multiset m
-    of l step sizes; its coefficient is C(k, l) times the 2^l l!/prod(mult!)
-    ordered signed tuples of m (1 on the diagonal, m empty).  No two rows
-    share q: with every m_i > 0 only eps = 0 reaches the lowest sum, so q
-    starts with 2^-l at b, giving l and b, and 2^l q lists the coefficients
-    of prod_i (1 + x^m_i), from which dividing out 1 + x^min(m) again and
-    again reads off m.  Rows run b-major, by l ascending, then by counts
-    descending: descending lexicographic q order.  ValueError, before the
-    walk, for a table that check_term_table refuses."""
+    """Term table (rows, coefficients) for side n and box order k: the rows
+    (b, counts) of term_walk(n, min(k, n - 1)) with coefficients C(k, l)
+    tuples.  ValueError, before the walk, for a table that check_term_table
+    refuses."""
     if n < 2 or k < 1:
         raise ValueError("n >= 2 and k >= 1 required")
     check_term_table(n, k)
-    walk = []
-    for m in _magnitude_multisets(n - 1, min(k, n - 1), n - 1):
-        coefficient = math.perm(k, len(m)) * 2 ** len(m)
-        coefficient //= math.prod(math.factorial(m.count(v)) for v in set(m))
-        walk.append((len(m), signed_sum_counts(m)[1], n - sum(m), coefficient))
-    walk.sort(key=lambda w: (-w[0], w[1]), reverse=True)
-    rows = [(b, w) for b in range(n) for w in walk if b < w[2]]
-    return tuple((b, w[1]) for b, w in rows), tuple(w[3] for _, w in rows)
+    rows = term_walk(n, min(k, n - 1))
+    return (tuple((b, counts) for b, _, counts, _ in rows),
+            tuple(math.comb(k, len(m)) * tuples for _, m, _, tuples in rows))
 
 
 @dataclass(frozen=True)

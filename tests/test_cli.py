@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -435,21 +437,23 @@ def test_terms_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 4
-    sizes = {c["l"]: c["size"] for c in payload["classes"]}
-    assert sizes == {1: 12, 2: 16, 3: 8}
-    first = payload["classes"][0]["tuples"][0]
-    assert set(first) == {"a", "h", "q"}
+    sizes = Counter()
+    for row in payload["rows"]:
+        sizes[row["l"]] += row["tuples"]
+    assert sizes == {0: 4, 1: 12, 2: 16, 3: 8}
+    assert set(payload["rows"][0]) == {"l", "m", "b", "tuples", "q"}
 
 
 def test_terms_q_matches_pmf_of_tuple(capsys):
-    # The listing formats each count tuple once and places it at a + offset;
-    # pmf_of_tuple builds the Fractions of every tuple on its own.
+    # The listing prints each row's counts over 2^l from b; pmf_of_tuple
+    # builds the Fractions of the all-positive tuple (b, m) on its own.
     n = 6
     _, out, _ = run(capsys, ["terms", "--n", str(n), "--format", "json"])
-    for c in json.loads(out)["classes"]:
-        for t in c["tuples"]:
-            want = [str(q) for q in pmf_of_tuple(n, t["a"], t["h"])]
-            assert t["q"] == want, t
+    for row in json.loads(out)["rows"]:
+        q = [Fraction(c, 2 ** row["l"]) for c in row["q"]]
+        want = pmf_of_tuple(n, row["b"], row["m"])
+        assert want[row["b"]:row["b"] + len(q)] == tuple(q), row
+        assert sum(want) == sum(q) == 1, row
 
 
 def test_table1(capsys):
@@ -591,16 +595,6 @@ def test_unread_flags_rejected(tmp_path, capsys):
         assert not out and "usage:" in err and "error" in err
 
 
-def test_terms_n_above_limit_exits_2(monkeypatch, capsys):
-    def no_enumeration(n):
-        raise AssertionError("terms enumerated above its limit")
-
-    monkeypatch.setattr(cli, "enumerate_tuple_classes", no_enumeration)
-    code, out, err = run(capsys, ["terms", "--n", "13"])
-    assert code == 2
-    assert not out and "error" in err
-
-
 def _refuse(name):
     def worker(*args):
         raise AssertionError(f"{name} ran above its limit")
@@ -621,6 +615,13 @@ def test_term_table_above_limit_exits_2(monkeypatch, capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and not out and err.startswith("error: the term table")
     assert f"above the {terms_module.TERM_TABLE_BYTES_MAX}-byte bound" in err
+
+
+@pytest.mark.parametrize("n", [1, 0, -2, cli.TERMS_N_MAX + 1])
+def test_terms_n_outside_limits_exits_2(monkeypatch, capsys, n):
+    monkeypatch.setattr(cli, "term_walk", _refuse("term_walk"))
+    code, out, err = run(capsys, ["terms", "--n", str(n)])
+    assert code == 2 and not out and err.startswith("error:")
 
 
 def test_limits_lie_above_the_verify_suites():
@@ -661,11 +662,9 @@ def test_table1_n_max_above_limit_exits_2(monkeypatch, capsys):
 
 def test_terms_human_renders_json_payload(capsys):
     _, out, _ = run(capsys, ["terms", "--n", "5", "--format", "json"])
-    lines = []
-    for c in json.loads(out)["classes"]:
-        lines.append(f"l={c['l']} size={c['size']}")
-        for t in c["tuples"]:
-            lines.append(f"  a={t['a']} h={t['h']} q=({', '.join(t['q'])})")
+    lines = [f"l={r['l']} m={r['m']} b={r['b']} tuples={r['tuples']} "
+             f"q=({', '.join(str(c) for c in r['q'])})/{2 ** r['l']}"
+             for r in json.loads(out)["rows"]]
     code, human, _ = run(capsys, ["terms", "--n", "5"])
     assert code == 0
     assert human == "\n".join(lines) + "\n"

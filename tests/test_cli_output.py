@@ -20,33 +20,24 @@ FUNCTION = {"d": 1, "entries": [
 SET = {"d": 2, "n": 3, "members": [[0, 0], [0, 1], [1, 1], [2, 0], [2, 2]]}
 
 TERMS_3_HUMAN = """\
-l=1 size=6
-  a=0 h=[1] q=(1/2, 1/2, 0)
-  a=0 h=[2] q=(1/2, 0, 1/2)
-  a=1 h=[-1] q=(1/2, 1/2, 0)
-  a=1 h=[1] q=(0, 1/2, 1/2)
-  a=2 h=[-2] q=(1/2, 0, 1/2)
-  a=2 h=[-1] q=(0, 1/2, 1/2)
-l=2 size=4
-  a=0 h=[1, 1] q=(1/4, 1/2, 1/4)
-  a=1 h=[-1, 1] q=(1/4, 1/2, 1/4)
-  a=1 h=[1, -1] q=(1/4, 1/2, 1/4)
-  a=2 h=[-1, -1] q=(1/4, 1/2, 1/4)
+l=0 m=[] b=0 tuples=1 q=(1)/1
+l=1 m=[1] b=0 tuples=2 q=(1, 1)/2
+l=1 m=[2] b=0 tuples=2 q=(1, 0, 1)/2
+l=2 m=[1, 1] b=0 tuples=4 q=(1, 2, 1)/4
+l=0 m=[] b=1 tuples=1 q=(1)/1
+l=1 m=[1] b=1 tuples=2 q=(1, 1)/2
+l=0 m=[] b=2 tuples=1 q=(1)/1
 """
 
 TERMS_3_JSON = (
-    '{"n":3,"classes":[{"l":1,"size":6,"tuples":['
-    '{"a":0,"h":[1],"q":["1/2","1/2","0"]},'
-    '{"a":0,"h":[2],"q":["1/2","0","1/2"]},'
-    '{"a":1,"h":[-1],"q":["1/2","1/2","0"]},'
-    '{"a":1,"h":[1],"q":["0","1/2","1/2"]},'
-    '{"a":2,"h":[-2],"q":["1/2","0","1/2"]},'
-    '{"a":2,"h":[-1],"q":["0","1/2","1/2"]}]},'
-    '{"l":2,"size":4,"tuples":['
-    '{"a":0,"h":[1,1],"q":["1/4","1/2","1/4"]},'
-    '{"a":1,"h":[-1,1],"q":["1/4","1/2","1/4"]},'
-    '{"a":1,"h":[1,-1],"q":["1/4","1/2","1/4"]},'
-    '{"a":2,"h":[-1,-1],"q":["1/4","1/2","1/4"]}]}]}\n'
+    '{"n":3,"rows":['
+    '{"l":0,"m":[],"b":0,"tuples":1,"q":[1]},'
+    '{"l":1,"m":[1],"b":0,"tuples":2,"q":[1,1]},'
+    '{"l":1,"m":[2],"b":0,"tuples":2,"q":[1,0,1]},'
+    '{"l":2,"m":[1,1],"b":0,"tuples":4,"q":[1,2,1]},'
+    '{"l":0,"m":[],"b":1,"tuples":1,"q":[1]},'
+    '{"l":1,"m":[1],"b":1,"tuples":2,"q":[1,1]},'
+    '{"l":0,"m":[],"b":2,"tuples":1,"q":[1]}]}\n'
 )
 
 GOLDEN = [

@@ -49,6 +49,16 @@ def test_max_objective_at_trivial_bound_is_smallest_vertex(n, k):
     assert max_objective(n, k, k + 1) == (1.0, (0.0,) * (n - 1) + (1.0,))
 
 
+# At k = 1023 and t = 1024 every monomial of some pool rows underflows.
+# Such a row has no EM step and stays where it is, with no 0 / 0 on the
+# way, which the warnings-as-errors filter would turn into a failure.
+@pytest.mark.parametrize("n", [3, 33])
+def test_max_objective_keeps_rows_valued_zero(n):
+    pool = solver_module._start_pool(n, 1023, SolverConfig())
+    assert (term_matrix(n, 1023).values(pool, 1024.0) == 0).any()
+    assert max_objective(n, 1023, 1024.0) == (1.0, (0.0,) * (n - 1) + (1.0,))
+
+
 # The cold pool has no vertex rows: the five structured seeds and the
 # random starts, 13 rows at every n.
 @pytest.mark.parametrize("n", [2, 8, 24])

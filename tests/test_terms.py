@@ -19,6 +19,7 @@ from gcube.terms import (
     pmf_of_tuple,
     term_groups,
     term_matrix,
+    term_walk,
     ternary_objective_check,
 )
 
@@ -130,6 +131,28 @@ def test_walk_invariants(k):
         assert len(rows) == sum(n - sum(m) for m in multisets), (n, k)
         if k >= n - 1:
             assert rows == term_groups(n, n - 1)[0], (n, k)
+
+
+# The walk `gcube terms` prints, against the per-tuple oracles: at each l
+# its rows stand for exactly the admissible tuples, each row's q is the
+# pmf of its all-positive tuple (b, m), which is admissible, and
+# term_groups is the walk cut at l <= k with coefficients C(k, l) tuples.
+def test_term_walk_matches_tuple_oracle():
+    for n in range(2, 11):
+        rows = term_walk(n, n - 1)
+        classes = [set(cls) for cls in enumerate_tuple_classes(n)]
+        tuples_per_l = Counter()
+        for b, m, counts, tuples in rows:
+            tuples_per_l[len(m)] += tuples
+            assert _q(n, b, counts) == pmf_of_tuple(n, b, m), (n, b, m)
+            assert not m or (b, m) in classes[len(m) - 1], (n, b, m)
+        assert tuples_per_l == {0: n, **{l: len(cls) for l, cls in enumerate(classes, 1)}}
+        for k in (2, 3, n - 1):
+            cut = [row for row in rows if len(row[1]) <= k]
+            assert term_groups(n, k) == (
+                tuple((b, counts) for b, _, counts, _ in cut),
+                tuple(math.comb(k, len(m)) * tuples for _, m, _, tuples in cut),
+            ), (n, k)
 
 
 def test_coefficient_audit_ternary():
@@ -307,9 +330,12 @@ def test_objective_reflection_symmetric(n, k, raw, t):
     lambda: enumerate_tuple_classes(1),
     lambda: term_groups(1, 2),
     lambda: term_groups(2, 0),
+    lambda: term_walk(1, 0),
+    lambda: term_walk(2, -1),
     # Refused before any arithmetic: at t = inf a vertex would value NaN.
     lambda: objective(3, 2, math.inf, (0.0, 0.0, 1.0)),
-], ids=["classes-n1", "groups-n1", "groups-k0", "objective-t-inf"])
+], ids=["classes-n1", "groups-n1", "groups-k0", "walk-n1", "walk-l-negative",
+     "objective-t-inf"])
 def test_input_checks(call):
     with pytest.raises(ValueError):
         call()
