@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
+import importlib
 import json
 import sys
 from dataclasses import asdict
 
-from .asymptotics import asymptotic_sweep, leading_coefficient_rows
 from .entropy import (
     binomial_entropy,
     binomial_entropy_bounds,
@@ -24,15 +25,46 @@ from .entropy import (
 )
 from .gowers import energy_E, energy_E_tilde, energy_P, gowers_norm_recursive
 from .lattice import load_function, load_set
-from .solver import (
-    SOLVER_VERSION,
-    ExponentPair,
-    SolverConfig,
-    check_problem,
-    solve_exponent,
-)
-from .terms import term_walk
-from .verify import SUITES
+
+# The names below come from the layers that import numpy.  They become
+# module globals, all at once, the first time a command of _NUMPY_COMMANDS
+# runs or one of them is read as an attribute of this module (PEP 562), so
+# that norm, energy and entropy never load numpy.  A name already set, such
+# as a wrapper put in from outside, is never overwritten.
+_NUMPY_NAMES = {
+    "asymptotic_sweep": ".asymptotics",
+    "leading_coefficient_rows": ".asymptotics",
+    "SOLVER_VERSION": ".solver",
+    "ExponentPair": ".solver",
+    "SolverConfig": ".solver",
+    "check_problem": ".solver",
+    "solve_exponent": ".solver",
+    "term_walk": ".terms",
+    "SUITES": ".verify",
+}
+_NUMPY_COMMANDS = frozenset({"exponent", "terms", "table1", "asym", "verify"})
+
+
+def __getattr__(name):
+    if name not in _NUMPY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_numpy_names()
+    return globals()[name]
+
+
+def _bind_numpy_names():
+    missing = [name for name in _NUMPY_NAMES if name not in globals()]
+    for name in missing:
+        module = importlib.import_module(_NUMPY_NAMES[name], __package__)
+        globals()[name] = getattr(module, name)
+    if missing:
+        # The import leaves about 4,600 objects in generations 0 and 1 with
+        # a gen-1 collection due; left alone, it lands on a later command
+        # (1.0 ms in the fifth `exponent` of one process at k = 2, n = 4..8).
+        # Collecting generations 0 and 1 now charges it to the command that
+        # imports.
+        gc.collect(1)
+
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -41,9 +73,9 @@ EXIT_NUMERIC = 3
 # The bounds below refuse, before any work, inputs whose time grows past
 # about a second on a 2-core VM; each lies above what the verify suites use
 # (m <= 1000, n <= 8).  `terms` prints one line per row of the term table
-# at k = n - 1, and its JSON formats every count through dumps17: 0.81 s
-# and 0.96 MB at n = 21, 1.1-1.6 s and 1.3 MB at n = 22.
-TERMS_N_MAX = 21
+# at k = n - 1; its JSON took 0.76-1.22 s (median 0.84 s of 4) and 4.3 MB
+# at n = 26, 1.03-1.33 s and 5.7 MB at n = 27.
+TERMS_N_MAX = 26
 # `entropy --binomial M` sums M / 2 terms of M-bit binomials: 1.16 s at
 # M = 100,000, about M^2.
 BINOMIAL_M_MAX = 100_000
@@ -82,6 +114,8 @@ def dumps17(obj):
     """Deterministic JSON with floats at 17 significant digits."""
     if isinstance(obj, float):
         return format(obj, ".17g")
+    if type(obj) is int:  # as json.dumps writes it; not a bool
+        return str(obj)
     if isinstance(obj, dict):
         inner = ",".join(f"{json.dumps(str(k))}:{dumps17(v)}" for k, v in obj.items())
         return "{" + inner + "}"
@@ -347,6 +381,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if args.command in _NUMPY_COMMANDS:
+            _bind_numpy_names()
         return _DISPATCH[args.command](args)
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -350,6 +350,16 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _HEAVY_MODULES = ("numpy.random", "secrets", "hmac", "hashlib")
 
 
+def _run_fresh(script, *argv):
+    """Run `script` in a fresh interpreter that imports gcube from src/;
+    return its last line of stdout, parsed as JSON."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def _modules_after(argv):
     """Which of _HEAVY_MODULES a fresh interpreter holds after one gcube
     command."""
@@ -358,11 +368,7 @@ def _modules_after(argv):
               "code = gcube.cli.main(sys.argv[1:])\n"
               f"print(json.dumps([m for m in {_HEAVY_MODULES!r} if m in sys.modules]))\n"
               "sys.exit(code)\n")
-    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return _run_fresh(script, *argv)
 
 
 @pytest.mark.parametrize("argv", [["exponent", "--n", "3", "--k", "2"],
@@ -377,7 +383,100 @@ def test_cache_loads_no_crypto(tmp_path):
     assert _modules_after(argv) == []
 
 
+def test_exact_commands_never_import_numpy(tmp_path):
+    f = write_function(tmp_path, "f.json", indicator([(0,), (1,)]))
+    A = write_set(tmp_path, "A.json", CubeSet(1, 2, frozenset([(0,), (1,)])))
+    exact = [["norm", "--f", f, "--k", "2"],
+             *(["energy", "--set", A, "--kind", kind, "--k", "2"]
+               for kind in ("P", "E", "Etilde")),
+             ["entropy", "--binomial", "5"], ["entropy", "--signed", "1,2"]]
+    numeric = [["exponent", "--k", "2", "--n", "2"], ["verify", "--suite", "binary"],
+               ["terms", "--n", "3"], ["table1", "--n-max", "3"],
+               ["asym", "--n", "2", "--k", "2"]]
+    script = ("import contextlib, io, json, sys\n"
+              "import gcube\n"
+              "import gcube.cli\n"
+              "seen = ['numpy' in sys.modules]\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = gcube.cli.main(argv)\n"
+              "    seen.append([code, 'numpy' in sys.modules])\n"
+              "print(json.dumps(seen))\n")
+    seen = _run_fresh(script, json.dumps(exact + numeric))
+    assert seen == [False] + [[0, False]] * len(exact) + [[0, True]] * len(numeric)
+
+
+# Every name `gcube` exports, by the module that defines it.
+_EXPORTS = {
+    "lattice": ("CubeSet", "LatticeFunction", "convolve", "delta", "indicator",
+                "interval_set", "lp_norm", "reflect", "tensor_power"),
+    "gowers": ("GowersSystem", "energy_E", "energy_E_tilde", "energy_P",
+               "gowers_inner_product", "gowers_norm", "gowers_norm_pow",
+               "gowers_norm_recursive"),
+    "entropy": ("PMFVector", "binomial_entropy", "binomial_entropy_bounds",
+                "decreasing_rearrangement", "entropy", "entropy_bits",
+                "karamata_compare", "majorizes", "pmf_signed_sum",
+                "verify_entropy_corollary", "verify_majorization_lemma"),
+    "terms": ("enumerate_tuple_classes", "objective", "pmf_of_tuple", "term_groups",
+              "ternary_objective_check"),
+    "solver": ("ExponentPair", "SolverConfig", "gaussian_witness",
+               "gaussian_witness_bound", "max_objective", "profile_to_simplex",
+               "solve_exponent", "trivial_bounds", "witness_lower_bound"),
+    "asymptotics": ("AsymptoticReport", "asymptotic_sweep", "eisner_tao_constant",
+                    "large_k_main_term", "large_n_lower_main_term",
+                    "leading_coefficient", "leading_coefficient_rows"),
+}
+
+
+def test_package_names_resolve_on_first_use():
+    script = ("import importlib, json, sys\n"
+              "import gcube\n"
+              "bad = [] if 'numpy' not in sys.modules else ['numpy at import']\n"
+              "for module, names in json.loads(sys.argv[1]).items():\n"
+              "    for name in names:\n"
+              "        if name not in dir(gcube):\n"
+              "            bad.append(f'{name} not in dir')\n"
+              "        ns = {}\n"
+              "        exec(f'from gcube import {name}', ns)\n"
+              "        own = getattr(importlib.import_module(f'gcube.{module}'), name)\n"
+              "        if not getattr(gcube, name) is ns[name] is own:\n"
+              "            bad.append(f'{name} is not gcube.{module}.{name}')\n"
+              "print(json.dumps(bad))\n")
+    assert _run_fresh(script, json.dumps(_EXPORTS)) == []
+
+
+# bench/tracer.py reads and replaces cli's solver and suite names before any
+# command has bound them; the binding on a command's first run keeps the
+# wrappers.  Reading one name loads every numpy layer, so a wrapper put on a
+# layer's function afterwards (the tracer's terms.term_groups) is not what
+# another layer (verify) imports.
+def test_wrappers_set_before_binding_survive():
+    script = ("import contextlib, io, json, sys\n"
+              "import gcube.cli as cli\n"
+              "calls = []\n"
+              "def counting(fn):\n"
+              "    def counted(*args, **kwargs):\n"
+              "        calls.append(fn.__name__)\n"
+              "        return fn(*args, **kwargs)\n"
+              "    return counted\n"
+              "setattr(cli, 'solve_exponent', counting(getattr(cli, 'solve_exponent')))\n"
+              "calls += [m for m in ('gcube.asymptotics', 'gcube.solver', 'gcube.terms',\n"
+              "                      'gcube.verify') if m in sys.modules]\n"
+              "suites = dict(cli.SUITES)\n"
+              "suites['binary'] = counting(suites['binary'])\n"
+              "cli.SUITES = suites\n"
+              "codes = []\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes.append(cli.main(['exponent', '--k', '2', '--n', '2']))\n"
+              "    codes.append(cli.main(['verify', '--suite', 'binary']))\n"
+              "print(json.dumps([codes, calls]))\n")
+    assert _run_fresh(script) == [[0, 0], ["gcube.asymptotics", "gcube.solver", "gcube.terms",
+                                           "gcube.verify", "solve_exponent", "binary_suite"]]
+
+
 def test_cache_key_covers_config_and_version(monkeypatch):
+    # _cache_key reads the solver names cli binds on a command's first run.
+    cli._bind_numpy_names()
     base = SolverConfig()
     reference = cli._cache_key(base, 2, 2)
     assert cli._cache_key(dataclasses.replace(base, t_tolerance=1e-6), 2, 2) == reference
@@ -622,6 +721,19 @@ def test_terms_n_outside_limits_exits_2(monkeypatch, capsys, n):
     monkeypatch.setattr(cli, "term_walk", _refuse("term_walk"))
     code, out, err = run(capsys, ["terms", "--n", str(n)])
     assert code == 2 and not out and err.startswith("error:")
+
+
+def test_readme_states_terms_bound():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert cli.TERMS_N_MAX == 26
+    assert f"`terms --n` lies in [2, {cli.TERMS_N_MAX}]" in readme
+
+
+# dumps17 writes every value but a float as json.dumps does; ints take a
+# shorter path, which bools, being ints, must not.
+def test_dumps17_writes_non_floats_as_json_does():
+    values = [0, -7, 2 ** 70, True, False, None, "q", [1, [2, True]], {"b": 3}]
+    assert cli.dumps17(values) == json.dumps(values, separators=(",", ":"))
 
 
 def test_limits_lie_above_the_verify_suites():

@@ -231,6 +231,30 @@ def test_verifiers_fail_on_wrong_counts(monkeypatch):
     assert len(cor.failures) == cor.cases
 
 
+@pytest.mark.parametrize("bad,wrong", [
+    ((1, 1, 1, 1), 0.0),   # h = (±1, ±2), (±2, ±1): not all |h_i| equal
+    ((1, 0, 2, 0, 1), 2.0),  # h = (±2, ±2): all |h_i| equal
+])
+def test_majorization_lemma_reports_each_vector(monkeypatch, bad, wrong):
+    # The lemma values each distinct count vector once, yet a wrong entropy
+    # still fails the check of every h that reaches the vector, with the
+    # message a walk that values each h on its own prints.
+    entropy_module = importlib.import_module("gcube.entropy")
+    true_entropy = entropy_module._counts_entropy
+    monkeypatch.setattr(entropy_module, "_counts_entropy",
+                        lambda counts, denom: wrong if counts == bad
+                        else true_entropy(counts, denom))
+    rep = verify_majorization_lemma(2, 2)
+    hits = [h for h in product((-2, -1, 1, 2), repeat=2)
+            if signed_sum_counts(h)[1] == bad]
+    if len({abs(v) for v in hits[0]}) == 1:
+        expect = [f"h={h}: expected entropy H_2, got {wrong!r}" for h in hits]
+    else:
+        expect = [f"h={h}: entropy {wrong!r} not strictly above H_2" for h in hits]
+    assert rep.cases == 3 * (4 + 16)
+    assert len(hits) > 1 and rep.failures == expect
+
+
 def _ref_signed_sum_counts(h):
     # The dict walk over reachable sums: the reference for the packed counts.
     counts = {0: 1}
