@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .entropy import binomial_entropy
+from .entropy import binomial_entropies, binomial_entropy
 from .solver import SolverConfig, check_problem, solve_exponent, trivial_bounds
 from .terms import term_groups, term_matrix
 
@@ -106,4 +106,4 @@ def leading_coefficient_rows(n_max: int) -> list:
     """(n, (n-1)/H_{n-1}) rows for n = 2, ..., n_max."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    return [(n, leading_coefficient(n)) for n in range(2, n_max + 1)]
+    return [(m + 1, m / h) for m, h in enumerate(binomial_entropies(n_max - 1), 1)]

@@ -76,14 +76,15 @@ EXIT_NUMERIC = 3
 # at k = n - 1; its JSON took 0.76-1.22 s (median 0.84 s of 4) and 4.3 MB
 # at n = 26, 1.03-1.33 s and 5.7 MB at n = 27.
 TERMS_N_MAX = 26
-# `entropy --binomial M` sums M / 2 terms of M-bit binomials: 1.16 s at
-# M = 100,000, about M^2.
+# `entropy --binomial M` sums M / 2 terms of M-bit binomials: 1.25-1.34 s
+# one-shot (1.08-1.13 s in-process) at M = 100,000, about M^2.
 BINOMIAL_M_MAX = 100_000
 # `entropy --signed` bounded by the span |h_1| + ... + |h_m| of the sum; its
 # worst case is all |h_i| = 1 (m = span, 2^m denominators): 0.82 s at 2,000
 # and 5.6 s at 4,000, about span^3.
 SIGNED_SPAN_MAX = 2_000
-# `table1` takes H_{n-1} for every n: 0.68 s at n = 2,000, about n^3.
+# `table1` builds H_1, ..., H_{n-1} by Pascal rows: 0.65-0.95 s one-shot
+# (0.46-0.48 s in-process) at n = 2,000, about n^3.
 TABLE1_N_MAX = 2_000
 
 

@@ -7,9 +7,15 @@ reaching each sum, as the coefficients of the product of (1 + x^|h_i|)
 packed into one Python integer (one byte slot of m // 8 + 1 bytes per
 sum).  Exact work is done on those integer counts (denominator 2^m);
 Fractions exist only in returned values such as pmf_signed_sum, and
-entropies are evaluated in floating point at the very end.  binomial_entropy
-rounds each mass c / 2^m once, by a float divisor up to m = 1020 and by int
-true division above, where 2^m is past the float range.
+entropies are evaluated in floating point at the very end.
+
+H_m has one float evaluation, from the half row C(m, 0), ..., C(m, m // 2),
+which rounds each mass c / 2^m once, by a float divisor up to m = 1020 and
+by int true division above, where 2^m is past the float range.  The counts
+come from one of two sources: binomial_entropy(m) streams the row by the
+ratio walk and never holds it, and the sweep binomial_entropies(m_max)
+builds each row from the one before by Pascal additions.  Both give the
+same bits.
 
 The verifiers check the total of the counts exactly and share the cores of
 majorizes and entropy_bits with the public functions.  A report formats
@@ -21,8 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, zip_longest
 from itertools import product as _product
-from itertools import zip_longest
+from operator import add
 
 _SUM_TOL = 1e-12
 
@@ -104,27 +111,55 @@ def entropy(p: PMFVector) -> float:
     return entropy_bits(p.masses)
 
 
+def _half_row_entropy(m, half) -> float:
+    # H_m from C(m, 0), ..., C(m, m // 2), read once in that order.  Each
+    # mass c / 2^m is rounded once: by a float divisor while 2^m is a float,
+    # by int true division above.  A mass that underflows to 0 adds nothing.
+    # Terms j < m / 2 count twice by symmetry; the middle term of an even m,
+    # the last one summed, counts once.
+    log2 = math.log2
+    denom = float(2 ** m) if m <= 1020 else 1 << m
+    half = iter(half)
+    h = 0.0
+    for c in islice(half, (m + 1) // 2):
+        p = c / denom
+        if p:
+            h += 2.0 * (-p * log2(p))
+    if m % 2 == 0:
+        p = next(half) / denom
+        h += -p * log2(p)
+    return h
+
+
+def _binomial_half_row(m):
+    # C(m, 0), ..., C(m, m // 2) by the ratio walk, one at a time.
+    c = 1
+    for j in range(m // 2):
+        yield c
+        c = c * (m - j) // (j + 1)
+    yield c
+
+
 def binomial_entropy(m: int) -> float:
     """Entropy H_m of the symmetric binomial distribution B(m, 1/2)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    # Each mass c / 2^m is rounded once: by a float divisor while 2^m is a
-    # float, by int true division above.  A mass that underflows to 0 adds
-    # nothing.  Terms j < m / 2 count twice by symmetry; the middle term of
-    # an even m, the last one summed, counts once.
-    log2 = math.log2
-    denom = float(2 ** m) if m <= 1020 else 1 << m
-    c = 1
-    h = 0.0
-    for j in range((m + 1) // 2):
-        p = c / denom
-        if p:
-            h += 2.0 * (-p * log2(p))
-        c = c * (m - j) // (j + 1)
-    if m % 2 == 0:
-        p = c / denom
-        h += -p * log2(p)
-    return h
+    return _half_row_entropy(m, _binomial_half_row(m))
+
+
+def binomial_entropies(m_max: int):
+    """Yield H_1, ..., H_{m_max}, the bits binomial_entropy gives, building
+    each half row of Pascal's triangle from the one before it."""
+    half = [1]
+    for m in range(1, m_max + 1):
+        # C(m, j) = C(m-1, j-1) + C(m-1, j); an even m adds its middle
+        # entry C(m, m/2) = 2 C(m-1, m/2 - 1).
+        nxt = [1]
+        nxt += map(add, half, half[1:])
+        if m % 2 == 0:
+            nxt.append(2 * half[-1])
+        half = nxt
+        yield _half_row_entropy(m, half)
 
 
 def binomial_entropy_bounds(m: int) -> tuple:
@@ -322,8 +357,13 @@ def verify_entropy_corollary(n: int) -> VerificationReport:
     floor = binomial_entropy(n - 1) / (n - 1)
     for l in range(1, n):
         denom = 2 ** l
+        # The ratio of each distinct count vector, valued once per l.
+        ratios = {}
         for h in iter_signed_vectors(n - 1, l):
-            ratio = _counts_entropy(signed_sum_counts(h)[1], denom) / l
+            counts = signed_sum_counts(h)[1]
+            if counts not in ratios:
+                ratios[counts] = _counts_entropy(counts, denom) / l
+            ratio = ratios[counts]
             expect_equal = l == n - 1 and all(abs(v) == 1 for v in h)
             if expect_equal:
                 report.record(

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from itertools import product as _product
 
 from .lattice import CubeSet, LatticeFunction
@@ -124,18 +123,29 @@ def gowers_inner_product(system: GowersSystem) -> complex:
     coded = {
         eps: {code(p): v for p, v in f.entries.items()} for eps, f in fns.items()
     }
-    eps_list = [(eps, coded[eps], sum(eps) % 2) for eps in _product((0, 1), repeat=k)]
+    # One (lookup, steps, conjugated) entry per nonzero eps, in product
+    # order: its vertex is a plus the h_i of the steps i it switches on.
+    # The eps = 0 vertex is a itself, so each term starts from f_0(a).
+    rest = [
+        (coded[eps].get, [i for i, e in enumerate(eps) if e], sum(eps) % 2)
+        for eps in _product((0, 1), repeat=k) if any(eps)
+    ]
+    base = coded[(0,) * k]
     unit_supports = [
         sorted(coded[tuple(1 if j == i else 0 for j in range(k))])
         for i in range(k)
     ]
     total = 0j
-    for a in sorted(coded[(0,) * k]):
+    for a in sorted(base):
+        first = (1 + 0j) * base[a]
         h_ranges = [[p - a for p in sup] for sup in unit_supports]
         for hs in _product(*h_ranges):
-            term = 1 + 0j
-            for eps, entries, odd in eps_list:
-                v = entries.get(a + sum(compress(hs, eps)))
+            term = first
+            for get, steps, odd in rest:
+                y = a
+                for i in steps:
+                    y += hs[i]
+                v = get(y)
                 if v is None:
                     # The term is 0j, and adding 0j never changes total:
                     # its parts start at +0.0 and a rounded sum is -0.0

@@ -32,6 +32,7 @@ import numpy as np
 from .asymptotics import leading_coefficient
 from .entropy import (
     VerificationReport,
+    binomial_entropies,
     binomial_entropy,
     binomial_entropy_bounds,
     verify_entropy_corollary,
@@ -116,8 +117,7 @@ def entropy_suite():
     rep.record(binomial_entropy(1) == 1.0, "H_1 != 1")
     rep.record(binomial_entropy(2) == 1.5, "H_2 != 3/2")
     prev = None
-    for m in range(1, 1001):
-        h = binomial_entropy(m)
+    for m, h in enumerate(binomial_entropies(1000), 1):
         lo, hi = binomial_entropy_bounds(m)
         rep.record(lo < h < hi, "m={}: H_m={!r} outside ({!r}, {!r})", m, h, lo, hi)
         ratio = h / m

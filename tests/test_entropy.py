@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,7 @@ import hypothesis.strategies as st
 from gcube.entropy import (
     PMFVector,
     _counts_entropy,
+    binomial_entropies,
     binomial_entropy,
     binomial_entropy_bounds,
     decreasing_rearrangement,
@@ -255,6 +257,34 @@ def test_majorization_lemma_reports_each_vector(monkeypatch, bad, wrong):
     assert len(hits) > 1 and rep.failures == expect
 
 
+@pytest.mark.parametrize("bad,wrong", [
+    ((1, 1, 1, 1), 0.0),   # h = (±1, ±2), (±2, ±1) at l = 2: strictly above
+    ((1, 3, 3, 1), 3.0),   # h = (±1, ±1, ±1) at l = 3: equality
+])
+def test_entropy_corollary_reports_each_vector(monkeypatch, bad, wrong):
+    # The corollary values each distinct count vector once per l, yet a
+    # wrong entropy still fails the check of every h that reaches the
+    # vector, in walk order, with the message of that h.
+    entropy_module = importlib.import_module("gcube.entropy")
+    clean = verify_entropy_corollary(4).cases
+    true_entropy = entropy_module._counts_entropy
+    monkeypatch.setattr(entropy_module, "_counts_entropy",
+                        lambda counts, denom: wrong if counts == bad
+                        else true_entropy(counts, denom))
+    rep = verify_entropy_corollary(4)
+    hits = [h for l in range(1, 4) for h in iter_signed_vectors(3, l)
+            if signed_sum_counts(h)[1] == bad]
+    ratio = wrong / len(hits[0])
+    if len(hits[0]) == 3:
+        expect = [f"n=4, h={h}: expected equality, got ratio {ratio!r}" for h in hits]
+    else:
+        floor = binomial_entropy(3) / 3
+        expect = [f"n=4, h={h}: ratio {ratio!r} not strictly above {floor!r}"
+                  for h in hits]
+    assert rep.cases == clean
+    assert len(hits) > 1 and rep.failures == expect
+
+
 def _ref_signed_sum_counts(h):
     # The dict walk over reachable sums: the reference for the packed counts.
     counts = {0: 1}
@@ -302,6 +332,29 @@ def test_binomial_entropy_bits_pinned():
     # Both divisors, either side of the float-overflow switch at m = 1020.
     got = {m: binomial_entropy(m).hex() for m in BINOMIAL_ENTROPY_HEX}
     assert got == BINOMIAL_ENTROPY_HEX
+
+
+def test_binomial_entropies_match_binomial_entropy():
+    # Pascal rows give the bits of the ratio walk on both sides of the
+    # divisor switch at m = 1020.
+    sweep = [h.hex() for h in binomial_entropies(1100)]
+    assert sweep == [binomial_entropy(m).hex() for m in range(1, 1101)]
+    assert {m: sweep[m - 1] for m in BINOMIAL_ENTROPY_HEX if m <= 1100} == {
+        m: v for m, v in BINOMIAL_ENTROPY_HEX.items() if m <= 1100
+    }
+    assert list(binomial_entropies(0)) == []
+
+
+def test_binomial_entropy_streams_its_row():
+    # The half row of m = 20,000 would take about 25 MB; the ratio walk
+    # holds one binomial at a time.
+    tracemalloc.start()
+    try:
+        binomial_entropy(20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("m", [1021, 1500, 5000])
