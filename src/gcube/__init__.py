@@ -1,52 +1,27 @@
 """Box uniformity norms, additive energies, and critical exponents on
 discrete cubes, with entropy tooling for the large-k asymptotics.
 
-The exact layers (lattice, gowers, entropy) are pure Python and load with
-the package; the names of the numpy layers (terms, solver, asymptotics)
-resolve on first use, so `import gcube` does not import numpy.
+Every name below resolves on first use (PEP 562), loading only the layer
+that defines it: `import gcube` loads no layer, and none imports numpy
+until a name of terms, solver or asymptotics is read.
 """
 
 import importlib
+import sys
+import types
 
-from .lattice import (
-    CubeSet,
-    LatticeFunction,
-    convolve,
-    delta,
-    indicator,
-    interval_set,
-    lp_norm,
-    reflect,
-    tensor_power,
-)
-from .gowers import (
-    GowersSystem,
-    energy_E,
-    energy_E_tilde,
-    energy_P,
-    gowers_inner_product,
-    gowers_norm,
-    gowers_norm_pow,
-    gowers_norm_recursive,
-)
-from .entropy import (
-    PMFVector,
-    binomial_entropy,
-    binomial_entropy_bounds,
-    decreasing_rearrangement,
-    entropy,
-    entropy_bits,
-    karamata_compare,
-    majorizes,
-    pmf_signed_sum,
-    verify_entropy_corollary,
-    verify_majorization_lemma,
-)
-
-# The layers below import numpy; their names resolve on first use.
 _LAZY = {
     name: module
     for module, names in (
+        (".lattice", ("CubeSet", "LatticeFunction", "convolve", "delta", "indicator",
+                      "interval_set", "lp_norm", "reflect", "tensor_power")),
+        (".gowers", ("GowersSystem", "energy_E", "energy_E_tilde", "energy_P",
+                     "gowers_inner_product", "gowers_norm", "gowers_norm_pow",
+                     "gowers_norm_recursive")),
+        (".entropy", ("PMFVector", "binomial_entropy", "binomial_entropy_bounds",
+                      "decreasing_rearrangement", "entropy", "entropy_bits",
+                      "karamata_compare", "majorizes", "pmf_signed_sum",
+                      "verify_entropy_corollary", "verify_majorization_lemma")),
         (".terms", ("enumerate_tuple_classes", "objective", "pmf_of_tuple",
                     "term_groups", "ternary_objective_check")),
         (".solver", ("ExponentPair", "SolverConfig", "gaussian_witness",
@@ -58,6 +33,19 @@ _LAZY = {
     )
     for name in names
 }
+
+
+class _Package(types.ModuleType):
+    # The import system sets each submodule as an attribute of its package on
+    # first load.  `gcube.entropy` is the entropy function, so the package
+    # drops that one binding: the module stays importlib.import_module's.
+    def __setattr__(self, name, value):
+        if name == "entropy" and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 
 def __getattr__(name):

@@ -8,12 +8,37 @@ only their monotone trend is checked at desk scale.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
 from .entropy import binomial_entropies, binomial_entropy
-from .solver import SolverConfig, check_problem, solve_exponent, trivial_bounds
-from .terms import term_groups, term_matrix
+
+# The solver's names, and the term table's, import numpy.  The sweep binds
+# them as module globals on first use (PEP 562 for a read from outside), so
+# that the closed forms, table1's and verify's, load neither.  A name
+# already set, such as a stand-in put in from outside, is never overwritten.
+_SOLVER_NAMES = {
+    "SolverConfig": ".solver",
+    "check_problem": ".solver",
+    "solve_exponent": ".solver",
+    "trivial_bounds": ".solver",
+    "term_groups": ".terms",
+    "term_matrix": ".terms",
+}
+
+
+def __getattr__(name):
+    if name not in _SOLVER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    bind_solver_names()
+    return globals()[name]
+
+
+def bind_solver_names():
+    for name, module in _SOLVER_NAMES.items():
+        if name not in globals():
+            globals()[name] = getattr(importlib.import_module(module, __package__), name)
 
 
 def large_k_main_term(k: int, n: int) -> float:
@@ -74,6 +99,7 @@ def asymptotic_sweep(n_list, k_list, cfg: SolverConfig | None = None) -> list:
     (n, k) order, one after another, and tabulate the formula gaps and
     trivial bounds.  Every point passes `check_problem` before any solve,
     and each point's term table leaves the caches after its report."""
+    bind_solver_names()
     cfg = cfg or SolverConfig()
     grid = [(n, k) for n in sorted(set(n_list)) for k in sorted(set(k_list))]
     for n, k in grid:
@@ -87,6 +113,7 @@ def asymptotic_sweep(n_list, k_list, cfg: SolverConfig | None = None) -> list:
 
 
 def report_for(pair) -> AsymptoticReport:
+    bind_solver_names()
     formula = large_k_main_term(pair.k, pair.n)
     lower, upper = trivial_bounds(pair.n, pair.k)
     return AsymptoticReport(

@@ -14,51 +14,60 @@ import gc
 import importlib
 import json
 import sys
-from dataclasses import asdict
 
-from .entropy import (
-    binomial_entropy,
-    binomial_entropy_bounds,
-    decreasing_rearrangement,
-    entropy,
-    pmf_signed_sum,
-)
-from .gowers import energy_E, energy_E_tilde, energy_P, gowers_norm_recursive
-from .lattice import load_function, load_set
-
-# The names below come from the layers that import numpy.  They become
-# module globals, all at once, the first time a command of _NUMPY_COMMANDS
-# runs or one of them is read as an attribute of this module (PEP 562), so
-# that norm, energy and entropy never load numpy.  A name already set, such
-# as a wrapper put in from outside, is never overwritten.
-_NUMPY_NAMES = {
-    "asymptotic_sweep": ".asymptotics",
-    "leading_coefficient_rows": ".asymptotics",
-    "SOLVER_VERSION": ".solver",
-    "ExponentPair": ".solver",
-    "SolverConfig": ".solver",
-    "check_problem": ".solver",
-    "solve_exponent": ".solver",
-    "term_walk": ".terms",
-    "SUITES": ".verify",
+# Each command's names, by the layer that defines them.  main binds a
+# command's names as module globals before it runs, so that a command
+# loads only its own layers and `import gcube.cli` loads none: norm and
+# energy never load entropy or numpy, and table1 and verify never load the
+# solver.  A read of one of these names from outside the module (PEP 562)
+# binds every command's names at once.  A name already set, such as a
+# wrapper put in from outside, is never overwritten.  _ENERGY, the energy
+# kinds' functions, is built from gowers.
+_EXACT = {".lattice": ("load_function", "load_set"),
+          ".gowers": ("gowers_norm_recursive", "_ENERGY")}
+_LAYERS = {
+    "norm": _EXACT,
+    "energy": _EXACT,
+    "entropy": {".entropy": ("binomial_entropy", "binomial_entropy_bounds",
+                             "decreasing_rearrangement", "entropy", "pmf_signed_sum")},
+    "exponent": {".solver": ("SOLVER_VERSION", "ExponentPair", "SolverConfig",
+                             "check_problem", "solve_exponent")},
+    "terms": {".terms": ("term_walk",)},
+    "table1": {".asymptotics": ("leading_coefficient_rows",)},
+    "asym": {".asymptotics": ("asymptotic_sweep",), ".solver": ("SolverConfig",)},
+    "verify": {".verify": ("SUITES",)},
 }
-_NUMPY_COMMANDS = frozenset({"exponent", "terms", "table1", "asym", "verify"})
+_NAMES = frozenset(name for layers in _LAYERS.values()
+                   for names in layers.values() for name in names)
 
 
 def __getattr__(name):
-    if name not in _NUMPY_NAMES:
+    if name not in _NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_numpy_names()
+    _bind(_LAYERS)
+    # asymptotics binds its solver names on first use as well; bind them now,
+    # before a wrapper put on a layer's function could become one of them.
+    importlib.import_module(".asymptotics", __package__).bind_solver_names()
     return globals()[name]
 
 
-def _bind_numpy_names():
-    missing = [name for name in _NUMPY_NAMES if name not in globals()]
-    for name in missing:
-        module = importlib.import_module(_NUMPY_NAMES[name], __package__)
-        globals()[name] = getattr(module, name)
-    if missing:
-        # The import leaves about 4,600 objects in generations 0 and 1 with
+def _resolve(module, name):
+    if name == "_ENERGY":
+        return {"P": module.energy_P, "E": module.energy_E, "Etilde": module.energy_E_tilde}
+    return getattr(module, name)
+
+
+def _bind(commands):
+    loaded = len(sys.modules)
+    for command in commands:
+        for module, names in _LAYERS[command].items():
+            missing = [name for name in names if name not in globals()]
+            if missing:
+                layer = importlib.import_module(module, __package__)
+                for name in missing:
+                    globals()[name] = _resolve(layer, name)
+    if len(sys.modules) > loaded:
+        # An import leaves thousands of objects in generations 0 and 1 with
         # a gen-1 collection due; left alone, it lands on a later command
         # (1.0 ms in the fifth `exponent` of one process at k = 2, n = 4..8).
         # Collecting generations 0 and 1 now charges it to the command that
@@ -216,9 +225,6 @@ def cmd_norm(args):
                                           f"norm = {_f10(r['norm'])}"))
 
 
-_ENERGY = {"P": energy_P, "E": energy_E, "Etilde": energy_E_tilde}
-
-
 def cmd_energy(args):
     A = load_set(args.set)
     value = _ENERGY[args.kind](A, args.k)
@@ -271,6 +277,8 @@ def _cache_lookup(path, key, tol):
 
 
 def cmd_exponent(args):
+    from dataclasses import asdict
+
     scfg = _solver_config(args)
     check_problem(args.n, args.k, scfg)
     cache_key = _cache_key(scfg, args.k, args.n)
@@ -342,6 +350,8 @@ def cmd_table1(args):
 
 
 def cmd_asym(args):
+    from dataclasses import asdict
+
     rows = [asdict(r) for r in asymptotic_sweep(args.n, args.k, _solver_config(args))]
     return _emit(args, rows, lambda rs: [
         f"n = {r['n']}, k = {r['k']}: t = {_f10(r['t_solver'])}, p = {_f10(r['p'])}, "
@@ -382,8 +392,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.command in _NUMPY_COMMANDS:
-            _bind_numpy_names()
+        _bind([args.command])
         return _DISPATCH[args.command](args)
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -389,10 +389,10 @@ def test_exact_commands_never_import_numpy(tmp_path):
     exact = [["norm", "--f", f, "--k", "2"],
              *(["energy", "--set", A, "--kind", kind, "--k", "2"]
                for kind in ("P", "E", "Etilde")),
-             ["entropy", "--binomial", "5"], ["entropy", "--signed", "1,2"]]
+             ["entropy", "--binomial", "5"], ["entropy", "--signed", "1,2"],
+             ["table1", "--n-max", "3"]]
     numeric = [["exponent", "--k", "2", "--n", "2"], ["verify", "--suite", "binary"],
-               ["terms", "--n", "3"], ["table1", "--n-max", "3"],
-               ["asym", "--n", "2", "--k", "2"]]
+               ["terms", "--n", "3"], ["asym", "--n", "2", "--k", "2"]]
     script = ("import contextlib, io, json, sys\n"
               "import gcube\n"
               "import gcube.cli\n"
@@ -404,6 +404,60 @@ def test_exact_commands_never_import_numpy(tmp_path):
               "print(json.dumps(seen))\n")
     seen = _run_fresh(script, json.dumps(exact + numeric))
     assert seen == [False] + [[0, False]] * len(exact) + [[0, True]] * len(numeric)
+
+
+# The layers, and the stdlib and numpy modules that only layers import.
+_WATCHED = ("fractions", "numpy", *(f"gcube.{m}" for m in (
+    "lattice", "gowers", "entropy", "terms", "solver", "asymptotics", "verify")))
+_ENTROPY = ["fractions", "gcube.entropy"]
+_SOLVER = sorted(_ENTROPY + ["gcube.solver", "gcube.terms", "numpy"])
+
+
+@pytest.mark.parametrize("module,argv,loaded", [
+    ("gcube", [], []),
+    ("gcube.cli", [], []),
+    ("gcube.cli", ["norm", "--f", "{f}", "--k", "2"], ["gcube.gowers", "gcube.lattice"]),
+    *(("gcube.cli", ["energy", "--set", "{A}", "--kind", kind, "--k", "2"],
+       ["gcube.gowers", "gcube.lattice"]) for kind in ("P", "E", "Etilde")),
+    ("gcube.cli", ["entropy", "--binomial", "5"], _ENTROPY),
+    ("gcube.cli", ["entropy", "--signed", "1,2"], _ENTROPY),
+    ("gcube.cli", ["exponent", "--k", "2", "--n", "2"], _SOLVER),
+    ("gcube.cli", ["terms", "--n", "3"], sorted(_ENTROPY + ["gcube.terms", "numpy"])),
+    ("gcube.cli", ["table1", "--n-max", "3"], sorted(_ENTROPY + ["gcube.asymptotics"])),
+    ("gcube.cli", ["asym", "--n", "2", "--k", "2"], sorted(_SOLVER + ["gcube.asymptotics"])),
+    ("gcube.cli", ["verify", "--suite", "binary"],
+     sorted(_ENTROPY + ["gcube.asymptotics", "gcube.gowers", "gcube.lattice",
+                        "gcube.terms", "gcube.verify", "numpy"])),
+])
+def test_each_command_loads_only_its_layers(tmp_path, module, argv, loaded):
+    files = {"f": write_function(tmp_path, "f.json", indicator([(0,), (1,)])),
+             "A": write_set(tmp_path, "A.json", CubeSet(1, 2, frozenset([(0,), (1,)])))}
+    script = ("import contextlib, io, json, sys\n"
+              f"import {module}\n"
+              "code = 0\n"
+              "if sys.argv[1:]:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = gcube.cli.main(sys.argv[1:])\n"
+              f"print(json.dumps([code, [m for m in {_WATCHED!r} if m in sys.modules]]))\n")
+    code, seen = _run_fresh(script, *(a.format(**files) for a in argv))
+    assert code == 0 and sorted(seen) == loaded
+
+
+# The import system sets a submodule as an attribute of its package when it
+# first loads it; the package keeps `gcube.entropy` the entropy function
+# however the module gets loaded, and does so without an ImportWarning.
+def test_package_entropy_stays_the_function():
+    script = ("import contextlib, importlib, io, json, warnings\n"
+              "warnings.simplefilter('error')\n"
+              "import gcube.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = gcube.cli.main(['entropy', '--binomial', '5'])\n"
+              "import gcube.terms\n"
+              "import gcube.entropy as E\n"
+              "from gcube import entropy\n"
+              "fn = importlib.import_module('gcube.entropy').entropy\n"
+              "print(json.dumps([code, gcube.entropy is fn, entropy is fn, E is fn]))\n")
+    assert _run_fresh(script) == [0, True, True, True]
 
 
 # Every name `gcube` exports, by the module that defines it.
@@ -474,9 +528,26 @@ def test_wrappers_set_before_binding_survive():
                                            "gcube.verify", "solve_exponent", "binary_suite"]]
 
 
+# The same holds for asymptotics, which binds its solver and term-table names
+# on first use: a read of one cli name binds them too, so a wrapper put on
+# terms.term_groups afterwards never replaces the cached function whose
+# cache asym clears.
+def test_wrapper_after_binding_misses_asymptotics():
+    script = ("import contextlib, io, json\n"
+              "import gcube.cli as cli\n"
+              "import gcube.terms as terms\n"
+              "cli.SUITES\n"
+              "fn = terms.term_groups\n"
+              "terms.term_groups = lambda *args: fn(*args)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(['asym', '--n', '2', '--k', '2'])\n"
+              "print(json.dumps(code))\n")
+    assert _run_fresh(script) == 0
+
+
 def test_cache_key_covers_config_and_version(monkeypatch):
     # _cache_key reads the solver names cli binds on a command's first run.
-    cli._bind_numpy_names()
+    cli._bind(["exponent"])
     base = SolverConfig()
     reference = cli._cache_key(base, 2, 2)
     assert cli._cache_key(dataclasses.replace(base, t_tolerance=1e-6), 2, 2) == reference
