@@ -18,11 +18,11 @@ import sys
 # Each command's names, by the layer that defines them.  main binds a
 # command's names as module globals before it runs, so that a command
 # loads only its own layers and `import gcube.cli` loads none: norm and
-# energy never load entropy or numpy, and table1 and verify never load the
-# solver.  A read of one of these names from outside the module (PEP 562)
-# binds every command's names at once.  A name already set, such as a
-# wrapper put in from outside, is never overwritten.  _ENERGY, the energy
-# kinds' functions, is built from gowers.
+# energy never load entropy, numpy or `dataclasses` (with `inspect`), and
+# table1 and verify never load the solver.  A read of one of these names
+# from outside the module (PEP 562) binds every command's names at once.
+# A name already set, such as a wrapper put in from outside, is never
+# overwritten.  _ENERGY, the energy kinds' functions, is built from gowers.
 _EXACT = {".lattice": ("load_function", "load_set"),
           ".gowers": ("gowers_norm_recursive", "_ENERGY")}
 _LAYERS = {

@@ -28,15 +28,17 @@ on codes of reach k, each point becomes a power of 2 whose exponent is a
 fixed slot width times its code, and the k-th power of their sum holds
 every k-fold representation count r_k(z) in its own slot, since sums of
 k codes never carry and no count fills its slot.
+
+GowersSystem is an immutable value on lattice's slotted base, as
+LatticeFunction and CubeSet are, so this layer imports no `dataclasses`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as _product
 
-from .lattice import CubeSet, LatticeFunction
+from .lattice import CubeSet, LatticeFunction, _check_size, _Frozen
 
 _IMAG_TOL = 1e-9
 
@@ -81,24 +83,21 @@ def _coder(points, reach):
     return code
 
 
-@dataclass(frozen=True)
-class GowersSystem:
+class GowersSystem(_Frozen):
     """A 2^k-tuple of functions indexed by sign vectors in {0,1}^k."""
 
-    k: int
-    functions: dict
+    __slots__ = __match_args__ = ("k", "functions")
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        fns = {tuple(eps): f for eps, f in self.functions.items()}
-        expected = set(_product((0, 1), repeat=self.k))
+    def __init__(self, k, functions):
+        _check_size("k", k, 1)
+        fns = {tuple(eps): f for eps, f in functions.items()}
+        expected = set(_product((0, 1), repeat=k))
         if set(fns) != expected:
-            raise ValueError(f"system must contain exactly the 2^{self.k} sign vectors")
+            raise ValueError(f"system must contain exactly the 2^{k} sign vectors")
         dims = {f.dim for f in fns.values()}
         if len(dims) != 1:
             raise ValueError("dimension mismatch among system functions")
-        object.__setattr__(self, "functions", fns)
+        self._set(k, fns)
 
     @property
     def dim(self):
@@ -106,6 +105,8 @@ class GowersSystem:
 
     @classmethod
     def constant(cls, f: LatticeFunction, k: int):
+        # Checked before the product, which would raise TypeError on a float.
+        _check_size("k", k, 1)
         return cls(k, {eps: f for eps in _product((0, 1), repeat=k)})
 
 
@@ -214,10 +215,9 @@ def gowers_norm_recursive(f: LatticeFunction, k: int) -> float:
     """||f||_{U^k}^{2^k} via the difference recursion: each level replaces
     f by conj(f(.+h)) f(.) summed over h in the support difference set.
 
-    Raises ValueError for k above K_RECURSION_MAX and ArithmeticError when
-    the result is not finite."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    Raises ValueError unless k is an int from 1 to K_RECURSION_MAX, and
+    ArithmeticError when the result is not finite."""
+    _check_size("k", k, 1)
     if k > K_RECURSION_MAX:
         raise ValueError(f"k must be <= {K_RECURSION_MAX}, got {k}")
     if not f.entries:
@@ -274,8 +274,7 @@ def _count_boxes(keys, k, memo):
 
 
 def _check_energy_k(k):
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    _check_size("k", k, 2)
     if k > K_RECURSION_MAX:
         raise ValueError(f"k must be <= {K_RECURSION_MAX}, got {k}")
 
@@ -292,7 +291,7 @@ def energy_P(A: CubeSet, k: int) -> int:
     """Number of (k+1)-tuples (a, h_1, ..., h_k) whose epsilon-combination
     box lies entirely in A.  Equals gowers_norm_pow of the indicator.
 
-    Raises ValueError for k below 2 or above K_RECURSION_MAX."""
+    Raises ValueError unless k is an int from 2 to K_RECURSION_MAX."""
     _check_energy_k(k)
     if not A.members:
         return 0
@@ -304,7 +303,7 @@ def energy_E(A: CubeSet, k: int) -> int:
     entries have equal sums; the squared ell^2 norm of the k-fold
     self-convolution of the indicator, in exact integers.
 
-    Raises ValueError for k below 2 or above K_RECURSION_MAX, and before
+    Raises ValueError unless k is an int from 2 to K_RECURSION_MAX, and before
     any power when it would take more than ENERGY_E_BYTES_MAX bytes."""
     _check_energy_k(k)
     if not A.members:
@@ -337,7 +336,7 @@ def energy_E_tilde(A: CubeSet, k: int) -> int:
     sum over z of r(z)^k where r(z) counts pairs (a, b) in A^2 with
     a - b = z.
 
-    Raises ValueError for k below 2 or above K_RECURSION_MAX."""
+    Raises ValueError unless k is an int from 2 to K_RECURSION_MAX."""
     _check_energy_k(k)
     if not A.members:
         return 0

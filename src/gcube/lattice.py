@@ -5,13 +5,18 @@ numbers, stored as a dict keyed by integer coordinate tuples; values that
 are exactly zero are never stored.  Dimension d = 0 is legal and means the
 one-point lattice, so a function on it is a single scalar.  A CubeSet is a
 finite subset of {0, ..., n-1}^d tracked with its exact cardinality.
+
+Both, and gowers.GowersSystem, are immutable values on a slotted base
+(_Frozen) with the protocol of a frozen dataclass: ==, hash, repr and
+__match_args__ over their fields, in order.  A dataclass would import
+`dataclasses` and with it `inspect`, which the exact commands need nowhere
+else.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import product as _product
 
 
@@ -24,24 +29,67 @@ def _check_point(p, dim):
             raise ValueError(f"point {p!r} has a non-integer coordinate {c!r}")
 
 
-@dataclass(frozen=True)
-class LatticeFunction:
+def _check_size(name, value, least):
+    # The rule of _json_int: a bool is an int subclass, not a size.
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
+class _Frozen:
+    """Immutable value whose fields are its __slots__, in order.  A
+    subclass's __init__ validates and then stores them with _set."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        # A dict field makes this raise TypeError, as it does a dataclass's.
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__, since the
+        # default protocol would set the slots with __setattr__.
+        return type(self), self._fields()
+
+
+class LatticeFunction(_Frozen):
     """Finitely supported f: Z^dim -> C with zero values dropped."""
 
-    dim: int
-    entries: dict
+    __slots__ = __match_args__ = ("dim", "entries")
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dimension must be >= 0")
+    def __init__(self, dim, entries):
+        _check_size("dimension", dim, 0)
         clean = {}
-        for p, v in self.entries.items():
+        for p, v in entries.items():
             p = tuple(p)
-            _check_point(p, self.dim)
+            _check_point(p, dim)
             v = complex(v)
             if v != 0:
                 clean[p] = v
-        object.__setattr__(self, "entries", clean)
+        self._set(dim, clean)
 
     def __add__(self, other):
         if not isinstance(other, LatticeFunction):
@@ -69,25 +117,20 @@ def delta(dim=1):
     return LatticeFunction(dim, {(0,) * dim: 1.0})
 
 
-@dataclass(frozen=True)
-class CubeSet:
+class CubeSet(_Frozen):
     """Finite subset of {0, ..., side-1}^dim."""
 
-    dim: int
-    side: int
-    members: frozenset
+    __slots__ = __match_args__ = ("dim", "side", "members")
 
-    def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dimension must be >= 0")
-        if self.side < 1:
-            raise ValueError("side must be >= 1")
-        pts = frozenset(tuple(p) for p in self.members)
+    def __init__(self, dim, side, members):
+        _check_size("dimension", dim, 0)
+        _check_size("side", side, 1)
+        pts = frozenset(tuple(p) for p in members)
         for p in pts:
-            _check_point(p, self.dim)
-            if any(c < 0 or c >= self.side for c in p):
-                raise ValueError(f"point {p!r} lies outside the side-{self.side} cube")
-        object.__setattr__(self, "members", pts)
+            _check_point(p, dim)
+            if any(c < 0 or c >= side for c in p):
+                raise ValueError(f"point {p!r} lies outside the side-{side} cube")
+        self._set(dim, side, pts)
 
     @property
     def size(self):
@@ -103,14 +146,18 @@ def interval_set(n):
 
 
 def lp_norm(f: LatticeFunction, p) -> float:
-    """ell^p norm of f; p = math.inf gives the sup norm, p > 0 required."""
+    """ell^p norm of f; p = math.inf gives the sup norm, p > 0 required.
+    A NaN value gives NaN at every p; otherwise an infinite one gives inf."""
     if p != math.inf and not p > 0:
         raise ValueError("p must be positive or infinity")
     vals = [abs(f.entries[k]) for k in sorted(f.entries)]
     if not vals:
         return 0.0
+    # max() keeps a NaN only when it comes first.
+    if any(math.isnan(v) for v in vals):
+        return math.nan
     vmax = max(vals)
-    if p == math.inf or vmax == 0.0:
+    if p == math.inf or vmax == 0.0 or vmax == math.inf:
         return vmax
     # Scale by the largest value so v**p cannot overflow for large p.
     total = sum((v / vmax) ** p for v in vals)

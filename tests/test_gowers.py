@@ -244,6 +244,24 @@ def test_recursion_depth_limit():
         energy_P(interval_set(2), K_RECURSION_MAX + 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda k: energy_P(interval_set(3), k),
+    lambda k: energy_E(interval_set(3), k),
+    lambda k: energy_E_tilde(interval_set(3), k),
+    lambda k: gowers_norm_recursive(delta(), k),
+    lambda k: gowers_norm(delta(), k),
+    lambda k: gowers_norm_pow(delta(), k),
+    lambda k: GowersSystem(k, {(0, 0): delta(), (0, 1): delta(),
+                               (1, 0): delta(), (1, 1): delta()}),
+], ids=["energy_P", "energy_E", "energy_E_tilde", "gowers_norm_recursive", "gowers_norm",
+        "gowers_norm_pow", "GowersSystem"])
+@pytest.mark.parametrize("k", [2.5, 2.0, 1.5, True])
+def test_k_must_be_an_int(call, k):
+    with pytest.raises(ValueError, match="^k must be an integer, got "):
+        call(k)
+    call(2)
+
+
 def test_norm_matches_objective_identity():
     # p * t = 2^k: with f(j) = g(j)^(t / 2^k) on {0, ..., n-1}, the box sum
     # ||f||_{U^k}^{2^k} is the objective at (t, g).

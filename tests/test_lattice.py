@@ -1,10 +1,14 @@
+import copy
 import json
 import math
+import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from gcube.gowers import GowersSystem
 from gcube.lattice import (
     CubeSet,
     LatticeFunction,
@@ -43,6 +47,19 @@ def test_lp_norm_edge_cases():
         lp_norm(delta(), 0)
     with pytest.raises(ValueError):
         lp_norm(delta(), -1.5)
+
+
+@pytest.mark.parametrize("p", [0.5, 1, 2, 7.5, math.inf])
+def test_lp_norm_non_finite_values(p):
+    # An infinite value makes every norm inf, though scaling by the largest
+    # value would divide inf by inf; a NaN makes it NaN wherever it sits.
+    assert lp_norm(LatticeFunction(1, {(0,): 1.0, (1,): math.inf}), p) == math.inf
+    assert lp_norm(LatticeFunction(1, {(0,): complex(math.inf, 2)}), p) == math.inf
+    for where in range(3):
+        entries = {(x,): 1.0 for x in range(3)}
+        entries[(where,)] = math.nan
+        assert math.isnan(lp_norm(LatticeFunction(1, entries), p))
+    assert math.isnan(lp_norm(LatticeFunction(1, {(0,): math.inf, (1,): math.nan}), p))
 
 
 def test_convolve_binomial():
@@ -222,3 +239,60 @@ def test_set_json_rejects_non_integers_and_repeats(blob):
 def test_input_checks(call, error):
     with pytest.raises(error):
         call()
+
+
+# Sizes follow the rule of _json_int: an int, and a bool is not one.
+@pytest.mark.parametrize("call, message", [
+    (lambda: LatticeFunction(1.0, {}), "dimension must be an integer, got 1.0"),
+    (lambda: LatticeFunction(True, {(0,): 1.0}), "dimension must be an integer, got True"),
+    (lambda: CubeSet(1.0, 2, []), "dimension must be an integer, got 1.0"),
+    (lambda: CubeSet(1, 2.5, []), "side must be an integer, got 2.5"),
+    (lambda: CubeSet(1, True, []), "side must be an integer, got True"),
+    (lambda: CubeSet(-1, 2.5, []), "dimension must be >= 0"),
+    (lambda: CubeSet(1, 0, []), "side must be >= 1"),
+], ids=["function-float-dim", "function-bool-dim", "set-float-dim", "set-float-side",
+        "set-bool-side", "set-negative-dim", "set-zero-side"])
+def test_sizes_must_be_ints(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# The value classes of the exact layers keep what a frozen dataclass gave
+# them.  Each case: an instance, an equal one built by keyword, an unequal
+# one, the repr, the field names, and the hash (None for the classes that
+# hold a dict, which are unhashable).
+_A = CubeSet(1, 3, frozenset([(0,), (2,)]))
+_PAIR = {(0,): delta(), (1,): delta()}
+
+
+@pytest.mark.parametrize("value, same, other, text, names, hashed", [
+    (LatticeFunction(1, {(0,): 2.0}), LatticeFunction(dim=1, entries={(0,): 2 + 0j}),
+     LatticeFunction(1, {(1,): 2.0}), "LatticeFunction(dim=1, entries={(0,): (2+0j)})",
+     ("dim", "entries"), None),
+    (_A, CubeSet(side=3, members=[(2,), (0,)], dim=1), CubeSet(1, 4, _A.members),
+     "CubeSet(dim=1, side=3, members=frozenset({(0,), (2,)}))", ("dim", "side", "members"),
+     hash((1, 3, _A.members))),
+    (GowersSystem(1, _PAIR), GowersSystem(k=1, functions=dict(_PAIR)),
+     GowersSystem.constant(indicator([(1,)]), 1),
+     "GowersSystem(k=1, functions={(0,): LatticeFunction(dim=1, entries={(0,): (1+0j)}), "
+     "(1,): LatticeFunction(dim=1, entries={(0,): (1+0j)})})", ("k", "functions"), None),
+], ids=["LatticeFunction", "CubeSet", "GowersSystem"])
+def test_value_class_behaviour(value, same, other, text, names, hashed):
+    assert value == same and not value != same
+    assert value != other and not value == other
+    assert value != tuple(getattr(value, name) for name in names)
+    assert repr(value) == text
+    assert type(value).__match_args__ == names
+    if hashed is None:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        assert hash(value) == hash(same) == hashed
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == text
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and repr(twin) == text
