@@ -1,6 +1,6 @@
-"""Closed-form main terms, the sharp real-line constant, the leading
-coefficient table, and sweep reports comparing solver output over an
-(n, k) grid against the large-k formula and the trivial bounds.
+"""Closed-form main terms, the leading coefficient table, and sweep reports
+comparing solver output over an (n, k) grid against the large-k formula and
+the trivial bounds.
 
 The o(1) corrections are reported as gaps and never asserted to vanish;
 only their monotone trend is checked at desk scale.
@@ -64,17 +64,6 @@ def large_n_lower_main_term(k: int, n: int) -> float:
     if k < 2 or n < 2:
         raise ValueError("k >= 2 and n >= 2 required")
     return k + 1 - ((k + 1) * math.log2(k + 1) - 2 * k) / (2 * math.log2(n))
-
-
-def eisner_tao_constant(k: int) -> tuple:
-    """Sharp real-line constant C_k = 2^(k/2^k) / (k+1)^((k+1)/2^(k+1)).
-
-    Returns (C_k, 2^k log2 C_k); the second form equals
-    k - (k+1) log2(k+1) / 2 and is the one entering the lower bound."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    log2_c = (k - (k + 1) * math.log2(k + 1) / 2.0) / 2.0 ** k
-    return (2.0 ** log2_c, 2.0 ** k * log2_c)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Shannon entropy of finite integer distributions, signed Bernoulli sums,
-majorization, Karamata comparison, and the exhaustive entropy verifiers.
+majorization, and the exhaustive entropy verifiers.
 
 The module owns signed Bernoulli sums: iter_signed_vectors enumerates their
 coefficient vectors and signed_sum_counts counts the 2^m sign vectors
@@ -17,8 +17,8 @@ ratio walk and never holds it, and the sweep binomial_entropies(m_max)
 builds each row from the one before by Pascal additions.  Both give the
 same bits.
 
-The verifiers check the total of the counts exactly and share the cores of
-majorizes and entropy_bits with the public functions.  A report formats
+The verifiers check the total of the counts exactly, call majorizes, and
+share the core of entropy_bits with the public function.  A report formats
 the message of a check only when the check fails.
 """
 
@@ -213,17 +213,6 @@ def decreasing_rearrangement(p: PMFVector) -> list:
     return sorted((m for m in p.masses if m != 0), reverse=True)
 
 
-def _prefix_dominates(x, y, tol) -> bool:
-    # d is the prefix sum of x minus that of y, the shorter padded with
-    # zeros; the last one compares totals.
-    d = 0
-    for a, b in zip_longest(x, y, fillvalue=0):
-        d += a - b
-        if d < -tol:
-            return False
-    return abs(d) <= tol
-
-
 def majorizes(x, y) -> bool:
     """Prefix-sum dominance of two nonincreasing sequences of equal total,
     the shorter padded with zeros.  Raises on unsorted input."""
@@ -233,51 +222,13 @@ def majorizes(x, y) -> bool:
         if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
             raise ValueError(f"{name} is not sorted in nonincreasing order")
     tol = 0 if all(_is_exact(v) for v in x + y) else _SUM_TOL
-    return _prefix_dominates(x, y, tol)
-
-
-def _psi_square(v: float) -> float:
-    return v * v
-
-
-def _psi_neg_xlog2(v: float) -> float:
-    return -v * math.log2(v) if v > 0 else 0.0
-
-
-PSI_REGISTRY = {
-    "square": (_psi_square, "convex"),
-    "neg_x_log2": (_psi_neg_xlog2, "concave"),
-}
-
-
-@dataclass(frozen=True)
-class KaramataResult:
-    difference: float
-    convexity: str
-    consistent: bool
-    equal: bool
-
-
-def karamata_compare(x, y, psi) -> KaramataResult:
-    """Sum-of-psi comparison for x majorizing y, psi a PSI_REGISTRY name.
-
-    Returns the signed difference sum psi(x) - sum psi(y), whether its sign
-    matches the convexity of psi, and whether the padded tuples coincide."""
-    try:
-        fn, convexity = PSI_REGISTRY[psi]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown psi {psi!r}") from None
-    if not majorizes(x, y):
-        raise ValueError("x does not majorize y")
-    x = list(x)
-    y = list(y)
-    n = max(len(x), len(y))
-    x = x + [0] * (n - len(x))
-    y = y + [0] * (n - len(y))
-    diff = sum(fn(float(v)) for v in x) - sum(fn(float(v)) for v in y)
-    equal = all(float(a) == float(b) for a, b in zip(x, y))
-    consistent = diff >= -_SUM_TOL if convexity == "convex" else diff <= _SUM_TOL
-    return KaramataResult(diff, convexity, consistent, equal)
+    # d is the prefix sum of x minus that of y; the last one compares totals.
+    d = 0
+    for a, b in zip_longest(x, y, fillvalue=0):
+        d += a - b
+        if d < -tol:
+            return False
+    return abs(d) <= tol
 
 
 @dataclass
@@ -322,7 +273,7 @@ def verify_majorization_lemma(m_max: int = 4, h_bound: int = 4) -> VerificationR
             counts = signed_sum_counts(h)[1]
             if counts not in facts:
                 x = sorted((c for c in counts if c), reverse=True)
-                facts[counts] = (_prefix_dominates(binom, x, 0), x == binom,
+                facts[counts] = (majorizes(binom, x), x == binom,
                                  _counts_entropy(counts, denom))
             dominated, is_equal, h_sum = facts[counts]
             all_same = len({abs(v) for v in h}) == 1

@@ -172,11 +172,6 @@ def gowers_norm_pow(f: LatticeFunction, k: int) -> float:
     return max(_discard_imag(gowers_inner_product(GowersSystem.constant(f, k))), 0.0)
 
 
-def gowers_norm(f: LatticeFunction, k: int) -> float:
-    """||f||_{U^k}, the 2^k-th root of gowers_norm_recursive."""
-    return gowers_norm_recursive(f, k) ** (0.5 ** k)
-
-
 def _norm_pow_recursive(keys, vals, k) -> float:
     # keys: sorted point codes (_coder with reach 2); vals: f at them.
     if k == 1:

@@ -114,6 +114,7 @@ def indicator(points, dim=None):
 
 def delta(dim=1):
     """Unit mass at the origin of Z^dim."""
+    _check_size("dimension", dim, 0)
     return LatticeFunction(dim, {(0,) * dim: 1.0})
 
 
@@ -142,6 +143,7 @@ class CubeSet(_Frozen):
 
 def interval_set(n):
     """The full interval {0, ..., n-1} as a one-dimensional CubeSet."""
+    _check_size("side", n, 1)
     return CubeSet(1, n, frozenset((j,) for j in range(n)))
 
 
@@ -180,17 +182,11 @@ def convolve(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     return LatticeFunction(f.dim, out)
 
 
-def reflect(f: LatticeFunction) -> LatticeFunction:
-    """Reflection x -> f(-x); preserves every ell^p norm."""
-    return LatticeFunction(f.dim, {tuple(-c for c in p): v for p, v in f.entries.items()})
-
-
 def tensor_power(g: LatticeFunction, d: int) -> LatticeFunction:
     """d-fold tensor power of a one-dimensional function."""
+    _check_size("dimension", d, 1)
     if g.dim != 1:
         raise ValueError("tensor_power requires a one-dimensional function")
-    if d < 1:
-        raise ValueError("tensor power requires d >= 1")
     entries = {}
     supp = sorted(g.entries)
     for combo in _product(supp, repeat=d):

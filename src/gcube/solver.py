@@ -122,9 +122,6 @@ _ROOT_STEPS = 100
 # mass has the constant objective 1 and no witness root.
 _POINT_MASS = 1.0 - 1e-12
 
-# Fixed-point rounds of gaussian_witness_bound.
-_GAUSSIAN_ROUNDS = 6
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -505,20 +502,3 @@ def profile_to_simplex(profile, power: float) -> tuple:
         raise ValueError("profile has no mass")
     w = (p / p.max()) ** power
     return tuple((w / w.sum()).tolist())
-
-
-def gaussian_witness_bound(n: int, M: float, k: int) -> float:
-    """Lower bound on the critical exponent from the Gaussian profile.
-
-    The profile enters through g proportional to f^(2^k / t); t is refined
-    by fixed-point iteration from t = k + 1, whose first iterate for M in
-    {1.5, 2, 3} is a solver seed's root, and every iterate is itself a
-    valid bound, so the best one is returned."""
-    prof = gaussian_witness(n, M)
-    t = float(k + 1)
-    best = 0.0
-    for _ in range(_GAUSSIAN_ROUNDS):
-        g = profile_to_simplex(prof, 2.0 ** k / t)
-        t = witness_lower_bound(n, k, g)
-        best = max(best, t)
-    return best

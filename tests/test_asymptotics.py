@@ -5,7 +5,6 @@ import pytest
 from conftest import solve_cached
 from gcube.asymptotics import (
     asymptotic_sweep,
-    eisner_tao_constant,
     large_k_main_term,
     large_n_lower_main_term,
     leading_coefficient,
@@ -52,22 +51,6 @@ def test_large_n_lower_main_term():
         assert large_n_lower_main_term(2, n) == pytest.approx(expect, rel=1e-12)
 
 
-def test_eisner_tao_constant():
-    c, power_log = eisner_tao_constant(2)
-    assert c == pytest.approx(2 ** 0.5 / 3 ** 0.375, rel=1e-12)
-    assert power_log == pytest.approx(2 - 1.5 * math.log2(3), rel=1e-12)
-    for k in range(2, 21):
-        c, power_log = eisner_tao_constant(k)
-        assert power_log == pytest.approx(
-            k - (k + 1) * math.log2(k + 1) / 2.0, rel=1e-12
-        )
-        assert 0 < c < 1
-    # approaches 1 from below, increasing once past the initial dip
-    values = [eisner_tao_constant(k)[0] for k in range(3, 21)]
-    assert all(a < b for a, b in zip(values, values[1:]))
-    assert values[-1] > 0.9999
-
-
 def test_leading_coefficient_consistent_with_entropy_bounds():
     for n in range(2, 65):
         lo, hi = binomial_entropy_bounds(n - 1)
@@ -103,10 +86,8 @@ def test_binary_gap_identity():
 @pytest.mark.parametrize("call", [
     lambda: leading_coefficient(1),
     lambda: large_n_lower_main_term(2, 1),
-    lambda: eisner_tao_constant(1),
     lambda: leading_coefficient_rows(1),
-], ids=["leading_coefficient", "large_n_lower_main_term", "eisner_tao_constant",
-        "leading_coefficient_rows"])
+], ids=["leading_coefficient", "large_n_lower_main_term", "leading_coefficient_rows"])
 def test_input_checks(call):
     with pytest.raises(ValueError):
         call()

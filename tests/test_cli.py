@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import json
 import math
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import gcube
 import gcube.asymptotics as asymptotics
 import gcube.cli as cli
 import gcube.solver as solver_module
@@ -445,43 +447,69 @@ def test_each_command_loads_only_its_layers(tmp_path, module, argv, loaded):
     assert code == 0 and sorted(seen) == loaded
 
 
-# The import system sets a submodule as an attribute of its package when it
-# first loads it; the package keeps `gcube.entropy` the entropy function
-# however the module gets loaded, and does so without an ImportWarning.
-def test_package_entropy_stays_the_function():
-    script = ("import contextlib, importlib, io, json, warnings\n"
+# `gcube.entropy` is the entropy layer, as every other layer's name is its
+# module: the package exports no name of its own under it.
+def test_package_entropy_is_the_module():
+    script = ("import importlib, json, warnings\n"
               "warnings.simplefilter('error')\n"
-              "import gcube.cli\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    code = gcube.cli.main(['entropy', '--binomial', '5'])\n"
-              "import gcube.terms\n"
-              "import gcube.entropy as E\n"
+              "import gcube\n"
               "from gcube import entropy\n"
-              "fn = importlib.import_module('gcube.entropy').entropy\n"
-              "print(json.dumps([code, gcube.entropy is fn, entropy is fn, E is fn]))\n")
-    assert _run_fresh(script) == [0, True, True, True]
+              "import gcube.entropy as E\n"
+              "module = importlib.import_module('gcube.entropy')\n"
+              "print(json.dumps([gcube.entropy is module, entropy is module, E is module,\n"
+              "                  gcube.entropy.signed_sum_counts((1,)) == (0, (1, 1))]))\n")
+    assert _run_fresh(script) == [True, True, True, True]
 
 
 # Every name `gcube` exports, by the module that defines it.
 _EXPORTS = {
     "lattice": ("CubeSet", "LatticeFunction", "convolve", "delta", "indicator",
-                "interval_set", "lp_norm", "reflect", "tensor_power"),
+                "interval_set", "lp_norm", "tensor_power"),
     "gowers": ("GowersSystem", "energy_E", "energy_E_tilde", "energy_P",
-               "gowers_inner_product", "gowers_norm", "gowers_norm_pow",
-               "gowers_norm_recursive"),
+               "gowers_inner_product", "gowers_norm_pow", "gowers_norm_recursive"),
     "entropy": ("PMFVector", "binomial_entropy", "binomial_entropy_bounds",
-                "decreasing_rearrangement", "entropy", "entropy_bits",
-                "karamata_compare", "majorizes", "pmf_signed_sum",
+                "decreasing_rearrangement", "entropy_bits", "majorizes", "pmf_signed_sum",
                 "verify_entropy_corollary", "verify_majorization_lemma"),
     "terms": ("enumerate_tuple_classes", "objective", "pmf_of_tuple", "term_groups",
               "ternary_objective_check"),
-    "solver": ("ExponentPair", "SolverConfig", "gaussian_witness",
-               "gaussian_witness_bound", "max_objective", "profile_to_simplex",
-               "solve_exponent", "trivial_bounds", "witness_lower_bound"),
-    "asymptotics": ("AsymptoticReport", "asymptotic_sweep", "eisner_tao_constant",
-                    "large_k_main_term", "large_n_lower_main_term",
-                    "leading_coefficient", "leading_coefficient_rows"),
+    "solver": ("ExponentPair", "SolverConfig", "gaussian_witness", "max_objective",
+               "profile_to_simplex", "solve_exponent", "trivial_bounds",
+               "witness_lower_bound"),
+    "asymptotics": ("AsymptoticReport", "asymptotic_sweep", "large_k_main_term",
+                    "large_n_lower_main_term", "leading_coefficient",
+                    "leading_coefficient_rows"),
 }
+
+# Exports that only tests call.  Two are brute-force oracles that tests check
+# the fast paths against (the objective by direct enumeration, the PMF of one
+# tuple class); `delta` is the unit mass the tests build functions on.
+_TEST_ONLY_EXPORTS = {"ternary_objective_check", "pmf_of_tuple", "delta"}
+
+
+def test_every_export_has_a_caller():
+    # A caller is any use of the name in a layer other than the package's
+    # own table, or in the bench: a name, an attribute, an import, or a
+    # string that names it (the bench's tracer sites).
+    root = Path(__file__).resolve().parents[1]
+    files = [path for path in sorted((root / "src" / "gcube").glob("*.py"))
+             if path.name != "__init__.py"]
+    files += sorted((root / "bench").glob("*.py"))
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                used.add(node.value)
+    assert sorted(set(gcube._LAZY) - used - _TEST_ONLY_EXPORTS) == []
+    assert set(gcube._LAZY) == {name for names in _EXPORTS.values() for name in names}
+    # The exception names only exports that need it.
+    assert _TEST_ONLY_EXPORTS <= set(gcube._LAZY) - used
 
 
 def test_package_names_resolve_on_first_use():

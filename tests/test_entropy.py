@@ -20,7 +20,6 @@ from gcube.entropy import (
     entropy,
     entropy_bits,
     iter_signed_vectors,
-    karamata_compare,
     majorizes,
     pmf_signed_sum,
     signed_sum_counts,
@@ -113,27 +112,6 @@ def test_majorizes_examples():
         majorizes([0.2, 0.8], [0.5, 0.5])
 
 
-def test_karamata_examples():
-    res = karamata_compare([1.0, 0.0], [0.5, 0.5], "square")
-    assert res.difference == pytest.approx(0.5)
-    assert res.consistent and not res.equal
-    res = karamata_compare([0.5, 0.5], [0.5, 0.5], "square")
-    assert res.difference == 0.0 and res.equal
-    res = karamata_compare(
-        [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
-        [Fraction(1, 4)] * 4,
-        "neg_x_log2",
-    )
-    assert res.difference == pytest.approx(1.5 - 2.0)
-    with pytest.raises(ValueError):
-        karamata_compare([1.0, 0.0], [0.5, 0.5], (lambda v: v * v, "convex"))
-    assert res.consistent
-    with pytest.raises(ValueError):
-        karamata_compare([0.4, 0.3, 0.3], [0.5, 0.3, 0.2], "square")
-    with pytest.raises(ValueError):
-        karamata_compare([1.0, 0.0], [0.5, 0.5], "no-such-psi")
-
-
 def test_majorization_lemma_small():
     rep = verify_majorization_lemma(2, 3)
     assert rep.passed
@@ -218,7 +196,6 @@ def test_signed_sum_counts_match_sign_vector_count():
 def test_verifiers_fail_on_wrong_counts(monkeypatch):
     clean = (verify_majorization_lemma(2, 2).cases, verify_entropy_corollary(3).cases)
     assert clean == (3 * (4 + 16), 4 + 4)
-    # gcube.entropy the attribute is the entropy function, not the module.
     entropy_module = importlib.import_module("gcube.entropy")
 
     def point_mass(h):

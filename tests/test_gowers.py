@@ -16,7 +16,6 @@ from gcube.gowers import (
     energy_E_tilde,
     energy_P,
     gowers_inner_product,
-    gowers_norm,
     gowers_norm_pow,
     gowers_norm_recursive,
 )
@@ -194,7 +193,7 @@ def test_gowers_cauchy_schwarz_random_systems():
         lhs = abs(gowers_inner_product(GowersSystem(k, fns)))
         rhs = 1.0
         for eps in sorted(fns):
-            rhs *= gowers_norm(fns[eps], k)
+            rhs *= gowers_norm_recursive(fns[eps], k) ** 0.5 ** k
         assert lhs <= rhs * (1 + 1e-9) + 1e-12
 
 
@@ -204,7 +203,8 @@ def test_triangle_inequality_random():
         k = rng.choice((2, 3))
         f1 = random_function(rng, width=4, max_size=4)
         f2 = random_function(rng, width=4, max_size=4)
-        assert gowers_norm(f1 + f2, k) <= gowers_norm(f1, k) + gowers_norm(f2, k) + 1e-9
+        n1, n2, n12 = (gowers_norm_recursive(f, k) ** 0.5 ** k for f in (f1, f2, f1 + f2))
+        assert n12 <= n1 + n2 + 1e-9
 
 
 def test_tensor_multiplicativity_of_box_norms():
@@ -226,7 +226,7 @@ def test_norm_bounded_by_critical_lp_norm():
         supp = rng.sample(range(-3, 7), size)
         f = LatticeFunction(1, {(s,): rng.uniform(0.05, 2.0) for s in supp})
         p = 2 ** k / (k + 1)
-        assert gowers_norm(f, k) <= lp_norm(f, p) * (1 + 1e-9)
+        assert gowers_norm_recursive(f, k) ** 0.5 ** k <= lp_norm(f, p) * (1 + 1e-9)
 
 
 def test_d0_norm():
@@ -249,12 +249,11 @@ def test_recursion_depth_limit():
     lambda k: energy_E(interval_set(3), k),
     lambda k: energy_E_tilde(interval_set(3), k),
     lambda k: gowers_norm_recursive(delta(), k),
-    lambda k: gowers_norm(delta(), k),
     lambda k: gowers_norm_pow(delta(), k),
     lambda k: GowersSystem(k, {(0, 0): delta(), (0, 1): delta(),
                                (1, 0): delta(), (1, 1): delta()}),
-], ids=["energy_P", "energy_E", "energy_E_tilde", "gowers_norm_recursive", "gowers_norm",
-        "gowers_norm_pow", "GowersSystem"])
+], ids=["energy_P", "energy_E", "energy_E_tilde", "gowers_norm_recursive", "gowers_norm_pow",
+        "GowersSystem"])
 @pytest.mark.parametrize("k", [2.5, 2.0, 1.5, True])
 def test_k_must_be_an_int(call, k):
     with pytest.raises(ValueError, match="^k must be an integer, got "):

@@ -19,7 +19,6 @@ from gcube.lattice import (
     indicator,
     interval_set,
     lp_norm,
-    reflect,
     set_from_json,
     set_to_json,
     tensor_power,
@@ -79,25 +78,6 @@ def test_convolution_energy_of_ternary_interval():
     f = indicator([(0,), (1,), (2,)])
     sq = lp_norm(convolve(f, f), 2) ** 2
     assert sq == pytest.approx(19.0, rel=1e-12)
-
-
-def test_reflect_examples():
-    f = LatticeFunction(1, {(1,): 2 - 1j})
-    assert reflect(f).entries == {(-1,): 2 - 1j}
-    sym = LatticeFunction(1, {(-1,): 3, (0,): 1, (1,): 3})
-    assert reflect(sym).entries == sym.entries
-
-
-@given(entries())
-def test_reflect_involution(e):
-    f = LatticeFunction(1, e)
-    assert reflect(reflect(f)).entries == f.entries
-
-
-@given(entries(), st.sampled_from([0.5, 1.0, 2.0, 3.0, math.inf]))
-def test_reflect_preserves_norms(e, p):
-    f = LatticeFunction(1, e)
-    assert lp_norm(reflect(f), p) == pytest.approx(lp_norm(f, p), rel=1e-12, abs=1e-300)
 
 
 def test_tensor_power_examples():
@@ -250,8 +230,12 @@ def test_input_checks(call, error):
     (lambda: CubeSet(1, True, []), "side must be an integer, got True"),
     (lambda: CubeSet(-1, 2.5, []), "dimension must be >= 0"),
     (lambda: CubeSet(1, 0, []), "side must be >= 1"),
+    (lambda: tensor_power(delta(), 2.0), "dimension must be an integer, got 2.0"),
+    (lambda: delta(1.0), "dimension must be an integer, got 1.0"),
+    (lambda: interval_set(2.0), "side must be an integer, got 2.0"),
 ], ids=["function-float-dim", "function-bool-dim", "set-float-dim", "set-float-side",
-        "set-bool-side", "set-negative-dim", "set-zero-side"])
+        "set-bool-side", "set-negative-dim", "set-zero-side", "tensor-power-float-dim",
+        "delta-float-dim", "interval-float-side"])
 def test_sizes_must_be_ints(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -14,7 +14,6 @@ from gcube.solver import (
     SolverConfig,
     check_problem,
     gaussian_witness,
-    gaussian_witness_bound,
     max_objective,
     profile_to_simplex,
     solve_exponent,
@@ -224,6 +223,13 @@ def test_profile_to_simplex():
     g = profile_to_simplex(gaussian_witness(5, 2.0), 1.5)
     assert sum(g) == pytest.approx(1.0, abs=1e-12)
     assert all(v > 0 for v in g)
+    # 2^16 / 17 powers the raw profile to zero everywhere; scaling the peak
+    # to 1 first keeps the two peak masses.
+    profile = gaussian_witness(3, 3.0)
+    assert max(profile) ** (2 ** 16 / 17) == 0.0
+    g = profile_to_simplex(profile, 2 ** 16 / 17)
+    assert sum(g) == pytest.approx(1.0, abs=1e-12)
+    assert g == pytest.approx((0.0, 0.5, 0.5), abs=1e-9)
 
 
 @pytest.mark.parametrize("profile, power, message", [
@@ -241,21 +247,6 @@ def test_profile_to_simplex_rejects_bad_profiles(profile, power, message):
     # Checked before any arithmetic, so no numpy warning comes first.
     with pytest.raises(ValueError, match=message):
         profile_to_simplex(profile, power)
-
-
-def test_gaussian_witness_bound_below_solver():
-    t10 = solve_cached(10, 2).t
-    bound = gaussian_witness_bound(10, 3.0, 2)
-    assert bound <= t10 + 1e-6
-    assert bound > trivial_bounds(10, 2)[0] - 0.2  # lands in a sane range
-
-
-def test_gaussian_witness_bound_large_power():
-    # 2^16 / t powers the raw profile to zero everywhere; the peak scaling
-    # in profile_to_simplex keeps the witness a simplex point.
-    bound = gaussian_witness_bound(3, 3.0, 16)
-    assert math.isfinite(bound)
-    assert bound <= solve_cached(3, 16).t + 1e-6
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
