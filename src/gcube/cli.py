@@ -277,14 +277,17 @@ def _cache_lookup(path, key, tol):
 
 
 def cmd_exponent(args):
-    from dataclasses import asdict
+    from dataclasses import fields
 
     scfg = _solver_config(args)
     check_problem(args.n, args.k, scfg)
     cache_key = _cache_key(scfg, args.k, args.n)
-    pair = _cache_lookup(args.cache, cache_key, args.tol) if args.cache else None
-    record = asdict(pair or solve_exponent(args.n, args.k, scfg))
-    if args.cache and pair is None:
+    cached = _cache_lookup(args.cache, cache_key, args.tol) if args.cache else None
+    pair = cached or solve_exponent(args.n, args.k, scfg)
+    # The fields in order, without the deep copy of asdict: the record
+    # only reads them.
+    record = {f.name: getattr(pair, f.name) for f in fields(pair)}
+    if args.cache and cached is None:
         with open(args.cache, "a") as fh:
             fh.write(dumps17({**cache_key, "tol": args.tol, "result": record}) + "\n")
     return _emit(args, record,

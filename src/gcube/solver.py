@@ -76,7 +76,13 @@ stays at 1 certifies the upper end of the bracket; it has settled when no
 row's value rises by more than a relative 1e-15 in a cycle.  Once the
 best value is above 1, M(t) > 1 is already certified and the outer loop
 reads only the argmax, for its witness root, so the ascent has settled
-when the best value rises by no more than that.
+when the best value rises by no more than that.  A settled cycle in which
+no row moved ends the ascent at once: it leaves G, E * c and the values
+as they were, and every later cycle depends on nothing else, so each
+would repeat it until the window closed, and the stop returns the same
+bits.  The three masks of a cycle's moves share one array, which is
+reduced only on a settled cycle; a cycle that is not settled has moved a
+row.
 
 The random points are normalized exponentials -log(1 - U), with U drawn
 from `random.Random(seed).random()`: CPython keeps that sequence for a
@@ -221,9 +227,13 @@ def _ascend(G, t, tm, cycles):
     per_row = np.empty((13, len(G)))
     v1, v2, vJ, nr2, nv2, floor, s2, s, low, jsum, prev_vals, rise, rise_tol = per_row
     norms2 = per_row[3:5]
-    candidates = ((R1, E1, v1), (R2, E2, v2), (J, EJ, vJ))
-    better, has_v, keep, drop, rising_rows = np.empty((5, len(G)), dtype=bool)
-    better_rows, keep_rows, drop_rows = better[:, None], keep[:, None], drop[:, None]
+    # One mask per candidate in one array, so that whether any row moved
+    # in a cycle is one reduction.
+    moved = np.empty((3, len(G)), dtype=bool)
+    candidates = [(P, EP, vP, better, better[:, None])
+                  for P, EP, vP, better in zip((R1, R2, J), (E1, E2, EJ), (v1, v2, vJ), moved)]
+    has_v, keep, drop, rising_rows = np.empty((4, len(G)), dtype=bool)
+    keep_rows, drop_rows = keep[:, None], drop[:, None]
     vals_col, v1_col, jsum_col = vals[:, None], v1[:, None], jsum[:, None]
     s_col, s2_col = s[:, None], s2[:, None]
     best = np.maximum.reduce(vals)
@@ -288,7 +298,7 @@ def _ascend(G, t, tm, cycles):
         # A row takes the first of its best points, and only where that is
         # higher than its own value: a point can only fail to rise by
         # rounding or by an overshooting jump.
-        for P, EP, vP in candidates:
+        for P, EP, vP, better, better_rows in candidates:
             greater(vP, vals, out=better)
             copyto(G, P, where=better_rows)
             copyto(Ec, EP, where=better_rows)
@@ -303,8 +313,13 @@ def _ascend(G, t, tm, cycles):
             multiply(_RTOL, prev_vals, out=rise_tol)
             greater(rise, rise_tol, out=rising_rows)
             settled = not any_of(rising_rows)
-        flat = flat + 1 if settled else 0
-        if flat == _SETTLE_WINDOW:
+        if not settled:
+            flat = 0
+            continue
+        # A settled cycle in which no row moved is a fixed point: every
+        # later cycle would repeat it.
+        flat += 1
+        if flat == _SETTLE_WINDOW or not any_of(moved, axis=None):
             break
     return G, vals
 
@@ -360,7 +375,11 @@ def max_objective(n, k, t, cfg: SolverConfig | None = None):
     while the value is 1, no row rises by more than a relative 1e-15; once
     it is above 1, the value does not, which leaves the argmax within about
     1.3e-8 of where the 67 cycles end (largest coordinate gap at the tests'
-    twelve near-critical points).
+    twelve near-critical points).  A settled cycle in which no row moved
+    ends it at once, with the bits the window would give.  The structured
+    seeds are ascended here as the random points are; solve_exponent also
+    values them on their own, and roots only those above 1 at its running
+    lower end.
     Deterministic for a fixed config; ValueError unless 0 < t < inf."""
     cfg = cfg or SolverConfig()
     # Written so that NaN fails too.
@@ -393,7 +412,11 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
     is fixed by a and the k points a + h_i, so M(k + 1) = 1.  The lower end
     starts at the largest witness root among the structured seeds that are
     not point masses (at n = 2 the uniform seed, whose root is
-    log2(2k + 2)).  Every maximization is a probe, half a tolerance above
+    log2(2k + 2)).  Only the first such seed, the uniform one, is always
+    rooted: each later one is valued once at the running lower end and
+    rooted only when that value is above 1, since the objective decreases
+    in t and a seed at or below 1 there has its root at or below the lower
+    end.  Every maximization is a probe, half a tolerance above
     the lower end: one with M > 1 moves the lower end to its maximizer's
     root, or to the probe when rounding puts the root at or below it, and
     one with M <= 1 becomes the upper end.  The start pool is built once:
@@ -404,8 +427,14 @@ def solve_exponent(n: int, k: int, cfg: SolverConfig | None = None) -> ExponentP
     cfg = cfg or SolverConfig()
     check_problem(n, k, cfg)
     batch = _start_pool(n, k, cfg)
-    seeds = [tuple(g.tolist()) for g in batch[:-_MULTISTARTS] if g.max() <= _POINT_MASS]
-    lo, witness = max((witness_lower_bound(n, k, g), g) for g in seeds)
+    first, *rest = (tuple(g.tolist()) for g in batch[:-_MULTISTARTS] if g.max() <= _POINT_MASS)
+    lo, witness = witness_lower_bound(n, k, first), first
+    tm = term_matrix(n, k)
+    for g in rest:
+        # The objective decreases in t, so a seed valued at most 1 at the
+        # lower end has its root at or below it.
+        if tm.values(np.array([g]), lo)[0] > 1.0:
+            lo, witness = max((lo, witness), (witness_lower_bound(n, k, g), g))
     hi = float(k + 1)
     while hi - lo > cfg.t_tolerance:
         probe = lo + 0.5 * cfg.t_tolerance

@@ -9,12 +9,14 @@ OpenBLAS; another BLAS or libm may round the last bit differently.
 """
 
 import contextlib
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
 import gcube.cli as cli
+from conftest import BENCH_POINTS
 from gcube.solver import _MULTISTARTS, SolverConfig, _start_pool, witness_lower_bound
 from gcube.terms import objective, term_matrix
 
@@ -219,3 +221,23 @@ def test_exponent_json_bytes_pinned(n, k, seed):
                          "--format", "json", "--seed", str(seed)])
     assert code == 0
     assert out.getvalue() == _EXPONENT_JSON[n, k, seed]
+
+
+# One SHA-256 over `gcube exponent --format json` at every point of the
+# `large-k` and `large-n` bench workloads, seeds 0 and 1, outputs joined in
+# this order: a change to the solver that moves any printed bit there
+# changes the digest.
+_BENCH_EXPONENT_SHA256 = "466a16105ef441549993460ccfc0c28017eb3c6439530cd28f5f94509d80242c"
+
+
+def test_bench_exponent_json_digest_pinned():
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        for n, k in BENCH_POINTS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["exponent", "--n", str(n), "--k", str(k),
+                                 "--format", "json", "--seed", str(seed)])
+            assert code == 0
+            digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == _BENCH_EXPONENT_SHA256

@@ -8,7 +8,7 @@ import numpy as np
 
 import gcube.solver as solver_module
 import gcube.terms as terms_module
-from conftest import solve_cached
+from conftest import BENCH_POINTS, solve_cached
 from gcube.solver import (
     ExponentPair,
     SolverConfig,
@@ -403,13 +403,20 @@ def test_probes_carry_the_batch(monkeypatch, n, k):
         assert start.shape == end.shape == (5 + solver_module._MULTISTARTS, n) == (13, n)
 
 
-# Evaluations per solve at seed 0, capped just above today's counts (39, 63
-# and 78).  Every SQUAREM cycle values its three points once each through
-# TermMatrix.monomials, and every ascent values its start batch once more.
-# At n = 2 a solve is one certifying probe of 13 cycles; at n = 3 and 6 it
-# is three probes, of 8, 7 and 6 and of 11, 9 and 6 cycles.
-@pytest.mark.parametrize("n,k,cap", [(2, 2, 45), (3, 2, 70), (6, 2, 90)])
-def test_ascent_iterations_per_solve(monkeypatch, n, k, cap):
+# Evaluations per solve at seed 0, capped just above today's counts (34,
+# 64, 73 and 19).  Every SQUAREM cycle values its three points once each
+# through TermMatrix.monomials, every ascent values its start batch once
+# more, and each structured seed after the first that is not a point mass
+# is valued once at the lower end: 4 seeds at k = 2 and 1 at (2, 16), whose
+# Gaussian seeds are point masses.  At (2, 2) a solve is one certifying
+# probe of 10 cycles and at (2, 16) one of 6; at n = 3 and 6 it is three
+# probes, of 8, 7 and 5 and of 11, 8 and 4 cycles.  The caps are keyed by
+# (n, k), so that a tightened cap keeps the test's id.
+_EVALUATION_CAPS = {(2, 2): 36, (3, 2): 67, (6, 2): 77, (2, 16): 21}
+
+
+@pytest.mark.parametrize("n,k", list(_EVALUATION_CAPS))
+def test_ascent_iterations_per_solve(monkeypatch, n, k):
     calls = {"monomials": 0, "ascents": 0}
     monomials, ascend = TermMatrix.monomials, solver_module._ascend
 
@@ -424,7 +431,7 @@ def test_ascent_iterations_per_solve(monkeypatch, n, k, cap):
     monkeypatch.setattr(TermMatrix, "monomials", counted_monomials)
     monkeypatch.setattr(solver_module, "_ascend", counted_ascend)
     solve_exponent(n, k, SolverConfig(rng_seed=0))
-    assert 0 < calls["monomials"] - calls["ascents"] <= cap
+    assert 0 < calls["monomials"] - calls["ascents"] <= _EVALUATION_CAPS[n, k]
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (3, 16)])
@@ -453,8 +460,10 @@ def _best_seed(n, k):
     return max((witness_lower_bound(n, k, g), g) for g in seeds)
 
 
-# (4, 16) has point-mass Gaussian seeds, which have no witness root.
-@pytest.mark.parametrize("n,k", [(3, 2), (4, 16)])
+# The structured seeds do not depend on the seed of the random starts, so
+# the bench points cover every pool the bench solves from.  (4, 16) and
+# (2, 16) have point-mass Gaussian seeds, which have no witness root.
+@pytest.mark.parametrize("n,k", sorted({*BENCH_POINTS, (4, 16)}))
 def test_lower_end_from_best_seed(monkeypatch, n, k):
     calls = []
 
@@ -469,6 +478,24 @@ def test_lower_end_from_best_seed(monkeypatch, n, k):
     assert calls == [root + 0.5 * tol]
     assert pair.t - 0.5 * pair.bracket == pytest.approx(root, abs=1e-15)
     assert pair.argmax == seed
+
+
+# Only a seed valued above 1 at the lower end is rooted.  At (2, 2) the
+# uniform seed is the maximizer, so the binomial seed, which is the same
+# point, and the Gaussians are at most 1 at its root; rooting every seed
+# took 5 calls.
+def test_seeds_rooted_only_above_lower_end(monkeypatch):
+    calls = []
+    inner = solver_module.witness_lower_bound
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(solver_module, "witness_lower_bound", counted)
+    monkeypatch.setattr(solver_module, "_probe", lambda n, k, t, G: (1.0, (1.0, 0.0), G))
+    solve_exponent(2, 2)
+    assert 1 <= len(calls) <= 2
 
 
 def test_tolerance_below_float_spacing_rejected(monkeypatch):
@@ -702,16 +729,54 @@ def _pools(n, k):
     return pool, np.vstack([pool, start])
 
 
+# The t values include the solved t plus and minus 1e-6, where the ascent
+# certifies and finds a witness, so that both stop rules run.
 @pytest.mark.parametrize("n,k", sorted(_NEAR_CRITICAL))
 def test_ascent_matches_two_evaluation_reference(n, k):
     tm = term_matrix(n, k)
     cycles = solver_module._ASCENT_CYCLES
-    for t in (1.0, float(k + 1), _NEAR_CRITICAL[n, k]):
+    solved = solve_cached(n, k).t
+    for t in (1.0, float(k + 1), _NEAR_CRITICAL[n, k], solved + 1e-6, solved - 1e-6):
         for G in _pools(n, k):
             want_G, want_vals = _ref_ascend(G, t, tm, cycles)
             got_G, got_vals = solver_module._ascend(G, t, tm, cycles)
             assert np.array_equal(got_G, want_G), (n, k, t, len(G))
             assert np.array_equal(got_vals, want_vals), (n, k, t, len(G))
+
+
+# The ascent ends at its first settled cycle in which no row moved, since
+# every later cycle would repeat it.  At these points the certifying probe
+# of a solve at seed 0 reaches such a cycle before the reference, which has
+# no such stop, runs out its 5 settled cycles, so it makes fewer
+# evaluations with the same bits.
+@pytest.mark.parametrize("n,k", [(2, 16), (16, 2)])
+def test_certifying_ascent_stops_at_fixed_point(monkeypatch, n, k):
+    probes = []
+    inner = solver_module._probe
+
+    def recorded(n, k, t, G):
+        probes.append((t, G.copy()))
+        return inner(n, k, t, G)
+
+    monkeypatch.setattr(solver_module, "_probe", recorded)
+    solve_exponent(n, k, SolverConfig(rng_seed=0))
+    t, G = probes[-1]
+    calls = [0]
+    monomials = TermMatrix.monomials
+
+    def counted_monomials(*args, **kwargs):
+        calls[0] += 1
+        return monomials(*args, **kwargs)
+
+    monkeypatch.setattr(TermMatrix, "monomials", counted_monomials)
+    tm = term_matrix(n, k)
+    cycles = solver_module._ASCENT_CYCLES
+    got_G, got_vals = solver_module._ascend(G, t, tm, cycles)
+    got_calls, calls[0] = calls[0], 0
+    want_G, want_vals = _ref_ascend(G, t, tm, cycles)
+    assert got_vals.max() <= 1.0
+    assert np.array_equal(got_G, want_G) and np.array_equal(got_vals, want_vals)
+    assert got_calls < calls[0]
 
 
 def _best(G, vals):
